@@ -6,7 +6,7 @@ symmetric duplicates: static lex-leader constraints, value precedence,
 first-occurrence channelling, and dynamic least-in-orbit branching.
 """
 
-from .domains import Assignment, DomainSet, VarId, remove_value
+from .domains import Assignment, DomainSet, VarId
 from .engine import PropagationOutcome, Propagator, propagate_to_fixpoint
 from .errors import (
     BudgetExceeded,
@@ -36,10 +36,10 @@ from .search import (
     verify_symmetry_breaking,
 )
 from .symmetry import (
+    ClassProduct,
     SymmetrySpec,
     ValuePermutation,
     VarValueSymmetry,
-    apply_symmetry,
     canonical_form,
     close_group,
     exact_valsym_prune,
@@ -53,6 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment",
     "BudgetExceeded",
+    "ClassProduct",
     "Constraint",
     "ConstraintKind",
     "DimacsParseError",
@@ -71,7 +72,6 @@ __all__ = [
     "VarId",
     "VarValueSymmetry",
     "applicable_modes",
-    "apply_symmetry",
     "break_group",
     "build_all_interval",
     "build_coloring",
@@ -88,7 +88,6 @@ __all__ = [
     "parse_dimacs",
     "propagate_to_fixpoint",
     "random_interchangeable_model",
-    "remove_value",
     "solve",
     "verify_symmetry_breaking",
 ]

@@ -129,16 +129,5 @@ class DomainSet:
         return f"DomainSet({{{', '.join(map(str, self))}}})"
 
 
-def remove_value(domain: DomainSet, value: int) -> tuple[DomainSet, bool]:
-    """Remove `value` from a copy of `domain`.
-
-    Returns the new domain and a changed-flag. The result may be empty; the
-    caller decides whether emptiness means failure.
-    """
-    out = domain.copy()
-    changed = out.remove(value)
-    return out, changed
-
-
 def copy_domains(domains: list[DomainSet]) -> list[DomainSet]:
     return [DomainSet.from_mask(d.mask) for d in domains]

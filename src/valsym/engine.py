@@ -22,10 +22,6 @@ class PropagationOutcome:
     failed: bool
     changed: set[int] = field(default_factory=set)
 
-    @property
-    def fixpoint(self) -> bool:
-        return not self.failed
-
 
 class Propagator:
     """One constraint's filtering algorithm.

@@ -24,8 +24,8 @@ class GroupTooLarge(RuntimeError):
     generators only instead of enumerating the whole group.
     """
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"group closure exceeded cap ({size} > {cap})")
+    def __init__(self, size: int, cap: int, message: str | None = None):
+        super().__init__(message or f"group closure exceeded cap ({size} > {cap})")
         self.size = size
         self.cap = cap
 

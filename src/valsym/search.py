@@ -36,10 +36,10 @@ from .propagators import (
 )
 from .symmetry import (
     GROUP_CAP,
+    Group,
     SymmetrySpec,
     VarValueSymmetry,
     orbit_partition,
-    product_group,
 )
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
@@ -381,26 +381,26 @@ def compare_methods(
     return out
 
 
-def break_group(model: Model, mode: str, cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
+def break_group(model: Model, mode: str, cap: int = GROUP_CAP) -> Group:
     """The symmetry group a mode actually breaks; orbit checks use this.
 
     static-lex (and `none`, for checking a model's own posted constraints)
     break the full closed group; precedence/channel break the class product;
     getree breaks the value-only subgroup (it cannot see variable
-    permutations).
+    permutations). Whenever that group is exactly the class product it is
+    returned in structural form, which has no size limit; otherwise it is
+    enumerated, up to `cap` elements.
     """
     spec = model.symmetry
-    if mode in ("none", "static-lex"):
-        return list(_closed_group(spec, cap))
-    if mode in ("precedence", "channel"):
-        if not spec.interchangeable_classes:
-            raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
-        return product_group(spec.class_groups(cap), cap)
+    if mode not in MODES:
+        raise UnsupportedModeError(f"unknown mode {mode!r}")
+    if mode in ("precedence", "channel") and not spec.interchangeable_classes:
+        raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
+    if mode in ("precedence", "channel") or (spec.interchangeable_classes and not spec.explicit):
+        return spec.class_product()
     if mode == "getree":
-        if spec.interchangeable_classes and not spec.explicit:
-            return product_group(spec.class_groups(cap), cap)
         return list(_value_subgroup(spec, cap))
-    raise UnsupportedModeError(f"unknown mode {mode!r}")
+    return list(_closed_group(spec, cap))
 
 
 @dataclass

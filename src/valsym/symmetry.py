@@ -122,15 +122,6 @@ class VarValueSymmetry:
         return VarValueSymmetry(self.theta_inverse(), self.sigma.inverse())
 
 
-def apply_symmetry(sym: VarValueSymmetry, assignment: Sequence[int]) -> tuple[int, ...]:
-    return sym.apply(assignment)
-
-
-def lex_leader_holds(sym: VarValueSymmetry, assignment: Sequence[int]) -> bool:
-    """assignment <=lex its image under sym."""
-    return tuple(assignment) <= sym.apply(assignment)
-
-
 def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
     """BFS closure of the generators under composition, identity included.
 
@@ -171,7 +162,11 @@ def full_symmetric_group(values: Sequence[int], scope_len: int, universe_size: i
     """
     vals = list(values)
     if len(vals) > MAX_FULL_SYMMETRIC:
-        raise GroupTooLarge(len(vals), MAX_FULL_SYMMETRIC)
+        raise GroupTooLarge(
+            len(vals), MAX_FULL_SYMMETRIC,
+            f"static-lex enumerates a value class's permutations only up to "
+            f"{MAX_FULL_SYMMETRIC} values, got a class of {len(vals)}",
+        )
     if len(set(vals)) != len(vals):
         raise ModelError("interchangeable values must be distinct")
     out = []
@@ -199,6 +194,48 @@ def product_group(groups: Sequence[list[VarValueSymmetry]], cap: int = GROUP_CAP
 
 
 @dataclass(frozen=True)
+class ClassProduct:
+    """Direct product of the full symmetric groups on disjoint value classes,
+    kept as its classes rather than as |class|! enumerated elements.
+
+    Its lex-least image of an assignment is the first-occurrence relabelling:
+    reading left to right, the k-th distinct value met from a class becomes
+    that class's k-th smallest value, and values outside every class stay
+    fixed. Each step takes the least value not yet used as an image, which is
+    the greedy choice that minimises the image position by position.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    scope_len: int
+    universe_size: int
+    _ascending: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _class_of: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        class_of: dict[int, int] = {}
+        for idx, cls in enumerate(self.classes):
+            for v in cls:
+                if v in class_of:
+                    raise ModelError(f"value {v} in two interchangeable classes")
+                if not 0 <= v < self.universe_size:
+                    raise ModelError(f"class value {v} outside universe")
+                class_of[v] = idx
+        object.__setattr__(self, "_ascending", tuple(tuple(sorted(cls)) for cls in self.classes))
+        object.__setattr__(self, "_class_of", class_of)
+
+    def canonical(self, assignment: Sequence[int]) -> tuple[int, ...]:
+        """Lex-least image of the assignment, in one pass over it."""
+        class_of = self._class_of
+        fresh = [iter(cls) for cls in self._ascending]
+        relabel: dict[int, int] = {}
+        for v in assignment:
+            if v not in relabel:
+                idx = class_of.get(v)
+                relabel[v] = v if idx is None else next(fresh[idx])
+        return tuple([relabel[v] for v in assignment])
+
+
+@dataclass(frozen=True)
 class SymmetrySpec:
     """Declared symmetries of a model.
 
@@ -214,14 +251,7 @@ class SymmetrySpec:
     interchangeable_classes: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for cls in self.interchangeable_classes:
-            for v in cls:
-                if v in seen:
-                    raise ModelError(f"value {v} in two interchangeable classes")
-                if not 0 <= v < self.universe_size:
-                    raise ModelError(f"class value {v} outside universe")
-                seen.add(v)
+        self.class_product()  # checks the classes
         for g in self.explicit:
             if len(g.theta) != self.scope_len or len(g.sigma.image) != self.universe_size:
                 raise ModelError("symmetry shape does not match scope/universe")
@@ -235,6 +265,10 @@ class SymmetrySpec:
             full_symmetric_group(cls, self.scope_len, self.universe_size)
             for cls in self.interchangeable_classes
         ]
+
+    def class_product(self) -> ClassProduct:
+        """The interchangeable classes' group in structural form."""
+        return ClassProduct(self.interchangeable_classes, self.scope_len, self.universe_size)
 
     def closed_group(self, cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
         """Full group the spec denotes: closure of explicit generators combined
@@ -256,8 +290,11 @@ class SymmetrySpec:
         return [g for g in self.closed_group(cap) if g.theta_is_identity]
 
 
+Group = Sequence[VarValueSymmetry] | ClassProduct
+
+
 def orbit_partition(
-    assignments: Iterable[Sequence[int]], group: Sequence[VarValueSymmetry]
+    assignments: Iterable[Sequence[int]], group: Group
 ) -> list[list[tuple[int, ...]]]:
     """Partition assignments into orbits under the group.
 
@@ -267,17 +304,25 @@ def orbit_partition(
     orbit internally sorted, so the first element of each orbit is its
     canonical representative among the *inputs*.
     """
+    # a ClassProduct holds no element list, so it never goes through
+    # canonical_form, which bench/tracer.py sizes with len(group) per call
+    if isinstance(group, ClassProduct):
+        canon = group.canonical
+    else:
+        def canon(t):
+            return canonical_form(t, group)
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a in assignments:
         t = tuple(a)
-        canon = canonical_form(t, group)
-        buckets.setdefault(canon, []).append(t)
+        buckets.setdefault(canon(t), []).append(t)
     return [sorted(orbit) for _, orbit in sorted(buckets.items())]
 
 
-def canonical_form(assignment: Sequence[int], group: Sequence[VarValueSymmetry]) -> tuple[int, ...]:
+def canonical_form(assignment: Sequence[int], group: Group) -> tuple[int, ...]:
     """Lex-least image of the assignment over all group elements."""
     t = tuple(assignment)
+    if isinstance(group, ClassProduct):
+        return group.canonical(t)
     if not group:
         return t
     return min(g.apply(t) for g in group)

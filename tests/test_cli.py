@@ -137,6 +137,23 @@ def test_coloring_via_dimacs_file(capsys, triangle_file):
     assert payload["runs"][0]["solutions"] == [[0, 1, 2]]
 
 
+def test_verify_nine_colour_class_has_no_size_limit(capsys, tmp_path):
+    path = tmp_path / "path3.col"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    base = ["verify", "--model", "coloring", "--file", str(path), "--colors", "9"]
+    code, payload = run_json(
+        capsys, base + ["--mode", "precedence", "--mode", "channel", "--mode", "getree"]
+    )
+    assert code == 0
+    for v in payload["verification"]["modes"]:
+        assert v["passed"] and v["solution_count"] == 2 and v["orbit_count"] == 2, v
+    # mode none keeps every member of both orbits, so it reaches a FAIL verdict
+    code, payload = run_json(capsys, base + ["--mode", "none"])
+    assert code == 1
+    (v,) = payload["verification"]["modes"]
+    assert v["solution_count"] == 576 and v["orbit_count"] == 2
+
+
 def test_verify_coloring_all_modes(capsys, triangle_file):
     code, payload = run_json(
         capsys, ["verify", "--model", "coloring", "--file", triangle_file, "--colors", "3"]
@@ -168,6 +185,14 @@ def test_verify_coloring_all_modes(capsys, triangle_file):
 def test_usage_and_model_errors_exit_two(capsys, argv):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_static_lex_class_cap_names_the_limit(capsys):
+    argv = ["solve", "--model", "pigeonhole", "--n", "8", "--mode", "static-lex"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "static-lex" in err and "up to 8 values" in err and "class of 9" in err
+    assert "closure exceeded cap" not in err
 
 
 def test_bad_dimacs_reports_line_number(capsys, tmp_path):

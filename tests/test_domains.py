@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from valsym.domains import DomainSet, copy_domains, remove_value
+from valsym.domains import DomainSet, copy_domains
 
 
 def test_construction_and_queries():
@@ -15,21 +15,9 @@ def test_construction_and_queries():
     assert not d.empty
 
 
-def test_remove_value_present():
-    d, changed = remove_value(DomainSet([3, 5, 7]), 5)
-    assert changed
-    assert list(d) == [3, 7]
-
-
-def test_remove_value_absent():
-    d, changed = remove_value(DomainSet([3, 7]), 5)
-    assert not changed
-    assert list(d) == [3, 7]
-
-
 def test_remove_last_value_signals_emptiness():
-    d, changed = remove_value(DomainSet([5]), 5)
-    assert changed
+    d = DomainSet([5])
+    assert d.remove(5)
     assert d.empty  # caller must turn this into a failure
 
 

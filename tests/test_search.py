@@ -256,6 +256,21 @@ def test_getree_rejects_mixed_symmetry_sources():
         solve(m, SearchConfig(symmetry_mode="getree"))
 
 
+def test_break_group_is_structural_exactly_for_the_class_product():
+    classes_only = build_coloring(3, TRIANGLE, 3)
+    for mode in ("none", "static-lex", "precedence", "channel", "getree"):
+        assert break_group(classes_only, mode) == classes_only.symmetry.class_product(), mode
+    mixed = _both_sources_model()
+    assert break_group(mixed, "precedence") == mixed.symmetry.class_product()
+    assert break_group(mixed, "static-lex") == list(mixed.symmetry.closed_group())
+    explicit_only = build_all_interval(5)
+    assert break_group(explicit_only, "none") == list(explicit_only.symmetry.closed_group())
+    assert break_group(explicit_only, "getree") == explicit_only.symmetry.value_subgroup()
+    assert break_group(_plain_model(), "none") == []
+    with pytest.raises(UnsupportedModeError):
+        break_group(explicit_only, "channel")
+
+
 # --- mode applicability and compare_methods ----------------------------------
 
 

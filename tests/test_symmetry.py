@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valsym.domains import DomainSet
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError
 from valsym.symmetry import (
     GROUP_CAP,
+    ClassProduct,
     SymmetrySpec,
     ValuePermutation,
     VarValueSymmetry,
@@ -245,3 +247,58 @@ def test_closure_is_composition_closed(images, vec):
             c = a.compose(b)
             assert (c.theta, c.sigma.image) in keyed
     assert {g.apply(vec) for g in gens} <= {g.apply(vec) for g in group}
+
+
+def test_class_product_relabels_by_first_occurrence():
+    # classes declared out of order: the k-th new value of a class becomes
+    # its k-th smallest value, whatever the declared order; 1 and 6 stay fixed
+    cp = ClassProduct(((5, 2, 4), (3, 0)), scope_len=7, universe_size=7)
+    assert cp.canonical((4, 1, 3, 4, 5, 6, 0)) == (2, 1, 0, 2, 4, 6, 3)
+    assert canonical_form((5, 5, 2), cp) == (2, 2, 4)
+
+
+def test_class_product_has_no_class_size_limit():
+    spec = SymmetrySpec(scope_len=3, universe_size=12, interchangeable_classes=(tuple(range(12)),))
+    cp = spec.class_product()
+    assert cp == ClassProduct((tuple(range(12)),), 3, 12)
+    orbits = orbit_partition([(11, 7, 11), (3, 9, 3), (4, 5, 6)], cp)
+    assert orbits == [[(3, 9, 3), (11, 7, 11)], [(4, 5, 6)]]
+
+
+def test_class_product_rejects_overlapping_classes():
+    with pytest.raises(ModelError):
+        ClassProduct(((0, 1), (1, 2)), 2, 3)
+    with pytest.raises(ModelError):
+        ClassProduct(((0, 3),), 2, 3)
+
+
+@st.composite
+def class_specs(draw):
+    """Up to 3 disjoint classes of up to 6 values each, in shuffled order,
+    beside up to 3 values outside every class, plus a few assignments."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    order = 1
+    for k in sizes:
+        order *= math.factorial(k)
+    assume(order <= GROUP_CAP)
+    universe = sum(sizes) + draw(st.integers(0, 3))
+    values = draw(st.permutations(range(universe)))
+    classes, at = [], 0
+    for k in sizes:
+        classes.append(tuple(values[at:at + k]))
+        at += k
+    scope_len = draw(st.integers(1, 6))
+    point = st.tuples(*[st.integers(0, universe - 1)] * scope_len)
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    return SymmetrySpec(scope_len, universe, interchangeable_classes=tuple(classes)), points
+
+
+@given(class_specs())
+@settings(max_examples=150, deadline=None)
+def test_class_product_matches_enumerated_group(case):
+    spec, points = case
+    cp = spec.class_product()
+    group = product_group(spec.class_groups())
+    for p in points:
+        assert cp.canonical(p) == canonical_form(p, group) == canonical_form(p, cp)
+    assert orbit_partition(points, cp) == orbit_partition(points, group)
