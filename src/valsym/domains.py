@@ -1,9 +1,13 @@
-"""Bitmask-backed finite domains over a contiguous value universe 0..U-1.
+"""Finite domains over a contiguous value universe 0..U-1, as bitmasks.
 
-A DomainSet is a mutable set of small non-negative ints stored as one Python
-int. Emptiness is never an acceptable resting state for a live search node:
-mutators return a changed-flag and callers must test `empty` and convert
-emptiness into a propagation failure.
+The solver works on plain ints: bit v of a domain mask is set iff value v is
+in the domain, and the working domains of a search node are a flat
+`list[int]`. A propagator narrows variable v by writing `domains[v] = mask`;
+an empty mask (0) is never a resting state for a live node, so whoever writes
+one must report a propagation failure.
+
+`DomainSet` is the read-only set view that models are built from and that
+`Model.domains` holds; `Model.initial_domains()` turns it into masks.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ VarId = int
 Assignment = tuple[int, ...]
 
 
-def _mask_of(values: Iterable[int]) -> int:
+def mask_of(values: Iterable[int]) -> int:
+    """Bitmask holding exactly the given values."""
     m = 0
     for v in values:
         if v < 0:
@@ -23,11 +28,26 @@ def _mask_of(values: Iterable[int]) -> int:
     return m
 
 
+def values_of(mask: int) -> Iterator[int]:
+    """The values of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# A node's working domains are a flat list of ints, so copying them for a
+# child node is copying the list.
+copy_domains = list.copy
+
+
 class DomainSet:
+    """Immutable set of small non-negative ints stored as one bitmask."""
+
     __slots__ = ("mask",)
 
     def __init__(self, values: Iterable[int] = ()):
-        self.mask = _mask_of(values)
+        self.mask = mask_of(values)
 
     @classmethod
     def from_mask(cls, mask: int) -> "DomainSet":
@@ -43,11 +63,6 @@ class DomainSet:
     def singleton(cls, value: int) -> "DomainSet":
         return cls.from_mask(1 << value)
 
-    def copy(self) -> "DomainSet":
-        return DomainSet.from_mask(self.mask)
-
-    # -- queries ---------------------------------------------------------
-
     @property
     def empty(self) -> bool:
         return self.mask == 0
@@ -59,12 +74,7 @@ class DomainSet:
         return value >= 0 and (self.mask >> value) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # ascending value order
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return values_of(self.mask)
 
     def min(self) -> int:
         if self.mask == 0:
@@ -87,38 +97,6 @@ class DomainSet:
             raise ValueError("value() on non-singleton domain")
         return self.mask.bit_length() - 1
 
-    # -- mutators (return True iff the domain changed) --------------------
-
-    def remove(self, value: int) -> bool:
-        bit = 1 << value
-        if self.mask & bit:
-            self.mask ^= bit
-            return True
-        return False
-
-    def intersect_mask(self, mask: int) -> bool:
-        new = self.mask & mask
-        if new != self.mask:
-            self.mask = new
-            return True
-        return False
-
-    def keep_only(self, values: Iterable[int]) -> bool:
-        return self.intersect_mask(_mask_of(values))
-
-    def assign(self, value: int) -> bool:
-        return self.intersect_mask(1 << value)
-
-    def remove_below(self, bound: int) -> bool:
-        # drop every value < bound
-        return self.intersect_mask(-1 << bound)
-
-    def remove_above(self, bound: int) -> bool:
-        # drop every value > bound
-        return self.intersect_mask((1 << (bound + 1)) - 1)
-
-    # ---------------------------------------------------------------------
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DomainSet) and self.mask == other.mask
 
@@ -127,7 +105,3 @@ class DomainSet:
 
     def __repr__(self) -> str:
         return f"DomainSet({{{', '.join(map(str, self))}}})"
-
-
-def copy_domains(domains: list[DomainSet]) -> list[DomainSet]:
-    return [DomainSet.from_mask(d.mask) for d in domains]

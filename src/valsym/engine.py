@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .domains import DomainSet, VarId
+from .domains import VarId
 
 
 @dataclass
@@ -26,7 +26,9 @@ class PropagationOutcome:
 class Propagator:
     """One constraint's filtering algorithm.
 
-    propagate() mutates the domain list and reports (failed, changed_vars).
+    propagate() receives the node's domains as a list of bitmasks, narrows
+    only variables it watches by writing `domains[v] = mask`, and reports
+    (failed, changed_vars).
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
     """
@@ -34,7 +36,7 @@ class Propagator:
     kind = "propagator"
     watches: tuple[VarId, ...] = ()
 
-    def propagate(self, domains: list[DomainSet]) -> tuple[bool, list[int]]:
+    def propagate(self, domains: list[int]) -> tuple[bool, list[int]]:
         raise NotImplementedError
 
     def check(self, values: Sequence[int]) -> bool:
@@ -51,7 +53,7 @@ def build_watchers(propagators: Sequence[Propagator], num_vars: int) -> list[lis
 
 def propagate_to_fixpoint(
     propagators: Sequence[Propagator],
-    domains: list[DomainSet],
+    domains: list[int],
     trigger_vars: Optional[Sequence[int]] = None,
     watchers: Optional[list[list[int]]] = None,
     stats=None,
@@ -66,19 +68,16 @@ def propagate_to_fixpoint(
         watchers = build_watchers(propagators, len(domains))
     pending = [False] * len(propagators)
     queue: deque[int] = deque()
-
-    def enqueue(idx: int):
-        if not pending[idx]:
-            pending[idx] = True
-            queue.append(idx)
-
     if trigger_vars is None:
-        for idx in range(len(propagators)):
-            enqueue(idx)
+        seeds = [range(len(propagators))]
     else:
-        for v in trigger_vars:
-            for idx in watchers[v]:
-                enqueue(idx)
+        seeds = [watchers[v] for v in trigger_vars]
+    # enqueueing is inlined below: it runs once per watcher of every change
+    for idxs in seeds:
+        for idx in idxs:
+            if not pending[idx]:
+                pending[idx] = True
+                queue.append(idx)
 
     changed_total: set[int] = set()
     while queue:
@@ -92,5 +91,7 @@ def propagate_to_fixpoint(
         for v in changed:
             changed_total.add(v)
             for w in watchers[v]:
-                enqueue(w)
+                if not pending[w]:
+                    pending[w] = True
+                    queue.append(w)
     return PropagationOutcome(False, changed_total)

@@ -94,8 +94,9 @@ class Model:
     def num_vars(self) -> int:
         return len(self.domains)
 
-    def initial_domains(self) -> list[DomainSet]:
-        return [d.copy() for d in self.domains]
+    def initial_domains(self) -> list[int]:
+        """The solver's working domains: one bitmask per variable."""
+        return [d.mask for d in self.domains]
 
     def project_scope(self, assignment: Sequence[int]) -> tuple[int, ...]:
         return tuple(assignment[v] for v in self.symmetry_scope)

@@ -2,25 +2,20 @@
 
 Every propagator is contracting (only removes values) and monotone, and each
 carries an exact check() used at search leaves, so propagation strength below
-GAC never lets a false solution through.
+GAC never lets a false solution through. Domains are bitmasks (see
+`domains.py`); a propagator writes `domains[v] = mask` for the watched
+variables it narrows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .domains import DomainSet, VarId
+from .domains import VarId, mask_of, values_of
 from .engine import Propagator
 from .errors import ModelError
 from .model import Constraint, ConstraintKind, Model
 from .symmetry import VarValueSymmetry
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class NotEqualProp(Propagator):
@@ -33,15 +28,21 @@ class NotEqualProp(Propagator):
 
     def propagate(self, domains):
         changed = []
-        dx, dy = domains[self.x], domains[self.y]
-        if dx.is_singleton and dy.remove(dx.value()):
-            if dy.empty:
-                return True, [self.y]
-            changed.append(self.y)
-        if dy.is_singleton and dx.remove(dy.value()):
-            if dx.empty:
-                return True, [self.x]
-            changed.append(self.x)
+        x, y = self.x, self.y
+        dx, dy = domains[x], domains[y]
+        # a fixed variable's mask is its value's bit; drop it from the other
+        if not dx & (dx - 1) and dy & dx:
+            dy ^= dx
+            domains[y] = dy
+            if not dy:
+                return True, [y]
+            changed.append(y)
+        if not dy & (dy - 1) and dx & dy:
+            dx ^= dy
+            domains[x] = dx
+            if not dx:
+                return True, [x]
+            changed.append(x)
         return False, changed
 
     def check(self, values):
@@ -49,7 +50,12 @@ class NotEqualProp(Propagator):
 
 
 class AbsDiffProp(Propagator):
-    """|x - y| = d, filtered to arc consistency by support sweeps."""
+    """|x - y| = d, filtered to arc consistency by support sweeps.
+
+    Each sweep is word-level: a distance w has support iff X shifted by w
+    either way meets Y, and X keeps exactly the bits of Y shifted either way
+    by some distance still in D (then Y likewise against the new X).
+    """
 
     kind = "abs-diff"
 
@@ -57,46 +63,44 @@ class AbsDiffProp(Propagator):
         self.x = x
         self.y = y
         self.d = d
+        self.sides = ((x, y), (y, x))
         self.watches = (x, y, d)
 
     def propagate(self, domains):
-        dx, dy, dd = domains[self.x], domains[self.y], domains[self.d]
+        # each sweep re-reads its domains, since x, y and d need not be distinct
+        x, y, d = self.x, self.y, self.d
         changed = set()
         while True:
             moved = False
+            dx, dy, dd = domains[x], domains[y], domains[d]
             keep = 0
-            for w in dd:
-                for a in dx:
-                    if (a - w) in dy or (a + w) in dy:
-                        keep |= 1 << w
-                        break
-            if dd.intersect_mask(keep):
-                changed.add(self.d)
+            rest = dd
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                if ((dx >> w) | (dx << w)) & dy:
+                    keep |= bit
+            if keep != dd:
+                domains[d] = keep
+                changed.add(d)
                 moved = True
-                if dd.empty:
+                if not keep:
                     return True, list(changed)
-            keep = 0
-            for a in dx:
-                for w in dd:
-                    if (a - w) in dy or (a + w) in dy:
-                        keep |= 1 << a
-                        break
-            if dx.intersect_mask(keep):
-                changed.add(self.x)
-                moved = True
-                if dx.empty:
-                    return True, list(changed)
-            keep = 0
-            for b in dy:
-                for w in dd:
-                    if (b - w) in dx or (b + w) in dx:
-                        keep |= 1 << b
-                        break
-            if dy.intersect_mask(keep):
-                changed.add(self.y)
-                moved = True
-                if dy.empty:
-                    return True, list(changed)
+            for a, b in self.sides:
+                da, db, rest = domains[a], domains[b], domains[d]
+                support = 0
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    w = bit.bit_length() - 1
+                    support |= (db >> w) | (db << w)
+                if da & support != da:
+                    da = domains[a] = da & support
+                    changed.add(a)
+                    moved = True
+                    if not da:
+                        return True, list(changed)
             if not moved:
                 return False, list(changed)
 
@@ -121,40 +125,42 @@ class AllDifferentProp(Propagator):
         changed = set()
         while True:
             moved = False
-            if self.prune_assigned:
-                fixed_mask = 0
+            # pruning assigned values never shrinks the union of the domains,
+            # since each pruned value stays in the singleton holding it
+            avail = fixed_mask = 0
+            for v in scope:
+                d = domains[v]
+                avail |= d
+                if self.prune_assigned and not d & (d - 1):
+                    if d & fixed_mask:
+                        return True, list(changed)  # two vars on one value
+                    fixed_mask |= d
+            if fixed_mask:
                 for v in scope:
                     d = domains[v]
-                    if d.is_singleton:
-                        if d.mask & fixed_mask:
-                            return True, list(changed)  # two vars on one value
-                        fixed_mask |= d.mask
-                for v in scope:
-                    d = domains[v]
-                    if not d.is_singleton and d.intersect_mask(~fixed_mask):
+                    if d & (d - 1) and d & fixed_mask:
+                        d = domains[v] = d & ~fixed_mask
                         changed.add(v)
                         moved = True
-                        if d.empty:
+                        if not d:
                             return True, list(changed)
-            avail = 0
-            for v in scope:
-                avail |= domains[v].mask
             if avail.bit_count() < len(scope):
                 return True, list(changed)
             if avail.bit_count() == len(scope):
                 # every available value is used exactly once
-                for val in _bits(avail):
-                    bit = 1 << val
+                while avail:
+                    bit = avail & -avail
+                    avail ^= bit
                     holder = -1
                     many = False
                     for v in scope:
-                        if domains[v].mask & bit:
+                        if domains[v] & bit:
                             if holder >= 0:
                                 many = True
                                 break
                             holder = v
-                    if not many and holder >= 0 and not domains[holder].is_singleton:
-                        domains[holder].intersect_mask(bit)
+                    if not many and holder >= 0 and domains[holder] != bit:
+                        domains[holder] = bit
                         changed.add(holder)
                         moved = True
             if not moved:
@@ -191,18 +197,24 @@ class OrderingChainProp(Propagator):
         while True:
             moved = False
             for k in range(1, len(chain)):
+                prev = domains[chain[k - 1]]
+                above = -1 << ((prev & -prev).bit_length() - 1 + gap)
                 d = domains[chain[k]]
-                if d.remove_below(domains[chain[k - 1]].min() + gap):
+                if d & above != d:
+                    d = domains[chain[k]] = d & above
                     changed.add(chain[k])
                     moved = True
-                    if d.empty:
+                    if not d:
                         return True, list(changed)
             for k in range(len(chain) - 2, -1, -1):
+                ub = domains[chain[k + 1]].bit_length() - 1 - gap
                 d = domains[chain[k]]
-                if d.remove_above(domains[chain[k + 1]].max() - gap):
+                below = (1 << (ub + 1)) - 1
+                if d & below != d:
+                    d = domains[chain[k]] = d & below
                     changed.add(chain[k])
                     moved = True
-                    if d.empty:
+                    if not d:
                         return True, list(changed)
             if not moved:
                 return False, list(changed)
@@ -219,9 +231,13 @@ class PrecedenceProp(Propagator):
     appear (scanning the scope left to right) must be the k-th in the declared
     order, so used class values always form a prefix of that order.
 
-    Filtering unfolds the counting automaton over the scope (state = number of
+    Filtering runs the counting automaton over the scope (state = number of
     class values introduced so far) and keeps exactly the values on a path
-    from the start state to any end state: generalized arc consistency.
+    from the start state to any end state: generalized arc consistency. The
+    state sets are bitmasks over 0..len(order) and each position's class
+    values become a rank mask R, so each step is a few word operations:
+    a class value of rank r moves state r to r+1 and keeps every state above
+    r; a non-class value keeps every state.
     """
 
     kind = "precedence"
@@ -232,6 +248,9 @@ class PrecedenceProp(Propagator):
         self.scope = tuple(scope)
         self.order = tuple(order)
         self.rank = {v: r for r, v in enumerate(order)}
+        self.class_mask = mask_of(order)
+        self.rank_bit = {1 << v: 1 << r for r, v in enumerate(order)}
+        self.value_bit = {1 << r: 1 << v for r, v in enumerate(order)}
         self.watches = self.scope
 
     def _dest(self, state: int, value: int) -> int:
@@ -243,39 +262,62 @@ class PrecedenceProp(Propagator):
             return state + 1
         return -1
 
+    def _ranks(self, mask: int) -> int:
+        """Rank mask of the class values in a domain mask."""
+        rank_bit = self.rank_bit
+        ranks = 0
+        mask &= self.class_mask
+        while mask:
+            low = mask & -mask
+            ranks |= rank_bit[low]
+            mask ^= low
+        return ranks
+
     def propagate(self, domains):
         scope = self.scope
-        L = len(scope)
-        fwd = [0] * (L + 1)
-        fwd[0] = 1
-        for i in range(L):
-            nxt = 0
-            dm = domains[scope[i]]
-            for s in _bits(fwd[i]):
-                for v in dm:
-                    dest = self._dest(s, v)
-                    if dest >= 0:
-                        nxt |= 1 << dest
-            if nxt == 0:
+        class_mask = self.class_mask
+        # domains repeat along the scope, so translate each distinct one once
+        rank_of = {}
+        fwd = [1]
+        states = 1
+        for var in scope:
+            dm = domains[var]
+            r = rank_of.get(dm)
+            if r is None:
+                r = rank_of[dm] = self._ranks(dm)
+            if dm & ~class_mask:
+                states |= (states & r) << 1
+            else:
+                # only states above the least rank can stay
+                states = (states & -((r & -r) << 1)) | ((states & r) << 1)
+            if not states:
                 return True, []
-            fwd[i + 1] = nxt
+            fwd.append(states)
         changed = []
-        bwd = fwd[L]
-        for i in range(L - 1, -1, -1):
-            dm = domains[scope[i]]
-            keep = 0
-            new_bwd = 0
-            for s in _bits(fwd[i]):
-                for v in dm:
-                    dest = self._dest(s, v)
-                    if dest >= 0 and (bwd >> dest) & 1:
-                        keep |= 1 << v
-                        new_bwd |= 1 << s
-            if dm.intersect_mask(keep):
-                changed.append(scope[i])
-                if dm.empty:
+        bwd = states
+        for i in range(len(scope) - 1, -1, -1):
+            var = scope[i]
+            dm = domains[var]
+            r = rank_of.get(dm)
+            if r is None:
+                r = rank_of[dm] = self._ranks(dm)
+            f = fwd[i]
+            stay = f & bwd  # states that can stay and still reach an end
+            step = f & (bwd >> 1)  # states whose step up reaches an end
+            keep_r = r & (step | ((1 << (stay.bit_length() - 1)) - 1 if stay else 0))
+            other = dm & ~class_mask
+            if keep_r != r or (other and not stay):
+                keep = other if stay else 0
+                value_bit = self.value_bit
+                while keep_r:
+                    low = keep_r & -keep_r
+                    keep |= value_bit[low]
+                    keep_r ^= low
+                domains[var] = keep
+                changed.append(var)
+                if not keep:
                     return True, changed
-            bwd = new_bwd
+            bwd = (stay if other else stay & -((r & -r) << 1)) | (step & r)
         return False, changed
 
     def check(self, values):
@@ -309,15 +351,21 @@ class LexLeaderProp(Propagator):
         self.u_vars = self.scope
         self.v_vars = tuple(self.scope[inv[j]] for j in range(len(scope)))
         self.sig = sym.sigma.image
+        # values sigma fixes, and values sigma moves upwards
+        self.fixed = mask_of(v for v, w in enumerate(self.sig) if w == v)
+        self.rising = mask_of(v for v, w in enumerate(self.sig) if w > v)
         self.watches = tuple(sorted(set(self.u_vars) | set(self.v_vars)))
 
     def _forced_tie(self, domains, j: int) -> bool:
         uv, vv = self.u_vars[j], self.v_vars[j]
-        sig = self.sig
         if uv == vv:
-            return all(sig[v] == v for v in domains[uv])
+            return not domains[uv] & ~self.fixed
         du, dv = domains[uv], domains[vv]
-        return du.is_singleton and dv.is_singleton and du.value() == sig[dv.value()]
+        return (
+            not du & (du - 1)
+            and not dv & (dv - 1)
+            and du == 1 << self.sig[dv.bit_length() - 1]
+        )
 
     def propagate(self, domains):
         L = len(self.u_vars)
@@ -334,37 +382,39 @@ class LexLeaderProp(Propagator):
             k += 1
         strict = False
         if k < L:
-            min_u = domains[self.u_vars[k]].min()
-            max_v = max(sig[b] for b in domains[self.v_vars[k]])
+            du = domains[self.u_vars[k]]
+            min_u = (du & -du).bit_length() - 1
+            max_v = max(sig[b] for b in values_of(domains[self.v_vars[k]]))
             if min_u > max_v:
                 strict = True
         changed = []
         uv, vv = self.u_vars[alpha], self.v_vars[alpha]
         if uv == vv:
             d = domains[uv]
-            keep = 0
-            for v in d:
-                if sig[v] > v or (not strict and sig[v] == v):
-                    keep |= 1 << v
-            if d.intersect_mask(keep):
+            keep = d & (self.rising if strict else self.rising | self.fixed)
+            if keep != d:
+                domains[uv] = keep
                 changed.append(uv)
-                if d.empty:
+                if not keep:
                     return True, changed
         else:
             du, dv = domains[uv], domains[vv]
-            max_v = max(sig[b] for b in dv)
-            if du.remove_above(max_v - 1 if strict else max_v):
+            max_v = max(sig[b] for b in values_of(dv))
+            keep = du & ((1 << (max_v if strict else max_v + 1)) - 1)
+            if keep != du:
+                du = domains[uv] = keep
                 changed.append(uv)
-                if du.empty:
+                if not du:
                     return True, changed
-            min_u = du.min()
+            min_u = (du & -du).bit_length() - 1
             keep = 0
-            for b in dv:
+            for b in values_of(dv):
                 if sig[b] > min_u or (not strict and sig[b] == min_u):
                     keep |= 1 << b
-            if dv.intersect_mask(keep):
+            if keep != dv:
+                domains[vv] = keep
                 changed.append(vv)
-                if dv.empty:
+                if not keep:
                     return True, changed
         return False, changed
 
@@ -401,48 +451,60 @@ class FirstOccurrenceChannelProp(Propagator):
     def sentinel(self, k: int) -> int:
         return len(self.x_scope) + 1 + (k + 1)
 
+    def position_mask(self, k: int) -> int:
+        """Initial domain of z_k: positions 1..len(scope) plus its sentinel."""
+        return ((1 << (len(self.x_scope) + 1)) - 2) | (1 << self.sentinel(k))
+
     def propagate(self, domains):
-        n = len(self.x_scope)
+        x_scope = self.x_scope
+        n = len(x_scope)
         changed = set()
         while True:
             moved = False
             for k, val in enumerate(self.order):
-                dz = domains[self.z_vars[k]]
+                z = self.z_vars[k]
+                dz = domains[z]
                 bit = 1 << val
                 absent = True
                 for i1 in range(1, n + 1):
-                    dx = domains[self.x_scope[i1 - 1]]
-                    if dx.mask & bit:
+                    dx = domains[x_scope[i1 - 1]]
+                    if dx & bit:
                         absent = False
-                    if dx.is_singleton:
-                        if dx.value() == val:
-                            if dz.remove_above(i1):
-                                changed.add(self.z_vars[k])
-                                moved = True
-                        elif dz.remove(i1):
-                            changed.add(self.z_vars[k])
+                    if not dx & (dx - 1):
+                        if dx == bit:
+                            keep = dz & ((2 << i1) - 1)  # z <= i1
+                        else:
+                            keep = dz & ~(1 << i1)
+                        if keep != dz:
+                            dz = domains[z] = keep
+                            changed.add(z)
                             moved = True
-                if absent and dz.intersect_mask(1 << self.sentinel(k)):
-                    changed.add(self.z_vars[k])
+                if absent and dz & (1 << self.sentinel(k)) != dz:
+                    dz = domains[z] = dz & (1 << self.sentinel(k))
+                    changed.add(z)
                     moved = True
-                if dz.empty:
+                if not dz:
                     return True, list(changed)
-                lb = dz.min()
+                lb = (dz & -dz).bit_length() - 1
                 for i1 in range(1, min(lb, n + 1)):
-                    dx = domains[self.x_scope[i1 - 1]]
-                    if dx.remove(val):
-                        changed.add(self.x_scope[i1 - 1])
+                    x = x_scope[i1 - 1]
+                    dx = domains[x]
+                    if dx & bit:
+                        dx = domains[x] = dx ^ bit
+                        changed.add(x)
                         moved = True
-                        if dx.empty:
+                        if not dx:
                             return True, list(changed)
-                if dz.is_singleton:
-                    pos = dz.value()
+                if not dz & (dz - 1):
+                    pos = dz.bit_length() - 1
                     if pos <= n:
-                        dx = domains[self.x_scope[pos - 1]]
-                        if dx.intersect_mask(bit):
-                            changed.add(self.x_scope[pos - 1])
+                        x = x_scope[pos - 1]
+                        dx = domains[x]
+                        if dx != dx & bit:
+                            dx = domains[x] = dx & bit
+                            changed.add(x)
                             moved = True
-                            if dx.empty:
+                            if not dx:
                                 return True, list(changed)
             if not moved:
                 return False, list(changed)
@@ -472,9 +534,9 @@ class EqualityDisjunctionProp(Propagator):
     def propagate(self, domains):
         if not self.pairs:
             return True, []
-        if all(domains[v].is_singleton for v in self.watches):
-            vals = {v: domains[v].value() for v in self.watches}
-            if not any(vals[a] == vals[b] for a, b in self.pairs):
+        if all(not domains[v] & (domains[v] - 1) for v in self.watches):
+            # singleton masks are equal exactly when their values are
+            if not any(domains[a] == domains[b] for a, b in self.pairs):
                 return True, []
         return False, []
 

@@ -23,6 +23,17 @@ _STAT_COLUMNS = (
 )
 
 
+def _orbit_entry(orbit: Sequence[tuple[int, ...]]) -> dict:
+    # an orbit can hold every solution of the model, so list only a sample
+    return {"size": len(orbit), "members": [list(a) for a in orbit[:SOLUTION_SAMPLE_CAP]]}
+
+
+def _orbit_line(orbit: Sequence[tuple[int, ...]]) -> str:
+    shown = " | ".join(str(a) for a in orbit[:SOLUTION_SAMPLE_CAP])
+    more = " | ..." if len(orbit) > SOLUTION_SAMPLE_CAP else ""
+    return f"    {len(orbit)} members: {shown}{more}"
+
+
 def schema_path():
     return resources.files("valsym") / "schema" / "run_report.schema.json"
 
@@ -76,13 +87,12 @@ class RunReport:
                         "passed": v.passed,
                         "solution_count": v.solution_count,
                         "orbit_count": v.orbit_count,
-                        "duplicate_orbits": [
-                            [list(a) for a in orbit] for orbit in v.duplicate_orbits
+                        "duplicate_orbits": [_orbit_entry(o) for o in v.duplicate_orbits],
+                        "missed_orbits": [_orbit_entry(o) for o in v.missed_orbits],
+                        "non_canonical_count": len(v.non_canonical),
+                        "non_canonical": [
+                            list(a) for a in v.non_canonical[:SOLUTION_SAMPLE_CAP]
                         ],
-                        "missed_orbits": [
-                            [list(a) for a in orbit] for orbit in v.missed_orbits
-                        ],
-                        "non_canonical": [list(a) for a in v.non_canonical],
                     }
                     for v in self.verification
                 ],
@@ -148,10 +158,10 @@ class RunReport:
                 if v.duplicate_orbits:
                     lines.append("  orbits with more than one returned solution:")
                     for orbit in v.duplicate_orbits[:10]:
-                        lines.append("    " + " | ".join(str(a) for a in orbit))
+                        lines.append(_orbit_line(orbit))
                 if v.missed_orbits:
                     lines.append("  orbits with no returned solution:")
                     for orbit in v.missed_orbits[:10]:
-                        lines.append("    " + " | ".join(str(a) for a in orbit))
+                        lines.append(_orbit_line(orbit))
             lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)

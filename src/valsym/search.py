@@ -9,9 +9,10 @@ Modes:
   getree      dynamic filtering: at each node branch only on the least value
               of each orbit of the stabilizer of the decisions so far
 
-Search copies domains per node; propagation runs to a fixpoint after every
-assignment and every leaf is re-checked against the exact constraint
-relations, so weak propagators cost time, never correctness.
+Domains are a flat list of int bitmasks, one per variable, copied per node;
+propagation runs to a fixpoint after every assignment and every leaf is
+re-checked against the exact constraint relations, so weak propagators cost
+time, never correctness.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .domains import DomainSet, copy_domains
+from .domains import copy_domains, values_of
 from .engine import build_watchers, propagate_to_fixpoint
 from .errors import BudgetExceeded, UnsupportedModeError
 from .model import Constraint, ConstraintKind, Model
@@ -123,14 +124,14 @@ def _closed_group(spec: SymmetrySpec, cap: int) -> tuple[VarValueSymmetry, ...]:
 
 @lru_cache(maxsize=64)
 def _value_subgroup(spec: SymmetrySpec, cap: int) -> tuple[VarValueSymmetry, ...]:
-    return tuple(g for g in _closed_group(spec, cap) if g.theta_is_identity)
+    return tuple(spec.value_subgroup(cap))
 
 
 def getree_allowed_values(
     partial: Sequence[tuple[int, int]],
     next_var: int,
     spec: SymmetrySpec,
-    domains: Sequence[DomainSet],
+    domains: Sequence[int],
     scope: Optional[Sequence[int]] = None,
     cap: int = GROUP_CAP,
 ) -> list[int]:
@@ -138,14 +139,14 @@ def getree_allowed_values(
 
     partial is the sequence of (var, value) decisions made so far. Only one
     value per orbit of the current stabilizer survives: the least one still
-    in the domain. Variables outside the symmetry scope are not filtered.
+    in the domain mask. Variables outside the symmetry scope are not filtered.
     """
     if scope is None:
         scope = tuple(range(spec.scope_len))
     scope_set = set(scope)
     dom = domains[next_var]
     if next_var not in scope_set:
-        return list(dom)
+        return list(values_of(dom))
     decided = {val for var, val in partial if var in scope_set}
     if spec.explicit and spec.interchangeable_classes:
         raise UnsupportedModeError(
@@ -160,7 +161,7 @@ def getree_allowed_values(
         ]
         allowed = []
         seen = 0
-        for v in dom:
+        for v in values_of(dom):
             if (seen >> v) & 1:
                 continue
             allowed.append(v)
@@ -182,7 +183,7 @@ def getree_allowed_values(
                 class_of[v] = idx
         fresh_done = set()
         allowed = []
-        for v in dom:
+        for v in values_of(dom):
             idx = class_of.get(v)
             if idx is None or v in decided:
                 allowed.append(v)
@@ -193,12 +194,12 @@ def getree_allowed_values(
             allowed.append(v)
             fresh_done.add(idx)
         return allowed
-    return list(dom)
+    return list(values_of(dom))
 
 
 @dataclass
 class _Prepared:
-    domains: list[DomainSet]
+    domains: list[int]
     propagators: list
     base_vars: int
     getree: bool
@@ -263,14 +264,10 @@ def _prepare(model: Model, config: SearchConfig) -> _Prepared:
     if mode == "channel":
         if not spec.interchangeable_classes:
             raise UnsupportedModeError("channel needs interchangeable value classes")
-        n_scope = len(model.symmetry_scope)
         for cls, z_vars in channel_layout(model):
-            for k in range(len(cls)):
-                sentinel = n_scope + 1 + (k + 1)
-                dz = DomainSet(range(1, n_scope + 1))
-                dz.mask |= 1 << sentinel
-                domains.append(dz)
-            props.append(FirstOccurrenceChannelProp(model.symmetry_scope, z_vars, cls))
+            channel = FirstOccurrenceChannelProp(model.symmetry_scope, z_vars, cls)
+            domains += [channel.position_mask(k) for k in range(len(cls))]
+            props.append(channel)
             props.append(OrderingChainProp(z_vars, strict=True))
         return _Prepared(domains, props, model.num_vars, False)
     if mode == "getree":
@@ -307,12 +304,13 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         if min_dom:
             best, best_size = -1, 0
             for v in range(num_vars):
-                s = len(domains[v])
+                s = domains[v].bit_count()
                 if s > 1 and (best < 0 or s < best_size):
                     best, best_size = v, s
             return best
         for v in range(num_vars):
-            if not domains[v].is_singleton:
+            d = domains[v]
+            if d & (d - 1):
                 return v
         return -1
 
@@ -329,7 +327,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             return
         var = pick_var(domains)
         if var < 0:
-            values = tuple(d.value() for d in domains)
+            values = tuple(d.bit_length() - 1 for d in domains)
             if check_all(prep.propagators, values):
                 stats.solutions += 1
                 solutions.append(values[: prep.base_vars])
@@ -344,13 +342,13 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 scope=model.symmetry_scope, cap=config.group_cap,
             )
         else:
-            vals = list(domains[var])
+            vals = list(values_of(domains[var]))
         if not ascending:
             vals = vals[::-1]
         for v in vals:
             stats.branches += 1
             child = copy_domains(domains)
-            child[var].assign(v)
+            child[var] = 1 << v
             partial.append((var, v))
             try:
                 dfs(child, (var,), depth + 1)

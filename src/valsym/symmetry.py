@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .domains import DomainSet
+from .domains import values_of
 from .errors import BudgetExceeded, GroupTooLarge, ModelError
 
 GROUP_CAP = 10_080
@@ -329,27 +329,28 @@ def canonical_form(assignment: Sequence[int], group: Group) -> tuple[int, ...]:
 
 
 def exact_valsym_prune(
-    domains: Sequence[DomainSet],
+    domains: Sequence[int],
     symmetries: Sequence[VarValueSymmetry],
     budget: int = 1_000_000,
-) -> list[DomainSet] | None:
+) -> list[int] | None:
     """Ground-truth filter for the conjunction of all lex-leader comparisons.
 
-    Enumerates every full assignment from the domains (no other constraints)
-    and keeps a value iff it appears in some assignment A with A <=lex g(A)
-    for every listed symmetry. Returns None when nothing survives (failure).
-    Raises BudgetExceeded if the product of domain sizes passes `budget`.
+    Enumerates every full assignment from the domain masks (no other
+    constraints) and keeps a value iff it appears in some assignment A with
+    A <=lex g(A) for every listed symmetry. Returns the surviving masks, or
+    None when nothing survives (failure). Raises BudgetExceeded if the product
+    of domain sizes passes `budget`.
     """
     total = 1
     for d in domains:
-        total *= len(d)
+        total *= d.bit_count()
         if total > budget:
             raise BudgetExceeded(budget)
     support = [0] * len(domains)
-    for combo in itertools.product(*[list(d) for d in domains]):
+    for combo in itertools.product(*[list(values_of(d)) for d in domains]):
         if all(combo <= g.apply(combo) for g in symmetries):
             for i, v in enumerate(combo):
                 support[i] |= 1 << v
     if any(m == 0 for m in support):
         return None
-    return [DomainSet.from_mask(m) for m in support]
+    return support

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import DomainSet
+from .domains import mask_of, values_of
 from .engine import propagate_to_fixpoint
 from .propagators import (
     FirstOccurrenceChannelProp,
@@ -29,8 +29,8 @@ from .propagators import (
 from .symmetry import ValuePermutation, VarValueSymmetry, exact_valsym_prune
 
 
-def _domains_of(values: Sequence[Sequence[int]]) -> list[DomainSet]:
-    return [DomainSet(vs) for vs in values]
+def _domains_of(values: Sequence[Sequence[int]]) -> list[int]:
+    return [mask_of(vs) for vs in values]
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,14 @@ class DecompositionWitness:
             for img in self.sigma_images
         ]
 
-    def decomposition_fixpoint(self) -> tuple[bool, list[DomainSet]]:
+    def decomposition_fixpoint(self) -> tuple[bool, list[int]]:
         doms = _domains_of(self.domains)
         scope = tuple(range(len(doms)))
         props = [LexLeaderProp(scope, s) for s in self.symmetries()]
         out = propagate_to_fixpoint(props, doms)
         return out.failed, doms
 
-    def oracle_fixpoint(self) -> Optional[list[DomainSet]]:
+    def oracle_fixpoint(self) -> Optional[list[int]]:
         return exact_valsym_prune(_domains_of(self.domains), self.symmetries())
 
     def gap_values(self) -> list[tuple[int, int]]:
@@ -67,8 +67,8 @@ class DecompositionWitness:
         oracle = self.oracle_fixpoint()
         out = []
         for i, d in enumerate(decomp):
-            oracle_mask = 0 if oracle is None else oracle[i].mask
-            for v in DomainSet.from_mask(d.mask & ~oracle_mask):
+            oracle_mask = 0 if oracle is None else oracle[i]
+            for v in values_of(d & ~oracle_mask):
                 out.append((i, v))
         return out
 
@@ -82,23 +82,17 @@ class ChannelWitness:
     class_values: tuple[int, ...]
     domains: tuple[tuple[int, ...], ...]
 
-    def channel_fixpoint(self) -> tuple[bool, list[DomainSet]]:
+    def channel_fixpoint(self) -> tuple[bool, list[int]]:
         doms = _domains_of(self.domains)
         n = len(doms)
-        z_vars = []
-        for k in range(len(self.class_values)):
-            dz = DomainSet(range(1, n + 1))
-            dz.mask |= 1 << (n + 1 + (k + 1))
-            z_vars.append(len(doms))
-            doms.append(dz)
-        props = [
-            FirstOccurrenceChannelProp(tuple(range(n)), tuple(z_vars), self.class_values),
-            OrderingChainProp(tuple(z_vars), strict=True),
-        ]
+        z_vars = tuple(range(n, n + len(self.class_values)))
+        channel = FirstOccurrenceChannelProp(tuple(range(n)), z_vars, self.class_values)
+        doms += [channel.position_mask(k) for k in range(len(z_vars))]
+        props = [channel, OrderingChainProp(z_vars, strict=True)]
         out = propagate_to_fixpoint(props, doms)
         return out.failed, doms[:n]
 
-    def precedence_fixpoint(self) -> tuple[bool, list[DomainSet]]:
+    def precedence_fixpoint(self) -> tuple[bool, list[int]]:
         doms = _domains_of(self.domains)
         props = [PrecedenceProp(tuple(range(len(doms))), self.class_values)]
         out = propagate_to_fixpoint(props, doms)
@@ -112,8 +106,8 @@ class ChannelWitness:
         pf, pd = self.precedence_fixpoint()
         out = []
         for i, d in enumerate(cd):
-            prec_mask = 0 if pf else pd[i].mask
-            for v in DomainSet.from_mask(d.mask & ~prec_mask):
+            prec_mask = 0 if pf else pd[i]
+            for v in values_of(d & ~prec_mask):
                 out.append((i, v))
         return out
 
@@ -159,7 +153,7 @@ def search_decomposition_witness(
             universe_size=u,
             sigma_images=tuple(images),
             domains=tuple(
-                tuple(DomainSet.from_mask(rng.randrange(1, 1 << u))) for _ in range(n)
+                tuple(values_of(rng.randrange(1, 1 << u))) for _ in range(n)
             ),
         )
         if cand.gap_values():
@@ -178,7 +172,7 @@ def search_channel_witness(seed: int, tries: int = 5000) -> Optional[ChannelWitn
             universe_size=u,
             class_values=(0, 1),
             domains=tuple(
-                tuple(DomainSet.from_mask(rng.randrange(1, 1 << u))) for _ in range(n)
+                tuple(values_of(rng.randrange(1, 1 << u))) for _ in range(n)
             ),
         )
         if cand.gap_values():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from valsym.domains import DomainSet
+from valsym.domains import values_of
 from valsym.model import Constraint, ConstraintKind, Model
 
 
@@ -83,13 +83,13 @@ def naive_all_interval(n: int) -> list[tuple[int, ...]]:
 
 
 def brute_support(
-    domains: Sequence[DomainSet], accepts: Callable[[tuple[int, ...]], bool]
+    domains: Sequence[int], accepts: Callable[[tuple[int, ...]], bool]
 ) -> Optional[list[set]]:
-    """Per-variable supported value sets under `accepts`, or None when no
-    assignment is accepted (the GAC reference)."""
+    """Per-variable supported value sets under `accepts` over the domain
+    masks, or None when no assignment is accepted (the GAC reference)."""
     support: list[set] = [set() for _ in domains]
     any_ok = False
-    for combo in itertools.product(*[sorted(d) for d in domains]):
+    for combo in itertools.product(*[list(values_of(d)) for d in domains]):
         if accepts(combo):
             any_ok = True
             for i, v in enumerate(combo):

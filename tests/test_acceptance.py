@@ -11,7 +11,7 @@ import statistics
 import time
 
 from oracles import brute_support, naive_all_interval, precedence_accepts
-from valsym.domains import DomainSet
+from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.problems import (
     build_all_interval,
@@ -93,12 +93,12 @@ def test_criterion_2_lex_fixpoints():
     props = build_propagators(m)
     doms = m.initial_domains()
     out = propagate_to_fixpoint(props, doms)
-    if out.failed or set(doms[0]) != set(range(6)):
-        problems.append(f"root domain {sorted(doms[0])}")
-    doms[0].assign(5)
+    if out.failed or set(values_of(doms[0])) != set(range(6)):
+        problems.append(f"root domain {sorted(values_of(doms[0]))}")
+    doms[0] = 1 << 5
     out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
-    if out.failed or set(doms[1]) != set(range(5)):
-        problems.append(f"post-assignment domain {sorted(doms[1])}")
+    if out.failed or set(values_of(doms[1])) != set(range(5)):
+        problems.append(f"post-assignment domain {sorted(values_of(doms[1]))}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"too slow: {elapsed:.2f}s")
@@ -169,14 +169,14 @@ def test_criterion_5_precedence_gac_exactness():
         m = rng.randint(1, 4)
         u = rng.randint(m, m + 2)
         order = tuple(range(m))
-        doms = [DomainSet.from_mask(rng.randrange(1, 1 << u)) for _ in range(n)]
-        snapshot = [d.copy() for d in doms]
+        doms = [rng.randrange(1, 1 << u) for _ in range(n)]
+        snapshot = list(doms)
         out = propagate_to_fixpoint([PrecedenceProp(tuple(range(n)), order)], doms)
         want = brute_support(snapshot, lambda c: precedence_accepts(c, order))
         if want is None:
             if not out.failed:
                 mismatches += 1
-        elif out.failed or [set(d) for d in doms] != want:
+        elif out.failed or [set(values_of(d)) for d in doms] != want:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 30.0
@@ -196,8 +196,8 @@ def test_criterion_6_propagation_hierarchy_witnesses():
     if failed or oracle is None:
         problems.append("decomposition witness wiped out")
     else:
-        decomp_sets = [set(d) for d in decomp]
-        oracle_sets = [set(d) for d in oracle]
+        decomp_sets = [set(values_of(d)) for d in decomp]
+        oracle_sets = [set(values_of(d)) for d in oracle]
         if not (
             all(o <= d for o, d in zip(oracle_sets, decomp_sets))
             and decomp_sets != oracle_sets
@@ -212,19 +212,19 @@ def test_criterion_6_propagation_hierarchy_witnesses():
         len(c.domains),
         ValuePermutation.from_cycle(c.universe_size, c.class_values),
     )
-    coracle = exact_valsym_prune([DomainSet(d) for d in c.domains], [swap])
+    coracle = exact_valsym_prune([mask_of(d) for d in c.domains], [swap])
     if cfailed or coracle is None:
         problems.append("channel witness wiped out")
     else:
-        chan_sets = [set(d) for d in cdoms]
-        oracle_sets = [set(d) for d in coracle]
+        chan_sets = [set(values_of(d)) for d in cdoms]
+        oracle_sets = [set(values_of(d)) for d in coracle]
         if not (
             all(o <= ch for o, ch in zip(oracle_sets, chan_sets))
             and chan_sets != oracle_sets
         ):
             problems.append(f"no channel gap: {chan_sets} vs oracle {oracle_sets}")
         pfailed, pdoms = c.precedence_fixpoint()
-        if pfailed or [set(d) for d in pdoms] != oracle_sets:
+        if pfailed or [set(values_of(d)) for d in pdoms] != oracle_sets:
             problems.append("precedence disagrees with exact oracle on witness")
 
     elapsed = time.perf_counter() - t0

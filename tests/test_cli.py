@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from valsym.cli import main
-from valsym.report import load_schema
+from valsym.report import SOLUTION_SAMPLE_CAP, load_schema
 
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -152,6 +152,32 @@ def test_verify_nine_colour_class_has_no_size_limit(capsys, tmp_path):
     assert code == 1
     (v,) = payload["verification"]["modes"]
     assert v["solution_count"] == 576 and v["orbit_count"] == 2
+
+
+def test_verify_orbit_listings_are_capped(capsys, tmp_path):
+    # mode none on a 3-vertex path with 9 colours returns all 576 solutions:
+    # 72 with equal ends and 504 without; each listed orbit keeps its size but
+    # only a sample of its members
+    path = tmp_path / "path3.col"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "9", "--mode", "none"]
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    (v,) = payload["verification"]["modes"]
+    orbits = v["duplicate_orbits"]
+    assert [o["size"] for o in orbits] == [72, 504]
+    assert all(len(o["members"]) == SOLUTION_SAMPLE_CAP for o in orbits)
+    assert orbits[0]["members"][0] == [0, 1, 0]
+    assert v["non_canonical_count"] == 574
+    assert len(v["non_canonical"]) == SOLUTION_SAMPLE_CAP
+    assert len(json.dumps(payload)) < 4000
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    orbit_lines = [line for line in out.splitlines() if " members: " in line]
+    assert [line.split()[0] for line in orbit_lines] == ["72", "504"]
+    assert all(line.count(" | ") == SOLUTION_SAMPLE_CAP for line in orbit_lines)
+    assert len(out) < 4000
 
 
 def test_verify_coloring_all_modes(capsys, triangle_file):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from valsym.domains import DomainSet, copy_domains
+from valsym.domains import DomainSet, copy_domains, mask_of, values_of
 
 
 def test_construction_and_queries():
@@ -16,9 +16,9 @@ def test_construction_and_queries():
 
 
 def test_remove_last_value_signals_emptiness():
-    d = DomainSet([5])
-    assert d.remove(5)
-    assert d.empty  # caller must turn this into a failure
+    mask = mask_of([5]) & ~(1 << 5)
+    assert mask == 0 and list(values_of(mask)) == []
+    assert DomainSet.from_mask(mask).empty  # caller must turn this into a failure
 
 
 def test_singleton_value():
@@ -32,27 +32,27 @@ def test_singleton_value():
 def test_full_and_assign():
     d = DomainSet.full(5)
     assert list(d) == [0, 1, 2, 3, 4]
-    assert d.assign(2)
-    assert d.is_singleton and d.value() == 2
-    assert not d.assign(2)  # already there
+    assigned = d.mask & (1 << 2)  # search assigns by writing the value's bit
+    assert DomainSet.from_mask(assigned) == DomainSet.singleton(2)
+    assert DomainSet.from_mask(assigned).is_singleton
+    assert DomainSet.from_mask(assigned).value() == 2
 
 
 def test_bound_removals():
-    d = DomainSet(range(10))
-    assert d.remove_below(3)
-    assert d.remove_above(7)
-    assert list(d) == [3, 4, 5, 6, 7]
-    assert not d.remove_below(0)
+    mask = mask_of(range(10))
+    mask &= -1 << 3  # drop every value < 3
+    mask &= (1 << 8) - 1  # drop every value > 7
+    assert list(values_of(mask)) == [3, 4, 5, 6, 7]
+    d = DomainSet.from_mask(mask)
+    assert (d.min(), d.max()) == (3, 7)
 
 
 def test_copy_is_independent():
-    a = DomainSet([1, 2])
-    b = a.copy()
-    b.remove(1)
-    assert list(a) == [1, 2]
-    (c,) = copy_domains([a])
-    c.remove(2)
-    assert list(a) == [1, 2]
+    parent = [mask_of([1, 2]), mask_of([0])]
+    child = copy_domains(parent)
+    child[0] &= ~(1 << 1)
+    assert list(values_of(parent[0])) == [1, 2]
+    assert list(values_of(child[0])) == [2]
 
 
 def test_negative_value_rejected():
@@ -62,12 +62,14 @@ def test_negative_value_rejected():
 
 @given(st.sets(st.integers(min_value=0, max_value=30)), st.integers(min_value=0, max_value=30))
 def test_matches_python_sets(values, v):
+    mask = mask_of(values)
+    assert list(values_of(mask)) == sorted(values)
     d = DomainSet(values)
-    assert set(d) == values
+    assert d.mask == mask and set(d) == values and len(d) == len(values)
     assert (v in d) == (v in values)
-    changed = d.remove(v)
-    assert changed == (v in values)
-    assert set(d) == values - {v}
+    removed = mask & ~(1 << v)
+    assert (removed != mask) == (v in values)
+    assert set(values_of(removed)) == values - {v}
 
 
 @given(
@@ -75,7 +77,7 @@ def test_matches_python_sets(values, v):
     st.sets(st.integers(min_value=0, max_value=30)),
 )
 def test_keep_only_intersection(values, keep):
-    d = DomainSet(values)
-    changed = d.keep_only(keep)
-    assert set(d) == values & keep
-    assert changed == (values != values & keep)
+    mask = mask_of(values)
+    kept = mask & mask_of(keep)
+    assert set(values_of(kept)) == values & keep
+    assert (kept != mask) == (values != values & keep)

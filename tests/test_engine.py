@@ -1,6 +1,6 @@
 import random
 
-from valsym.domains import DomainSet
+from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.model import Constraint, ConstraintKind
 from valsym.problems import build_all_interval
@@ -16,21 +16,21 @@ from valsym.symmetry import ValuePermutation, VarValueSymmetry
 
 
 def test_not_equal_fixpoint():
-    doms = [DomainSet([3]), DomainSet([3, 4])]
+    doms = [mask_of([3]), mask_of([3, 4])]
     out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
     assert not out.failed
     assert out.changed == {1}
-    assert list(doms[1]) == [4]
+    assert list(values_of(doms[1])) == [4]
 
 
 def test_failure_reported_not_stored():
-    doms = [DomainSet([3]), DomainSet([3])]
+    doms = [mask_of([3]), mask_of([3])]
     out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
     assert out.failed
 
 
 def test_chain_contradiction_fails():
-    doms = [DomainSet([2, 3]), DomainSet([0, 1])]
+    doms = [mask_of([2, 3]), mask_of([0, 1])]
     out = propagate_to_fixpoint([OrderingChainProp((0, 1), strict=True)], doms)
     assert out.failed
 
@@ -42,23 +42,23 @@ def test_all_interval_root_prefix_bound():
     doms = m.initial_domains()
     out = propagate_to_fixpoint(build_propagators(m), doms)
     assert not out.failed
-    assert set(doms[0]) <= set(range(6))
+    assert set(values_of(doms[0])) <= set(range(6))
 
 
 def test_trigger_vars_wake_only_watchers():
-    doms = [DomainSet([3]), DomainSet([3, 4]), DomainSet([0, 1])]
+    doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
     props = [NotEqualProp(0, 1)]
     out = propagate_to_fixpoint(props, doms, trigger_vars=[2])
     # nothing watches var 2, so nothing runs and nothing changes
     assert not out.failed and out.changed == set()
     out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
-    assert list(doms[1]) == [4]
+    assert list(values_of(doms[1])) == [4]
 
 
 def _random_instance(rng):
     n = rng.randint(3, 5)
     u = rng.randint(3, 5)
-    doms = [DomainSet.from_mask(rng.randrange(1, 1 << u)) for _ in range(n)]
+    doms = [rng.randrange(1, 1 << u) for _ in range(n)]
     props = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -91,9 +91,9 @@ def test_fixpoint_confluent_under_scheduling_order():
         for perm_seed in (0, 1, 2):
             order = props[:]
             random.Random(perm_seed).shuffle(order)
-            local = [d.copy() for d in doms]
+            local = list(doms)
             out = propagate_to_fixpoint(order, local)
-            results.append((out.failed, [d.mask for d in local]))
+            results.append((out.failed, local))
         assert results[0][0] == results[1][0] == results[2][0]
         if not results[0][0]:
             assert results[0][1] == results[1][1] == results[2][1]
@@ -109,7 +109,7 @@ def test_fixpoint_is_stable():
         out = propagate_to_fixpoint(props, doms)
         if out.failed:
             continue
-        before = [d.mask for d in doms]
+        before = list(doms)
         out2 = propagate_to_fixpoint(props, doms)
         assert not out2.failed and out2.changed == set()
-        assert [d.mask for d in doms] == before
+        assert doms == before

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import brute_support
-from valsym.domains import DomainSet
+from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.problems import build_all_interval
 from valsym.propagators import LexLeaderProp, build_propagators
@@ -64,11 +64,11 @@ def test_value_inversion_leader_halves_first_variable():
     # v <= 10 - v at the first open position keeps 0..5
     n = 11
     _, inversion, _ = _all_interval_syms(n)
-    doms = [DomainSet.full(n) for _ in range(n)]
+    doms = [mask_of(range(n)) for _ in range(n)]
     out = propagate_to_fixpoint([LexLeaderProp(tuple(range(n)), inversion)], doms)
     assert not out.failed
-    assert set(doms[0]) == set(range(6))
-    assert all(len(doms[i]) == n for i in range(1, n))
+    assert set(values_of(doms[0])) == set(range(6))
+    assert all(doms[i].bit_count() == n for i in range(1, n))
 
 
 def test_series_model_root_and_first_branch_fixpoints():
@@ -80,22 +80,22 @@ def test_series_model_root_and_first_branch_fixpoints():
     doms = m.initial_domains()
     out = propagate_to_fixpoint(props, doms)
     assert not out.failed
-    assert set(doms[0]) == set(range(6))
-    assert all(len(doms[i]) == 11 for i in range(1, 11))
+    assert set(values_of(doms[0])) == set(range(6))
+    assert all(doms[i].bit_count() == 11 for i in range(1, 11))
 
-    doms[0].assign(5)
+    doms[0] = 1 << 5
     out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
     assert not out.failed
-    assert set(doms[1]) == set(range(5))
+    assert set(values_of(doms[1])) == set(range(5))
 
 
 def test_value_only_leader_restricts_first_variable():
     n = 6
     _, inversion, _ = _all_interval_syms(n)
-    doms = [DomainSet.full(n) for _ in range(n)]
+    doms = [mask_of(range(n)) for _ in range(n)]
     out = propagate_to_fixpoint([LexLeaderProp(tuple(range(n)), inversion)], doms)
     assert not out.failed
-    assert set(doms[0]) == {0, 1, 2}  # v <= 5 - v, no fixed point on 6 values
+    assert set(values_of(doms[0])) == {0, 1, 2}  # v <= 5 - v, no fixed point on 6 values
 
 
 def test_check_matches_direct_comparison():
@@ -130,25 +130,25 @@ def test_propagation_sound_and_contracting():
     for _ in range(300):
         sym = VarValueSymmetry(theta=rng.choice(thetas), sigma=rng.choice(perms))
         prop = LexLeaderProp((0, 1, 2), sym)
-        doms = [DomainSet.from_mask(rng.randrange(1, 1 << n)) for _ in range(n)]
-        snapshot = [d.copy() for d in doms]
+        doms = [rng.randrange(1, 1 << n) for _ in range(n)]
+        snapshot = list(doms)
         out = propagate_to_fixpoint([prop], doms)
         want = brute_support(snapshot, prop.check)
         if want is None:
             if not out.failed:
-                for vec in itertools.product(*map(tuple, doms)):
+                for vec in itertools.product(*(tuple(values_of(d)) for d in doms)):
                     assert not prop.check(vec)
             continue
         assert not out.failed
         for i in range(n):
-            assert want[i] <= set(doms[i]) <= set(snapshot[i])
+            assert want[i] <= set(values_of(doms[i])) <= set(values_of(snapshot[i]))
 
 
 def test_pure_variable_leader_with_disjoint_bounds_fails():
     # theta reverses three positions: constraint is x0 <= x2 at the open spot
     sym = VarValueSymmetry.variable_only((2, 1, 0), 4)
     prop = LexLeaderProp((0, 1, 2), sym)
-    doms = [DomainSet([2, 3]), DomainSet.full(4), DomainSet([0, 1])]
+    doms = [mask_of([2, 3]), mask_of(range(4)), mask_of([0, 1])]
     out = propagate_to_fixpoint([prop], doms)
     assert out.failed
 
@@ -159,10 +159,10 @@ def test_strict_enforcement_after_guaranteed_descent():
     # value 0 (image 1) survives there
     sym = VarValueSymmetry.value_only(3, ValuePermutation((1, 0, 2)))
     prop = LexLeaderProp((0, 1, 2), sym)
-    doms = [DomainSet([0, 1, 2]), DomainSet([1]), DomainSet([0, 1, 2])]
+    doms = [mask_of([0, 1, 2]), mask_of([1]), mask_of([0, 1, 2])]
     out = propagate_to_fixpoint([prop], doms)
     assert not out.failed
-    assert set(doms[0]) == {0}
-    assert set(doms[2]) == {0, 1, 2}
-    want = brute_support([d.copy() for d in doms], prop.check)
-    assert [set(d) for d in doms] == want
+    assert set(values_of(doms[0])) == {0}
+    assert set(values_of(doms[2])) == {0, 1, 2}
+    want = brute_support(list(doms), prop.check)
+    assert [set(values_of(d)) for d in doms] == want

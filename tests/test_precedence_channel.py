@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import brute_support, precedence_accepts
-from valsym.domains import DomainSet
+from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.propagators import (
@@ -43,11 +43,11 @@ def test_propagation_restricts_prefix_domains():
     # position i can hold at most the first i class values
     n, m = 5, 6
     p = PrecedenceProp(tuple(range(n)), tuple(range(m)))
-    doms = [DomainSet.full(m) for _ in range(n)]
+    doms = [mask_of(range(m)) for _ in range(n)]
     out = propagate_to_fixpoint([p], doms)
     assert not out.failed
     for i in range(n):
-        assert set(doms[i]) == set(range(i + 1))
+        assert set(values_of(doms[i])) == set(range(i + 1))
 
 
 def test_repeated_order_value_rejected():
@@ -56,25 +56,37 @@ def test_repeated_order_value_rejected():
 
 
 def _random_domains(rng, n, u):
-    return [DomainSet.from_mask(rng.randrange(1, 1 << u)) for _ in range(n)]
+    return [rng.randrange(1, 1 << u) for _ in range(n)]
+
+
+def _random_class_configs(rng, count):
+    # half with the class 0..m-1 in ascending order, half with a shuffled class
+    # drawn from a wider universe: non-contiguous, not ascending, and with
+    # non-class values below, between and above the class values
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 4)
+        u = rng.randint(m, m + 2)
+        yield n, u, tuple(range(m))
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 4)
+        u = rng.randint(m + 1, m + 5)
+        yield n, u, tuple(rng.sample(range(u), m))
 
 
 def test_propagator_is_exactly_gac_on_random_configs():
     rng = random.Random(515)
-    for _ in range(250):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 4)
-        u = rng.randint(m, m + 2)
-        order = tuple(range(m))
+    for n, u, order in _random_class_configs(rng, 250):
         doms = _random_domains(rng, n, u)
-        snapshot = [d.copy() for d in doms]
+        snapshot = list(doms)
         out = propagate_to_fixpoint([PrecedenceProp(tuple(range(n)), order)], doms)
         want = brute_support(snapshot, lambda c: precedence_accepts(c, order))
         if want is None:
             assert out.failed
         else:
             assert not out.failed
-            assert [set(d) for d in doms] == want
+            assert [set(values_of(d)) for d in doms] == want
 
 
 def test_precedence_equals_full_lex_leader_conjunction():
@@ -91,33 +103,27 @@ def test_precedence_equals_full_lex_leader_conjunction():
 
 
 def _channel_setup(doms_x, order):
-    doms = [d.copy() for d in doms_x]
+    doms = list(doms_x)
     n = len(doms_x)
-    z_vars = []
-    for k in range(len(order)):
-        dz = DomainSet(range(1, n + 1))
-        dz.mask |= 1 << (n + 1 + (k + 1))
-        z_vars.append(len(doms))
-        doms.append(dz)
-    props = [
-        FirstOccurrenceChannelProp(tuple(range(n)), tuple(z_vars), order),
-        OrderingChainProp(tuple(z_vars), strict=True),
-    ]
+    z_vars = tuple(range(n, n + len(order)))
+    channel = FirstOccurrenceChannelProp(tuple(range(n)), z_vars, order)
+    doms += [channel.position_mask(k) for k in range(len(order))]
+    props = [channel, OrderingChainProp(z_vars, strict=True)]
     return doms, props, z_vars
 
 
 def test_channel_forces_positions_on_fixed_assignment():
     doms, props, z_vars = _channel_setup(
-        [DomainSet([v]) for v in (1, 1, 2, 1, 3)], (1, 2, 3)
+        [mask_of([v]) for v in (1, 1, 2, 1, 3)], (1, 2, 3)
     )
     out = propagate_to_fixpoint(props, doms)
     assert not out.failed
-    assert [doms[z].value() for z in z_vars] == [1, 3, 5]
+    assert [list(values_of(doms[z])) for z in z_vars] == [[1], [3], [5]]
 
 
 def test_channel_violating_fix_is_rejected_by_chain():
     doms, props, _ = _channel_setup(
-        [DomainSet([v]) for v in (1, 1, 3, 1, 2)], (1, 2, 3)
+        [mask_of([v]) for v in (1, 1, 3, 1, 2)], (1, 2, 3)
     )
     out = propagate_to_fixpoint(props, doms)
     assert out.failed  # first occurrence of 3 precedes that of 2
@@ -125,22 +131,22 @@ def test_channel_violating_fix_is_rejected_by_chain():
 
 def test_channel_sentinel_for_unused_value():
     doms, props, z_vars = _channel_setup(
-        [DomainSet([v]) for v in (1, 1, 2, 1, 2)], (1, 2, 3)
+        [mask_of([v]) for v in (1, 1, 2, 1, 2)], (1, 2, 3)
     )
     out = propagate_to_fixpoint(props, doms)
     assert not out.failed
-    assert doms[z_vars[2]].value() == 5 + 1 + 3  # value 3 never occurs
+    assert list(values_of(doms[z_vars[2]])) == [5 + 1 + 3]  # value 3 never occurs
 
 
 def test_channel_min_position_prunes_early_occurrences():
     # first occurrence of the second class value cannot be at position 1
     doms, props, _ = _channel_setup(
-        [DomainSet([0, 1]), DomainSet([0, 1]), DomainSet([0, 1])], (0, 1)
+        [mask_of([0, 1]), mask_of([0, 1]), mask_of([0, 1])], (0, 1)
     )
     out = propagate_to_fixpoint(props, doms)
     assert not out.failed
-    assert 1 not in doms[0]
-    assert set(doms[1]) == {0, 1}
+    assert 1 not in values_of(doms[0])
+    assert set(values_of(doms[1])) == {0, 1}
 
 
 def test_channel_solution_gate_matches_first_occurrences():
@@ -168,4 +174,4 @@ def test_channel_sound_never_below_gac():
             continue  # channel may or may not detect global failure; gap is allowed
         assert not out.failed
         for i in range(n):
-            assert want[i] <= set(doms[i])
+            assert want[i] <= set(values_of(doms[i]))

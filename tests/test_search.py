@@ -4,12 +4,13 @@ from dataclasses import replace
 import pytest
 
 from oracles import model_solutions, naive_all_interval
-from valsym.domains import DomainSet
+from valsym.domains import DomainSet, mask_of, values_of
 from valsym.errors import BudgetExceeded, UnsupportedModeError
 from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import (
     build_all_interval,
     build_coloring,
+    build_pigeonhole,
     random_interchangeable_model,
 )
 from valsym.search import (
@@ -181,6 +182,45 @@ def test_branches_are_nodes_minus_one():
             assert stats.max_depth <= m.num_vars + len(m.symmetry.interchangeable_classes) * m.universe_size
 
 
+# A fixed 3-colourable 12-vertex graph (planted colouring, 22 edges) whose
+# input-order search fails 48 times, so propagation order matters to it.
+PINNED_GRAPH = [
+    (0, 4), (0, 9), (1, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 7), (3, 11),
+    (4, 7), (4, 11), (5, 7), (5, 8), (5, 9), (5, 10), (6, 9), (6, 10), (6, 11),
+    (7, 10), (7, 11), (8, 10), (8, 11),
+]
+
+# (nodes, branches, failures, solutions, propagation_calls) of an all-solution
+# search in input/ascending order. Search is deterministic, so any change here
+# means the search tree or the propagation queue changed.
+PINNED_COUNTS = [
+    ("all-interval-7", "none", (150, 149, 78, 32, 2468)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 959)),
+    ("all-interval-7", "getree", (76, 75, 39, 16, 1243)),
+    ("graph-12", "none", (151, 150, 48, 48, 2908)),
+    ("graph-12", "static-lex", (26, 25, 8, 8, 750)),
+    ("graph-12", "precedence", (26, 25, 8, 8, 570)),
+    ("graph-12", "channel", (26, 25, 8, 8, 619)),
+    ("graph-12", "getree", (28, 27, 8, 8, 523)),
+    ("pigeonhole-6", "precedence", (1, 0, 1, 0, 19)),
+    ("pigeonhole-6", "channel", (1, 0, 1, 0, 22)),
+    ("pigeonhole-6", "getree", (33, 32, 13, 0, 219)),
+]
+
+_PINNED_MODELS = {
+    "all-interval-7": lambda: build_all_interval(7),
+    "graph-12": lambda: build_coloring(12, PINNED_GRAPH, 3),
+    "pigeonhole-6": lambda: build_pigeonhole(6),
+}
+
+
+@pytest.mark.parametrize("model,mode,want", PINNED_COUNTS)
+def test_search_counters_are_pinned(model, mode, want):
+    _, stats = solve(_PINNED_MODELS[model](), SearchConfig(symmetry_mode=mode))
+    got = (stats.nodes, stats.branches, stats.failures, stats.solutions, stats.propagation_calls)
+    assert got == want
+
+
 def test_ordering_heuristics_preserve_the_solution_set():
     m = build_all_interval(5)
     base, _ = solve(m)
@@ -224,11 +264,11 @@ def test_getree_classes_allow_used_plus_one_fresh():
     spec = SymmetrySpec(
         scope_len=4, universe_size=4, interchangeable_classes=((0, 1, 2, 3),)
     )
-    doms = [DomainSet.full(4) for _ in range(4)]
+    doms = [mask_of(range(4)) for _ in range(4)]
     assert getree_allowed_values([], 0, spec, doms) == [0]
     assert getree_allowed_values([(0, 0), (1, 1)], 2, spec, doms) == [0, 1, 2]
     # a hole in the domain shifts the fresh representative
-    doms[3] = DomainSet([1, 3])
+    doms[3] = mask_of([1, 3])
     assert getree_allowed_values([(0, 0)], 3, spec, doms) == [1]
 
 
@@ -236,7 +276,7 @@ def test_getree_classes_pass_through_non_class_values():
     spec = SymmetrySpec(
         scope_len=2, universe_size=4, interchangeable_classes=((1, 2),)
     )
-    doms = [DomainSet.full(4), DomainSet.full(4)]
+    doms = [mask_of(range(4)), mask_of(range(4))]
     assert getree_allowed_values([], 0, spec, doms) == [0, 1, 3]
 
 
@@ -245,7 +285,7 @@ def test_getree_ignores_vars_outside_scope():
     doms = m.initial_domains()
     diff_var = 11  # first difference variable
     vals = getree_allowed_values([], diff_var, m.symmetry, doms, scope=m.symmetry_scope)
-    assert vals == list(doms[diff_var])
+    assert vals == list(values_of(doms[diff_var]))
 
 
 def test_getree_rejects_mixed_symmetry_sources():

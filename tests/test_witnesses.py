@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from valsym.domains import DomainSet
+from valsym.domains import values_of
 from valsym.propagators import LexLeaderProp, PrecedenceProp
 from valsym.witnesses import (
     FROZEN_CHANNEL_WITNESS,
@@ -18,10 +18,10 @@ def test_frozen_decomposition_gap_is_nonempty():
     assert (1, 2) in gap
     failed, decomp = w.decomposition_fixpoint()
     assert not failed
-    assert set(decomp[1]) == {0, 1, 2}  # per-symmetry filtering keeps 2
+    assert set(values_of(decomp[1])) == {0, 1, 2}  # per-symmetry filtering keeps 2
     oracle = w.oracle_fixpoint()
     assert oracle is not None
-    assert set(oracle[1]) == {0, 1}
+    assert set(values_of(oracle[1])) == {0, 1}
 
 
 def test_frozen_decomposition_gap_survives_perfect_per_symmetry_filtering():
@@ -57,7 +57,7 @@ def test_frozen_decomposition_oracle_agrees_with_leader_definition():
     ]
     oracle = w.oracle_fixpoint()
     for i in range(len(w.domains)):
-        assert set(oracle[i]) == {a[i] for a in leaders}
+        assert set(values_of(oracle[i])) == {a[i] for a in leaders}
 
 
 def test_frozen_channel_gap_is_nonempty():
@@ -66,10 +66,10 @@ def test_frozen_channel_gap_is_nonempty():
     assert (1, 1) in gap
     cf, cd = w.channel_fixpoint()
     assert not cf
-    assert 1 in cd[1]
+    assert 1 in values_of(cd[1])
     pf, pd = w.precedence_fixpoint()
     assert not pf
-    assert set(pd[1]) == {0, 3}
+    assert set(values_of(pd[1])) == {0, 3}
 
 
 def test_frozen_channel_precedence_side_is_exact():
@@ -87,7 +87,7 @@ def test_frozen_channel_precedence_side_is_exact():
     pf, pd = w.precedence_fixpoint()
     assert not pf
     for i in range(2):
-        assert set(pd[i]) == {v for j, v in support if j == i}
+        assert set(values_of(pd[i])) == {v for j, v in support if j == i}
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 2026])
