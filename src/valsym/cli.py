@@ -5,7 +5,7 @@
     valsym verify  --model all-interval --n 6
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL,
-2 usage or model errors, 3 enumeration budget exceeded.
+2 usage or model errors, 3 enumeration budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,6 +203,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ModelError, DimacsParseError, UnsupportedModeError, GroupTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of valsym itself (RecursionError included): keep it apart
+        # from the verdict codes and out of the traceback printer
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

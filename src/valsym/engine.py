@@ -8,7 +8,7 @@ the variables each run changed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domains import VarId
@@ -16,11 +16,10 @@ from .domains import VarId
 
 @dataclass
 class PropagationOutcome:
-    """Result of running propagation to a fixpoint: failure flag plus the set
-    of variables whose domains changed."""
+    """Result of running propagation to a fixpoint: whether some domain
+    emptied. On success the domains list holds the fixpoint."""
 
     failed: bool
-    changed: set[int] = field(default_factory=set)
 
 
 class Propagator:
@@ -79,19 +78,21 @@ def propagate_to_fixpoint(
                 pending[idx] = True
                 queue.append(idx)
 
-    changed_total: set[int] = set()
+    calls = 0
     while queue:
         idx = queue.popleft()
         pending[idx] = False
-        if stats is not None:
-            stats.propagation_calls += 1
+        calls += 1
         failed, changed = propagators[idx].propagate(domains)
         if failed:
-            return PropagationOutcome(True, changed_total | set(changed))
+            if stats is not None:
+                stats.propagation_calls += calls
+            return PropagationOutcome(True)
         for v in changed:
-            changed_total.add(v)
             for w in watchers[v]:
                 if not pending[w]:
                     pending[w] = True
                     queue.append(w)
-    return PropagationOutcome(False, changed_total)
+    if stats is not None:
+        stats.propagation_calls += calls
+    return PropagationOutcome(False)

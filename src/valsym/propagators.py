@@ -9,6 +9,8 @@ variables it narrows.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .domains import VarId, mask_of, values_of
@@ -238,6 +240,10 @@ class PrecedenceProp(Propagator):
     values become a rank mask R, so each step is a few word operations:
     a class value of rank r moves state r to r+1 and keeps every state above
     r; a non-class value keeps every state.
+
+    Once the state set is exactly {len(order)}, every path has introduced the
+    whole class: the states stay there and no later value can be pruned, so
+    both sweeps stop at that position and the rest of the scope is not read.
     """
 
     kind = "precedence"
@@ -276,11 +282,15 @@ class PrecedenceProp(Propagator):
     def propagate(self, domains):
         scope = self.scope
         class_mask = self.class_mask
+        full = 1 << len(self.order)
         # domains repeat along the scope, so translate each distinct one once
         rank_of = {}
-        fwd = [1]
+        fwd = []  # fwd[i]: the states before scope position i
         states = 1
         for var in scope:
+            if states == full:
+                break
+            fwd.append(states)
             dm = domains[var]
             r = rank_of.get(dm)
             if r is None:
@@ -292,10 +302,9 @@ class PrecedenceProp(Propagator):
                 states = (states & -((r & -r) << 1)) | ((states & r) << 1)
             if not states:
                 return True, []
-            fwd.append(states)
         changed = []
         bwd = states
-        for i in range(len(scope) - 1, -1, -1):
+        for i in range(len(fwd) - 1, -1, -1):
             var = scope[i]
             dm = domains[var]
             r = rank_of.get(dm)
@@ -436,6 +445,16 @@ class FirstOccurrenceChannelProp(Propagator):
       - positions before min(z) cannot hold the value;
       - a fixed z forces its position's variable;
       - a value absent from every scope domain forces the sentinel.
+
+    A pass reads the scope once: the union of all its domains, and the mask
+    of fixed positions and the positions fixed to each value (bit i stands
+    for position i) up to the last position any z still holds, or the whole
+    scope while some z still holds its sentinel; a later position lies above
+    every z and cannot move one. Each z is then narrowed with word operations
+    on those masks. The rules run in the same order and reach the same
+    domains, on failure too, as one scan of the whole scope per class value:
+    the scan is redone before the next value whenever a rule narrowed a scope
+    variable.
     """
 
     kind = "first-occurrence-channel"
@@ -455,55 +474,75 @@ class FirstOccurrenceChannelProp(Propagator):
         """Initial domain of z_k: positions 1..len(scope) plus its sentinel."""
         return ((1 << (len(self.x_scope) + 1)) - 2) | (1 << self.sentinel(k))
 
+    def _scan(self, domains, last: int) -> tuple[int, int, dict[int, int]]:
+        """(union of the scope domains, fixed positions up to `last`,
+        singleton domain -> positions up to `last` fixed to it)."""
+        union = reduce(or_, map(domains.__getitem__, self.x_scope), 0)
+        fixed = 0
+        at: dict[int, int] = {}
+        pos = 2  # position 1
+        for var in self.x_scope[:last]:
+            dx = domains[var]
+            if not dx & (dx - 1):
+                fixed |= pos
+                at[dx] = at.get(dx, 0) | pos
+            pos <<= 1
+        return union, fixed, at
+
     def propagate(self, domains):
         x_scope = self.x_scope
         n = len(x_scope)
         changed = set()
         while True:
             moved = False
+            stale = True
+            live = 0
+            for z in self.z_vars:
+                live |= domains[z]
+            last = n if live >> (n + 1) else live.bit_length() - 1
             for k, val in enumerate(self.order):
+                if stale:
+                    union, fixed, at = self._scan(domains, last)
+                    stale = False
                 z = self.z_vars[k]
                 dz = domains[z]
                 bit = 1 << val
-                absent = True
-                for i1 in range(1, n + 1):
-                    dx = domains[x_scope[i1 - 1]]
-                    if dx & bit:
-                        absent = False
-                    if not dx & (dx - 1):
-                        if dx == bit:
-                            keep = dz & ((2 << i1) - 1)  # z <= i1
-                        else:
-                            keep = dz & ~(1 << i1)
-                        if keep != dz:
-                            dz = domains[z] = keep
-                            changed.add(z)
-                            moved = True
-                if absent and dz & (1 << self.sentinel(k)) != dz:
-                    dz = domains[z] = dz & (1 << self.sentinel(k))
+                hits = at.get(bit, 0)
+                keep = dz & ~(fixed ^ hits)  # not at a position fixed to another value
+                if hits:
+                    keep &= ((hits & -hits) << 1) - 1  # z <= the first position fixed to val
+                if not union & bit:
+                    keep &= 1 << self.sentinel(k)
+                if keep != dz:
+                    dz = domains[z] = keep
                     changed.add(z)
                     moved = True
                 if not dz:
                     return True, list(changed)
                 lb = (dz & -dz).bit_length() - 1
-                for i1 in range(1, min(lb, n + 1)):
-                    x = x_scope[i1 - 1]
-                    dx = domains[x]
-                    if dx & bit:
-                        dx = domains[x] = dx ^ bit
-                        changed.add(x)
-                        moved = True
-                        if not dx:
-                            return True, list(changed)
+                if lb > 1:
+                    # positions before min(z) lose val; a fixed one among them is
+                    # fixed to another value (z <= every position fixed to val),
+                    # so only open domains are visited, and none of them empties
+                    rest = ((1 << min(lb, n + 1)) - 2) & ~fixed
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        x = x_scope[low.bit_length() - 2]
+                        dx = domains[x]
+                        if dx & bit:
+                            domains[x] = dx ^ bit
+                            changed.add(x)
+                            moved = stale = True
                 if not dz & (dz - 1):
                     pos = dz.bit_length() - 1
                     if pos <= n:
                         x = x_scope[pos - 1]
                         dx = domains[x]
-                        if dx != dx & bit:
+                        if dx & ~bit:
                             dx = domains[x] = dx & bit
                             changed.add(x)
-                            moved = True
+                            moved = stale = True
                             if not dx:
                                 return True, list(changed)
             if not moved:

@@ -34,6 +34,14 @@ def _orbit_line(orbit: Sequence[tuple[int, ...]]) -> str:
     return f"    {len(orbit)} members: {shown}{more}"
 
 
+def _orbit_lines(orbits: Sequence[Sequence[tuple[int, ...]]]) -> list[str]:
+    # a mode can duplicate or miss every orbit, so list only the first ones
+    lines = [_orbit_line(o) for o in orbits[:SOLUTION_SAMPLE_CAP]]
+    if len(orbits) > SOLUTION_SAMPLE_CAP:
+        lines.append(f"    ... and {len(orbits) - SOLUTION_SAMPLE_CAP} more orbits")
+    return lines
+
+
 def schema_path():
     return resources.files("valsym") / "schema" / "run_report.schema.json"
 
@@ -87,8 +95,14 @@ class RunReport:
                         "passed": v.passed,
                         "solution_count": v.solution_count,
                         "orbit_count": v.orbit_count,
-                        "duplicate_orbits": [_orbit_entry(o) for o in v.duplicate_orbits],
-                        "missed_orbits": [_orbit_entry(o) for o in v.missed_orbits],
+                        "duplicate_orbit_count": len(v.duplicate_orbits),
+                        "duplicate_orbits": [
+                            _orbit_entry(o) for o in v.duplicate_orbits[:SOLUTION_SAMPLE_CAP]
+                        ],
+                        "missed_orbit_count": len(v.missed_orbits),
+                        "missed_orbits": [
+                            _orbit_entry(o) for o in v.missed_orbits[:SOLUTION_SAMPLE_CAP]
+                        ],
                         "non_canonical_count": len(v.non_canonical),
                         "non_canonical": [
                             list(a) for a in v.non_canonical[:SOLUTION_SAMPLE_CAP]
@@ -157,11 +171,9 @@ class RunReport:
                 )
                 if v.duplicate_orbits:
                     lines.append("  orbits with more than one returned solution:")
-                    for orbit in v.duplicate_orbits[:10]:
-                        lines.append(_orbit_line(orbit))
+                    lines += _orbit_lines(v.duplicate_orbits)
                 if v.missed_orbits:
                     lines.append("  orbits with no returned solution:")
-                    for orbit in v.missed_orbits[:10]:
-                        lines.append(_orbit_line(orbit))
+                    lines += _orbit_lines(v.missed_orbits)
             lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)

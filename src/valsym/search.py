@@ -140,6 +140,8 @@ def getree_allowed_values(
     partial is the sequence of (var, value) decisions made so far. Only one
     value per orbit of the current stabilizer survives: the least one still
     in the domain mask. Variables outside the symmetry scope are not filtered.
+    The spec must have a single symmetry source (explicit elements or
+    interchangeable classes); `solve` checks that once, before search.
     """
     if scope is None:
         scope = tuple(range(spec.scope_len))
@@ -148,11 +150,6 @@ def getree_allowed_values(
     if next_var not in scope_set:
         return list(values_of(dom))
     decided = {val for var, val in partial if var in scope_set}
-    if spec.explicit and spec.interchangeable_classes:
-        raise UnsupportedModeError(
-            "dynamic filtering needs a single symmetry source, got both "
-            "explicit elements and interchangeable classes"
-        )
     if spec.explicit:
         stab = [
             g.sigma

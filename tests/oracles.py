@@ -95,3 +95,61 @@ def brute_support(
             for i, v in enumerate(combo):
                 support[i].add(v)
     return support if any_ok else None
+
+
+def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
+    """FirstOccurrenceChannelProp.propagate as first written: one scan of the
+    whole scope per class value and pass. The reference for the single-scan
+    version, which must match it in failure flag, domains and changed set."""
+    x_scope = prop.x_scope
+    n = len(x_scope)
+    changed = set()
+    while True:
+        moved = False
+        for k, val in enumerate(prop.order):
+            z = prop.z_vars[k]
+            dz = domains[z]
+            bit = 1 << val
+            absent = True
+            for i1 in range(1, n + 1):
+                dx = domains[x_scope[i1 - 1]]
+                if dx & bit:
+                    absent = False
+                if not dx & (dx - 1):
+                    if dx == bit:
+                        keep = dz & ((2 << i1) - 1)  # z <= i1
+                    else:
+                        keep = dz & ~(1 << i1)
+                    if keep != dz:
+                        dz = domains[z] = keep
+                        changed.add(z)
+                        moved = True
+            if absent and dz & (1 << prop.sentinel(k)) != dz:
+                dz = domains[z] = dz & (1 << prop.sentinel(k))
+                changed.add(z)
+                moved = True
+            if not dz:
+                return True, list(changed)
+            lb = (dz & -dz).bit_length() - 1
+            for i1 in range(1, min(lb, n + 1)):
+                x = x_scope[i1 - 1]
+                dx = domains[x]
+                if dx & bit:
+                    dx = domains[x] = dx ^ bit
+                    changed.add(x)
+                    moved = True
+                    if not dx:
+                        return True, list(changed)
+            if not dz & (dz - 1):
+                pos = dz.bit_length() - 1
+                if pos <= n:
+                    x = x_scope[pos - 1]
+                    dx = domains[x]
+                    if dx != dx & bit:
+                        dx = domains[x] = dx & bit
+                        changed.add(x)
+                        moved = True
+                        if not dx:
+                            return True, list(changed)
+        if not moved:
+            return False, list(changed)

@@ -3,8 +3,11 @@ import json
 import jsonschema
 import pytest
 
+from valsym import cli
 from valsym.cli import main
-from valsym.report import SOLUTION_SAMPLE_CAP, load_schema
+from valsym.problems import build_pigeonhole
+from valsym.report import SOLUTION_SAMPLE_CAP, RunReport, load_schema
+from valsym.search import VerifyModeReport
 
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -180,6 +183,39 @@ def test_verify_orbit_listings_are_capped(capsys, tmp_path):
     assert len(out) < 4000
 
 
+def test_verify_lists_at_most_cap_orbits(capsys, tmp_path):
+    # mode none on an 8-vertex path with 4 colours duplicates all 365 orbits
+    path = tmp_path / "path8.col"
+    path.write_text("p edge 8 7\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 8)))
+    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "4", "--mode", "none"]
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    (v,) = payload["verification"]["modes"]
+    assert v["orbit_count"] == v["duplicate_orbit_count"] == 365
+    assert len(v["duplicate_orbits"]) == SOLUTION_SAMPLE_CAP
+    assert v["missed_orbit_count"] == 0 and v["missed_orbits"] == []
+    assert len(json.dumps(payload)) < 60_000
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert sum(" members: " in line for line in out.splitlines()) == SOLUTION_SAMPLE_CAP
+    assert f"... and {365 - SOLUTION_SAMPLE_CAP} more orbits" in out
+
+
+def test_report_caps_missed_orbits():
+    missed = [[(i, i + 1)] for i in range(SOLUTION_SAMPLE_CAP + 3)]
+    verdict = VerifyModeReport("precedence", 0, len(missed), [], missed, [], False)
+    model = build_pigeonhole(2)
+    report = RunReport("verify", model, ["precedence"], budget=1, verification=[verdict])
+    (v,) = report.to_dict()["verification"]["modes"]
+    jsonschema.validate(instance=report.to_dict(), schema=load_schema())
+    assert v["missed_orbit_count"] == SOLUTION_SAMPLE_CAP + 3
+    assert [o["members"] for o in v["missed_orbits"]] == [
+        [list(a) for a in o] for o in missed[:SOLUTION_SAMPLE_CAP]
+    ]
+    assert report.render().endswith("    ... and 3 more orbits\nverdict: FAIL")
+
+
 def test_verify_coloring_all_modes(capsys, triangle_file):
     code, payload = run_json(
         capsys, ["verify", "--model", "coloring", "--file", triangle_file, "--colors", "3"]
@@ -235,6 +271,21 @@ def test_unknown_arguments_exit_two(capsys):
     assert main(["solve", "--model", "all-interval", "--n", "5", "--frobnicate"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   KeyError("lost\nline")])
+def test_internal_error_exits_four_without_traceback(capsys, monkeypatch, error):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    code = main(["solve", "--model", "all-interval", "--n", "5"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"internal error: {type(error).__name__}: ")
 
 
 def test_budget_exhaustion_exits_three(capsys):

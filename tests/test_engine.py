@@ -4,6 +4,7 @@ from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.model import Constraint, ConstraintKind
 from valsym.problems import build_all_interval
+from valsym.search import SearchStats
 from valsym.propagators import (
     AllDifferentProp,
     LexLeaderProp,
@@ -19,14 +20,15 @@ def test_not_equal_fixpoint():
     doms = [mask_of([3]), mask_of([3, 4])]
     out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
     assert not out.failed
-    assert out.changed == {1}
-    assert list(values_of(doms[1])) == [4]
+    assert doms == [mask_of([3]), mask_of([4])]
 
 
 def test_failure_reported_not_stored():
     doms = [mask_of([3]), mask_of([3])]
-    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
+    stats = SearchStats()
+    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms, stats=stats)
     assert out.failed
+    assert stats.propagation_calls == 1  # counted on the failing return too
 
 
 def test_chain_contradiction_fails():
@@ -48,9 +50,11 @@ def test_all_interval_root_prefix_bound():
 def test_trigger_vars_wake_only_watchers():
     doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
     props = [NotEqualProp(0, 1)]
-    out = propagate_to_fixpoint(props, doms, trigger_vars=[2])
+    stats = SearchStats()
+    out = propagate_to_fixpoint(props, doms, trigger_vars=[2], stats=stats)
     # nothing watches var 2, so nothing runs and nothing changes
-    assert not out.failed and out.changed == set()
+    assert not out.failed and stats.propagation_calls == 0
+    assert doms == [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
     out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
     assert list(values_of(doms[1])) == [4]
 
@@ -111,5 +115,5 @@ def test_fixpoint_is_stable():
             continue
         before = list(doms)
         out2 = propagate_to_fixpoint(props, doms)
-        assert not out2.failed and out2.changed == set()
+        assert not out2.failed
         assert doms == before

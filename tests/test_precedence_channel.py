@@ -1,9 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import brute_support, precedence_accepts
+from oracles import brute_support, channel_propagate_per_value, precedence_accepts
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.errors import ModelError
@@ -75,10 +76,35 @@ def _random_class_configs(rng, count):
         yield n, u, tuple(rng.sample(range(u), m))
 
 
+def _saturating_configs(rng, count):
+    # a fixed prefix holding every class value (in class order half of the
+    # time, so the automaton reaches its last state and both sweeps stop
+    # there), then a few open positions, with non-class values mixed in
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        u = rng.randint(m, m + 2)
+        order = tuple(rng.sample(range(u), m))
+        prefix = list(order) + [rng.randrange(u) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(prefix)
+        if rng.random() < 0.5:
+            # relabel the class values by first occurrence
+            relabel = {}
+            for v in prefix:
+                if v in order and v not in relabel:
+                    relabel[v] = order[len(relabel)]
+            prefix = [relabel.get(v, v) for v in prefix]
+        tail = _random_domains(rng, rng.randint(1, 3), u)
+        yield [1 << v for v in prefix] + tail, order
+
+
 def test_propagator_is_exactly_gac_on_random_configs():
     rng = random.Random(515)
-    for n, u, order in _random_class_configs(rng, 250):
-        doms = _random_domains(rng, n, u)
+    configs = [
+        (_random_domains(rng, n, u), order) for n, u, order in _random_class_configs(rng, 250)
+    ]
+    configs += list(_saturating_configs(rng, 250))
+    for doms, order in configs:
+        n = len(doms)
         snapshot = list(doms)
         out = propagate_to_fixpoint([PrecedenceProp(tuple(range(n)), order)], doms)
         want = brute_support(snapshot, lambda c: precedence_accepts(c, order))
@@ -175,3 +201,48 @@ def test_channel_sound_never_below_gac():
         assert not out.failed
         for i in range(n):
             assert want[i] <= set(values_of(doms[i]))
+
+
+def _random_channel_case(rng):
+    # scope and position variables at shuffled ids; scope domains with a fixed
+    # prefix most of the time; position domains full, random or fixed
+    n = rng.randint(1, 12)
+    m = rng.randint(1, 5)
+    u = rng.randint(m, m + 3)
+    order = tuple(range(m)) if rng.random() < 0.3 else tuple(rng.sample(range(u), m))
+    ids = list(range(n + m))
+    rng.shuffle(ids)
+    prop = FirstOccurrenceChannelProp(ids[:n], ids[n:], order)
+    doms = [0] * (n + m)
+    fixed = rng.randint(0, n) if rng.random() < 0.7 else 0
+    for i, var in enumerate(prop.x_scope):
+        if i < fixed:
+            doms[var] = 1 << (order[min(i, m - 1)] if rng.random() < 0.5 else rng.randrange(u))
+        else:
+            doms[var] = rng.randrange(1, 1 << u)
+    for k, z in enumerate(prop.z_vars):
+        full = prop.position_mask(k)
+        kind = rng.random()
+        if kind < 0.5:
+            doms[z] = full
+        elif kind < 0.8:
+            doms[z] = (rng.getrandbits(full.bit_length()) & full) or full
+        else:
+            doms[z] = 1 << rng.choice([i for i in range(full.bit_length()) if full >> i & 1])
+    return prop, doms
+
+
+def test_channel_single_scan_matches_per_value_scans():
+    rng = random.Random(4242)
+    outcomes = Counter()
+    for _ in range(4000):
+        prop, doms = _random_channel_case(rng)
+        want_doms = list(doms)
+        want_failed, want_changed = channel_propagate_per_value(prop, want_doms)
+        failed, changed = prop.propagate(doms)
+        assert failed == want_failed
+        assert doms == want_doms
+        assert set(changed) == set(want_changed)
+        outcomes[failed, bool(changed)] += 1
+    # failures, narrowings and fixpoints all occur often
+    assert min(outcomes[o] for o in ((True, True), (False, True), (False, False))) > 100

@@ -190,6 +190,25 @@ PINNED_GRAPH = [
     (7, 10), (7, 11), (8, 10), (8, 11),
 ]
 
+# A fixed planted 3-colourable 40-vertex graph (100 edges, vertices in
+# breadth-first order). All three colours occur within its first few
+# vertices, so most of its scope lies past the point where value precedence
+# has introduced the whole class.
+PINNED_GRAPH_40 = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 6), (2, 8),
+    (2, 9), (2, 10), (2, 11), (2, 12), (3, 13), (3, 14), (3, 15), (4, 15), (4, 16),
+    (4, 17), (5, 7), (5, 13), (5, 18), (5, 19), (5, 20), (5, 21), (6, 22), (6, 23),
+    (6, 24), (6, 25), (6, 26), (6, 27), (7, 14), (7, 26), (7, 28), (8, 28), (8, 29),
+    (8, 30), (8, 31), (9, 13), (9, 17), (9, 26), (9, 28), (9, 32), (9, 33), (10, 13),
+    (10, 20), (11, 13), (11, 18), (11, 20), (12, 13), (12, 17), (12, 22), (12, 24),
+    (12, 33), (13, 17), (13, 34), (14, 18), (14, 31), (14, 32), (15, 18), (15, 26),
+    (15, 27), (15, 28), (16, 17), (16, 19), (16, 24), (16, 32), (16, 35), (17, 20),
+    (17, 28), (17, 33), (17, 34), (17, 36), (18, 25), (18, 26), (18, 30), (19, 24),
+    (19, 26), (21, 26), (22, 26), (23, 31), (24, 27), (24, 30), (25, 32), (25, 37),
+    (26, 29), (26, 34), (27, 31), (27, 32), (28, 31), (28, 38), (29, 37), (30, 35),
+    (30, 37), (31, 35), (31, 39), (32, 38), (34, 35), (36, 38),
+]
+
 # (nodes, branches, failures, solutions, propagation_calls) of an all-solution
 # search in input/ascending order. Search is deterministic, so any change here
 # means the search tree or the propagation queue changed.
@@ -205,11 +224,14 @@ PINNED_COUNTS = [
     ("pigeonhole-6", "precedence", (1, 0, 1, 0, 19)),
     ("pigeonhole-6", "channel", (1, 0, 1, 0, 22)),
     ("pigeonhole-6", "getree", (33, 32, 13, 0, 219)),
+    ("graph-40", "precedence", (53, 52, 15, 12, 1822)),
+    ("graph-40", "channel", (53, 52, 15, 12, 1838)),
 ]
 
 _PINNED_MODELS = {
     "all-interval-7": lambda: build_all_interval(7),
     "graph-12": lambda: build_coloring(12, PINNED_GRAPH, 3),
+    "graph-40": lambda: build_coloring(40, PINNED_GRAPH_40, 3),
     "pigeonhole-6": lambda: build_pigeonhole(6),
 }
 
@@ -290,8 +312,6 @@ def test_getree_ignores_vars_outside_scope():
 
 def test_getree_rejects_mixed_symmetry_sources():
     m = _both_sources_model()
-    with pytest.raises(UnsupportedModeError):
-        getree_allowed_values([], 0, m.symmetry, m.initial_domains())
     with pytest.raises(UnsupportedModeError):
         solve(m, SearchConfig(symmetry_mode="getree"))
 
