@@ -26,6 +26,8 @@ from .problems import build_all_interval, build_coloring_from_dimacs, build_pige
 from .report import RunReport
 from .search import (
     MODES,
+    VAL_ORDERS,
+    VAR_ORDERS,
     ModeResult,
     SearchConfig,
     applicable_modes,
@@ -64,6 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             choices=list(MODES),
             help="symmetry handling mode" + (" (repeatable)" if multi_mode else ""),
+        )
+        p.add_argument(
+            "--var-order", choices=VAR_ORDERS, default="input", help="branching variable order"
+        )
+        p.add_argument(
+            "--val-order", choices=VAL_ORDERS, default="ascending", help="branching value order"
         )
         p.add_argument("--budget", type=int, help="search node budget")
         p.add_argument("--format", choices=["table", "json"], default="table")
@@ -107,9 +115,25 @@ def _model_from_args(args) -> Model:
 
 def _base_config(args, mode: str, limit: Optional[int]) -> SearchConfig:
     return SearchConfig(
+        var_order=args.var_order,
+        val_order=args.val_order,
         symmetry_mode=mode,
         solution_limit=limit,
         enumeration_budget=args.budget,
+    )
+
+
+def _report(args, model: Model, modes: list[str], **fields) -> RunReport:
+    """A report of this command that echoes the shared flags."""
+    return RunReport(
+        command=args.command,
+        model=model,
+        modes=modes,
+        var_order=args.var_order,
+        val_order=args.val_order,
+        budget=args.budget if args.budget is not None else default_budget(),
+        seed=args.seed,
+        **fields,
     )
 
 
@@ -118,10 +142,6 @@ def _emit(report: RunReport, fmt: str):
         print(report.to_json())
     else:
         print(report.render())
-
-
-def _budget_of(args) -> int:
-    return args.budget if args.budget is not None else default_budget()
 
 
 def cmd_solve(args) -> int:
@@ -134,14 +154,8 @@ def cmd_solve(args) -> int:
         raise ModelError("--all and --limit are mutually exclusive")
     limit = None if args.all else (args.limit if args.limit is not None else 1)
     sols, stats = solve(model, _base_config(args, mode, limit))
-    report = RunReport(
-        command="solve",
-        model=model,
-        modes=[mode],
-        solution_limit=limit,
-        budget=_budget_of(args),
-        seed=args.seed,
-        results=[ModeResult(mode, sols, stats)],
+    report = _report(
+        args, model, [mode], solution_limit=limit, results=[ModeResult(mode, sols, stats)]
     )
     _emit(report, args.format)
     return EXIT_OK
@@ -153,14 +167,7 @@ def cmd_compare(args) -> int:
     if len(modes) < 2:
         raise ModelError("compare needs at least two --mode flags")
     results = compare_methods(model, modes, _base_config(args, "none", None))
-    report = RunReport(
-        command="compare",
-        model=model,
-        modes=modes,
-        budget=_budget_of(args),
-        seed=args.seed,
-        results=[results[m] for m in modes],
-    )
+    report = _report(args, model, modes, results=[results[m] for m in modes])
     _emit(report, args.format)
     return EXIT_OK
 
@@ -175,14 +182,8 @@ def cmd_verify(args) -> int:
     passed, reports, none_stats = verify_symmetry_breaking(
         model, modes, _base_config(args, "none", None)
     )
-    report = RunReport(
-        command="verify",
-        model=model,
-        modes=modes,
-        budget=_budget_of(args),
-        seed=args.seed,
-        results=[ModeResult("none", [], none_stats)],
-        verification=reports,
+    report = _report(
+        args, model, modes, results=[ModeResult("none", [], none_stats)], verification=reports
     )
     _emit(report, args.format)
     return EXIT_OK if passed else EXIT_FAIL
@@ -199,6 +200,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.stats is not None:
+            counts = exc.stats.as_dict().items()
+            partial = " ".join(f"{k}={v}" for k, v in counts if k != "elapsed")
+            print(f"partial stats: {partial}", file=sys.stderr)
         return EXIT_BUDGET
     except (ModelError, DimacsParseError, UnsupportedModeError, GroupTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,15 @@ class AbsDiffProp(Propagator):
     Each sweep is word-level: a distance w has support iff X shifted by w
     either way meets Y, and X keeps exactly the bits of Y shifted either way
     by some distance still in D (then Y likewise against the new X).
+
+    When x, y and d are distinct, two rounds end at the fixpoint with no
+    further round. One whose X and Y sweeps move nothing: its D sweep checked
+    every distance against this X and Y, and each of X and Y lies in the
+    other shifted by D. One that follows a round that narrowed X or Y, as
+    soon as its D sweep keeps every distance: each x left in X has a partner
+    x+-w in Y for some w in D, that partner lies in X+-D, so the Y sweep
+    kept it, and the Y sweep left Y inside X+-D. Scopes that repeat a
+    variable repeat all three sweeps until a round moves nothing.
     """
 
     kind = "abs-diff"
@@ -66,12 +75,15 @@ class AbsDiffProp(Propagator):
         self.y = y
         self.d = d
         self.sides = ((x, y), (y, x))
+        self.distinct = len({x, y, d}) == 3
         self.watches = (x, y, d)
 
     def propagate(self, domains):
         # each sweep re-reads its domains, since x, y and d need not be distinct
         x, y, d = self.x, self.y, self.d
+        distinct = self.distinct
         changed = set()
+        after_xy = False  # the last round narrowed X or Y of a distinct scope
         while True:
             moved = False
             dx, dy, dd = domains[x], domains[y], domains[d]
@@ -86,9 +98,11 @@ class AbsDiffProp(Propagator):
             if keep != dd:
                 domains[d] = keep
                 changed.add(d)
-                moved = True
+                moved = not distinct  # distinct: D alone moving needs no new round
                 if not keep:
                     return True, list(changed)
+            elif after_xy:
+                return False, list(changed)
             for a, b in self.sides:
                 da, db, rest = domains[a], domains[b], domains[d]
                 support = 0
@@ -105,6 +119,7 @@ class AbsDiffProp(Propagator):
                         return True, list(changed)
             if not moved:
                 return False, list(changed)
+            after_xy = distinct
 
     def check(self, values):
         return abs(values[self.x] - values[self.y]) == values[self.d]
@@ -113,7 +128,17 @@ class AbsDiffProp(Propagator):
 class AllDifferentProp(Propagator):
     """Assigned values are pruned from the rest of the scope; when the number
     of available values equals the scope size, a value held by only one
-    variable is fixed there; fewer available values than variables fails."""
+    variable is fixed there; fewer available values than variables fails.
+
+    Holders are counted with two words in the same scope pass that takes the
+    union: `twice |= once & d; once |= d`, so `once & ~twice` holds the values
+    with exactly one holder. Values are fixed in ascending order at the first
+    variable holding them; a fix that drops a value with other holders counts
+    again, so a value left with one holder by an earlier fix is fixed in the
+    same round, and the writes are those of one scope scan per value. A round
+    that fixes no value and leaves no new assigned variable is the last: the
+    next one would prune nothing and find every single holder fixed already.
+    """
 
     kind = "all-different"
     prune_assigned = True
@@ -124,16 +149,19 @@ class AllDifferentProp(Propagator):
 
     def propagate(self, domains):
         scope = self.scope
+        prune = self.prune_assigned
         changed = set()
         while True:
             moved = False
-            # pruning assigned values never shrinks the union of the domains,
-            # since each pruned value stays in the singleton holding it
-            avail = fixed_mask = 0
+            # pruning assigned values leaves each pruned value in the singleton
+            # holding it, so it neither shrinks the union nor leaves a value
+            # with one holder that needs a write: the counts need no redo
+            once = twice = fixed_mask = 0
             for v in scope:
                 d = domains[v]
-                avail |= d
-                if self.prune_assigned and not d & (d - 1):
+                twice |= once & d
+                once |= d
+                if prune and not d & (d - 1):
                     if d & fixed_mask:
                         return True, list(changed)  # two vars on one value
                     fixed_mask |= d
@@ -143,28 +171,34 @@ class AllDifferentProp(Propagator):
                     if d & (d - 1) and d & fixed_mask:
                         d = domains[v] = d & ~fixed_mask
                         changed.add(v)
-                        moved = True
                         if not d:
                             return True, list(changed)
-            if avail.bit_count() < len(scope):
+                        if not d & (d - 1):
+                            moved = True  # a new assignment to prune next round
+            if once.bit_count() < len(scope):
                 return True, list(changed)
-            if avail.bit_count() == len(scope):
+            if once.bit_count() == len(scope):
                 # every available value is used exactly once
-                while avail:
-                    bit = avail & -avail
-                    avail ^= bit
-                    holder = -1
-                    many = False
+                single = once & ~twice
+                while single:
+                    bit = single & -single
+                    single ^= bit
                     for v in scope:
-                        if domains[v] & bit:
-                            if holder >= 0:
-                                many = True
-                                break
-                            holder = v
-                    if not many and holder >= 0 and domains[holder] != bit:
-                        domains[holder] = bit
-                        changed.add(holder)
-                        moved = True
+                        d = domains[v]
+                        if d & bit:
+                            if d != bit:
+                                domains[v] = bit
+                                changed.add(v)
+                                moved = True
+                                if d & twice:
+                                    # a dropped value may have one holder left
+                                    once = twice = 0
+                                    for u in scope:
+                                        e = domains[u]
+                                        twice |= once & e
+                                        once |= e
+                                    single = once & ~twice & -(bit << 1)
+                            break
             if not moved:
                 return False, list(changed)
 

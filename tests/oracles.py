@@ -153,3 +153,94 @@ def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[in
                             return True, list(changed)
         if not moved:
             return False, list(changed)
+
+
+def abs_diff_propagate_full_rounds(prop, domains: list[int]) -> tuple[bool, list[int]]:
+    """AbsDiffProp.propagate as first written: rounds of the d, x and y
+    sweeps repeated until a whole round moves nothing, on every scope. The
+    reference for the early-stopping version, which must match it in failure
+    flag and, when it does not fail, in domains and changed list."""
+    x, y, d = prop.x, prop.y, prop.d
+    changed = set()
+    while True:
+        moved = False
+        dx, dy, dd = domains[x], domains[y], domains[d]
+        keep = 0
+        rest = dd
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            if ((dx >> w) | (dx << w)) & dy:
+                keep |= bit
+        if keep != dd:
+            domains[d] = keep
+            changed.add(d)
+            moved = True
+            if not keep:
+                return True, list(changed)
+        for a, b in ((x, y), (y, x)):
+            da, db, rest = domains[a], domains[b], domains[d]
+            support = 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                support |= (db >> w) | (db << w)
+            if da & support != da:
+                da = domains[a] = da & support
+                changed.add(a)
+                moved = True
+                if not da:
+                    return True, list(changed)
+        if not moved:
+            return False, list(changed)
+
+
+def all_different_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
+    """AllDifferentProp.propagate (and its lazy subclass) as first written:
+    the Hall-singleton step scans the whole scope once per available value
+    to find that value's holders. The reference for the holder-counting
+    version, which must match it in failure flag and, when it does not fail,
+    in domains and changed list."""
+    scope = prop.scope
+    changed = set()
+    while True:
+        moved = False
+        avail = fixed_mask = 0
+        for v in scope:
+            d = domains[v]
+            avail |= d
+            if prop.prune_assigned and not d & (d - 1):
+                if d & fixed_mask:
+                    return True, list(changed)
+                fixed_mask |= d
+        if fixed_mask:
+            for v in scope:
+                d = domains[v]
+                if d & (d - 1) and d & fixed_mask:
+                    d = domains[v] = d & ~fixed_mask
+                    changed.add(v)
+                    moved = True
+                    if not d:
+                        return True, list(changed)
+        if avail.bit_count() < len(scope):
+            return True, list(changed)
+        if avail.bit_count() == len(scope):
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                holder = -1
+                many = False
+                for v in scope:
+                    if domains[v] & bit:
+                        if holder >= 0:
+                            many = True
+                            break
+                        holder = v
+                if not many and holder >= 0 and domains[holder] != bit:
+                    domains[holder] = bit
+                    changed.add(holder)
+                    moved = True
+        if not moved:
+            return False, list(changed)

@@ -1,13 +1,14 @@
 import json
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
 from valsym import cli
 from valsym.cli import main
-from valsym.problems import build_pigeonhole
+from valsym.problems import build_all_interval, build_pigeonhole
 from valsym.report import SOLUTION_SAMPLE_CAP, RunReport, load_schema
-from valsym.search import VerifyModeReport
+from valsym.search import SearchConfig, VerifyModeReport, solve
 
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -293,7 +294,39 @@ def test_budget_exhaustion_exits_three(capsys):
         ["solve", "--model", "all-interval", "--n", "8", "--all", "--budget", "10"]
     )
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "budget" in err[0]
+    # the search stopped at its 11th node and says how far it got
+    assert err[1] == (
+        "partial stats: nodes=11 branches=10 failures=5 solutions=1"
+        " propagation_calls=204 max_depth=4"
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "verify"])
+def test_orderings_are_applied_and_echoed(capsys, command):
+    argv = [command, "--model", "all-interval", "--n", "6", "--mode", "static-lex"]
+    argv += ["--mode", "getree"] if command != "solve" else ["--all"]
+    argv += ["--var-order", "min-domain", "--val-order", "descending"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["config"]["var_order"] == "min-domain"
+    assert payload["config"]["val_order"] == "descending"
+    config = SearchConfig(var_order="min-domain", val_order="descending", symmetry_mode="none")
+    model = build_all_interval(6)
+    for run in payload["runs"]:
+        sols, stats = solve(model, replace(config, symmetry_mode=run["mode"]))
+        if command != "verify":
+            assert run["solution_count"] == len(sols)
+            assert run["solutions"] == [list(s) for s in sols[:SOLUTION_SAMPLE_CAP]]
+        assert run["stats"]["nodes"] == stats.nodes
+    # the default orders differ in search, so the flags did reach it
+    _, plain = run_json(capsys, argv[:-4])
+    assert plain["config"]["var_order"] == "input"
+    assert plain["config"]["val_order"] == "ascending"
+    assert [r["stats"]["nodes"] for r in plain["runs"]] != [
+        r["stats"]["nodes"] for r in payload["runs"]
+    ]
 
 
 def test_budget_env_var_is_honoured(capsys, monkeypatch):

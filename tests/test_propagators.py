@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_support
+from oracles import (
+    abs_diff_propagate_full_rounds,
+    all_different_propagate_per_value,
+    brute_support,
+)
 from valsym.domains import DomainSet, mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.propagators import (
@@ -63,6 +68,72 @@ def test_abs_diff_is_arc_consistent():
         else:
             assert not failed
             assert [set(values_of(d)) for d in doms] == want
+
+
+def _random_abs_diff_case(rng):
+    """An abs-diff propagator over shuffled variable ids, four in six of them
+    aliased (x == y, x == d, y == d or all three the same), with domains over
+    universes of up to 20 values."""
+    x, y, d = rng.sample(range(6), 3)
+    scope = rng.choice(((x, y, d), (x, y, d), (x, x, d), (x, y, x), (x, y, y), (x, x, x)))
+    u = rng.randint(2, 20)
+    doms = []
+    for _ in range(6):
+        dense = rng.random()
+        doms.append(mask_of(v for v in range(u) if rng.random() < dense) or 1 << rng.randrange(u))
+    return AbsDiffProp(*scope), doms
+
+
+def _assert_same_as_reference(prop, doms, reference):
+    want_doms = list(doms)
+    want_failed, want_changed = reference(prop, want_doms)
+    failed, changed = prop.propagate(doms)
+    assert failed == want_failed
+    if not failed:
+        assert doms == want_doms
+        assert changed == want_changed
+    return failed, changed
+
+
+def test_abs_diff_early_stop_matches_full_rounds():
+    rng = random.Random(4343)
+    outcomes = Counter()
+    for _ in range(24_000):
+        prop, doms = _random_abs_diff_case(rng)
+        failed, changed = _assert_same_as_reference(prop, doms, abs_diff_propagate_full_rounds)
+        outcomes[prop.distinct, failed, bool(changed)] += 1
+    # distinct and aliased scopes each fail, narrow and reach a fixpoint untouched
+    assert min(outcomes.values()) > 200 and len(outcomes) == 6
+
+
+def _random_all_different_case(rng, cls):
+    """An all-different propagator over a scope of 2-10 shuffled variable ids
+    out of up to 20, its domains drawn from a universe of n-1 to 14 values
+    (spread over bits 0-13), some of them fixed."""
+    n = rng.randint(2, 10)
+    scope = rng.sample(range(rng.randint(n, 20)), n)
+    values = rng.sample(range(14), rng.randint(max(1, n - 1), min(14, n + rng.choice((0, 1, 4)))))
+    fixed = rng.random() * 0.5
+    dense = 0.3 + rng.random() * 0.6
+    doms = [1 << rng.randrange(14) for _ in range(max(scope) + 1)]
+    for v in scope:
+        if rng.random() < fixed:
+            doms[v] = 1 << rng.choice(values)
+        else:
+            doms[v] = mask_of(w for w in values if rng.random() < dense) or 1 << rng.choice(values)
+    return cls(scope), doms
+
+
+@pytest.mark.parametrize("cls", [AllDifferentProp, LazyAllDifferentProp])
+def test_all_different_holder_count_matches_per_value_scans(cls):
+    rng = random.Random(4444)
+    outcomes = Counter()
+    for _ in range(20_000):
+        prop, doms = _random_all_different_case(rng, cls)
+        failed, changed = _assert_same_as_reference(prop, doms, all_different_propagate_per_value)
+        outcomes["failed" if failed else min(len(changed), 2)] += 1
+    # failures, fixpoints and calls that narrow one and several variables all occur often
+    assert min(outcomes.values()) > 300 and len(outcomes) == 4
 
 
 def test_all_different_assigned_value_pruning():

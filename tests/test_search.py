@@ -226,10 +226,13 @@ PINNED_COUNTS = [
     ("pigeonhole-6", "getree", (33, 32, 13, 0, 219)),
     ("graph-40", "precedence", (53, 52, 15, 12, 1822)),
     ("graph-40", "channel", (53, 52, 15, 12, 1838)),
+    ("all-interval-8", "none", (449, 448, 284, 40, 7465)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2939)),
 ]
 
 _PINNED_MODELS = {
     "all-interval-7": lambda: build_all_interval(7),
+    "all-interval-8": lambda: build_all_interval(8),
     "graph-12": lambda: build_coloring(12, PINNED_GRAPH, 3),
     "graph-40": lambda: build_coloring(40, PINNED_GRAPH_40, 3),
     "pigeonhole-6": lambda: build_pigeonhole(6),
