@@ -6,7 +6,7 @@ symmetric duplicates: static lex-leader constraints, value precedence,
 first-occurrence channelling, and dynamic least-in-orbit branching.
 """
 
-from .domains import Assignment, DomainSet, VarId
+from .domains import Assignment, VarId
 from .engine import PropagationOutcome, Propagator, propagate_to_fixpoint
 from .errors import (
     BudgetExceeded,
@@ -57,7 +57,6 @@ __all__ = [
     "Constraint",
     "ConstraintKind",
     "DimacsParseError",
-    "DomainSet",
     "GroupTooLarge",
     "ModeResult",
     "Model",

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .domains import DomainSet, VarId
+from .domains import VarId, mask_of, values_of
 from .errors import ModelError
 from .symmetry import SymmetrySpec
 
@@ -15,9 +15,7 @@ class ConstraintKind(enum.Enum):
     NOT_EQUAL = "not-equal"
     ABS_DIFF = "abs-diff"
     ALL_DIFFERENT = "all-different"
-    PRECEDENCE = "precedence"
     LEX_LEADER = "lex-leader"
-    FIRST_OCCURRENCE_CHANNEL = "first-occurrence-channel"
     ORDERING_CHAIN = "ordering-chain"
     # used by the pigeonhole family
     LAZY_ALL_DIFFERENT = "lazy-all-different"
@@ -45,6 +43,8 @@ class Constraint:
 class Model:
     """Immutable problem description.
 
+    domains holds one bitmask per variable (bit v set iff value v is in the
+    initial domain), each non-empty and inside 0..universe_size-1.
     symmetry_scope names the variables the declared symmetries act on (in
     order). Orbit computations, lex-leader posting and dynamic filtering all
     work on the projection of assignments onto that scope; any remaining
@@ -53,7 +53,7 @@ class Model:
 
     name: str
     universe_size: int
-    domains: tuple[DomainSet, ...]
+    domains: tuple[int, ...]
     constraints: tuple[Constraint, ...]
     symmetry: SymmetrySpec
     symmetry_scope: tuple[VarId, ...]
@@ -63,9 +63,11 @@ class Model:
         n = self.num_vars
         full = (1 << self.universe_size) - 1
         for i, d in enumerate(self.domains):
-            if d.empty:
+            if not isinstance(d, int):
+                raise ModelError(f"initial domain of var {i} is not an int bitmask: {d!r}")
+            if d == 0:
                 raise ModelError(f"initial domain of var {i} is empty")
-            if d.mask & ~full:
+            if d & ~full:  # also catches negative ints, whose high bits are all set
                 raise ModelError(f"initial domain of var {i} leaves the universe")
         for c in self.constraints:
             for v in c.scope:
@@ -82,9 +84,8 @@ class Model:
         for g in self.symmetry.explicit:
             for pos, var in enumerate(self.symmetry_scope):
                 image_var = self.symmetry_scope[g.theta[pos]]
-                src = {g.sigma(v) for v in self.domains[var]}
-                dst = set(self.domains[image_var])
-                if src != dst:
+                image = mask_of(g.sigma(v) for v in values_of(self.domains[var]))
+                if image != self.domains[image_var]:
                     raise ModelError(
                         f"declared symmetry does not preserve domains "
                         f"(var {var} -> var {image_var})"
@@ -96,7 +97,7 @@ class Model:
 
     def initial_domains(self) -> list[int]:
         """The solver's working domains: one bitmask per variable."""
-        return [d.mask for d in self.domains]
+        return list(self.domains)
 
     def project_scope(self, assignment: Sequence[int]) -> tuple[int, ...]:
         return tuple(assignment[v] for v in self.symmetry_scope)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .domains import DomainSet
+from .domains import mask_of
 from .errors import DimacsParseError, ModelError
 from .model import Constraint, ConstraintKind, Model
 from .symmetry import (
@@ -39,8 +39,7 @@ def build_all_interval(
         raise ModelError(f"all-interval n must be in [{ALL_INTERVAL_MIN}, {ALL_INTERVAL_MAX}]")
     series = tuple(range(n))
     diffs = tuple(range(n, 2 * n - 1))
-    domains = [DomainSet.full(n) for _ in series]
-    domains += [DomainSet(range(1, n)) for _ in diffs]
+    domains = [(1 << n) - 1] * n + [mask_of(range(1, n))] * (n - 1)
     constraints = [
         Constraint(ConstraintKind.ALL_DIFFERENT, series),
         Constraint(ConstraintKind.ALL_DIFFERENT, diffs),
@@ -162,7 +161,7 @@ def build_coloring(num_vertices: int, edges: Iterable[tuple[int, int]], num_colo
     return Model(
         name="coloring",
         universe_size=num_colors,
-        domains=tuple(DomainSet.full(num_colors) for _ in range(num_vertices)),
+        domains=((1 << num_colors) - 1,) * num_vertices,
         constraints=tuple(constraints),
         symmetry=spec,
         symmetry_scope=tuple(range(num_vertices)),
@@ -213,7 +212,7 @@ def build_pigeonhole(n: int) -> Model:
     return Model(
         name="pigeonhole",
         universe_size=universe,
-        domains=tuple(DomainSet.full(universe) for _ in scope),
+        domains=((1 << universe) - 1,) * n,
         constraints=tuple(constraints),
         symmetry=spec,
         symmetry_scope=scope,
@@ -247,7 +246,7 @@ def random_interchangeable_model(
     return Model(
         name="random-interchangeable",
         universe_size=m,
-        domains=tuple(DomainSet.full(m) for _ in range(n)),
+        domains=((1 << m) - 1,) * n,
         constraints=tuple(constraints),
         symmetry=spec,
         symmetry_scope=tuple(range(n)),

@@ -631,14 +631,8 @@ def build_propagator(c: Constraint) -> Propagator:
         return LazyAllDifferentProp(c.scope)
     if kind is ConstraintKind.ORDERING_CHAIN:
         return OrderingChainProp(c.scope, strict=c.params.get("strict", True))
-    if kind is ConstraintKind.PRECEDENCE:
-        return PrecedenceProp(c.scope, c.params["order"])
     if kind is ConstraintKind.LEX_LEADER:
         return LexLeaderProp(c.scope, c.params["symmetry"])
-    if kind is ConstraintKind.FIRST_OCCURRENCE_CHANNEL:
-        return FirstOccurrenceChannelProp(
-            c.params["x_scope"], c.params["z_vars"], c.params["order"]
-        )
     if kind is ConstraintKind.EQUALITY_DISJUNCTION:
         return EqualityDisjunctionProp(c.params["pairs"])
     raise ModelError(f"no propagator for constraint kind {kind}")

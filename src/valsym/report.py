@@ -63,9 +63,6 @@ class RunReport:
     results: list[ModeResult] = field(default_factory=list)
     verification: Optional[list[VerifyModeReport]] = None
 
-    def add_result(self, result: ModeResult):
-        self.results.append(result)
-
     @property
     def verdict(self) -> Optional[str]:
         if self.verification is None:
@@ -126,8 +123,8 @@ class RunReport:
             "verification": verification,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     # -- human-readable rendering -----------------------------------------
 

@@ -35,13 +35,7 @@ from .propagators import (
     build_propagators,
     check_all,
 )
-from .symmetry import (
-    GROUP_CAP,
-    Group,
-    SymmetrySpec,
-    VarValueSymmetry,
-    orbit_partition,
-)
+from .symmetry import Group, SymmetrySpec, VarValueSymmetry, orbit_partition
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
 VAR_ORDERS = ("input", "min-domain")
@@ -71,7 +65,6 @@ class SearchConfig:
     symmetry_mode: str = "none"
     solution_limit: Optional[int] = None
     enumeration_budget: Optional[int] = None
-    group_cap: int = GROUP_CAP
 
     def __post_init__(self):
         if self.var_order not in VAR_ORDERS:
@@ -117,14 +110,42 @@ class _SolutionLimit(Exception):
     pass
 
 
-@lru_cache(maxsize=64)
-def _closed_group(spec: SymmetrySpec, cap: int) -> tuple[VarValueSymmetry, ...]:
-    return tuple(spec.closed_group(cap))
+def _unsupported(spec: SymmetrySpec, mode: str) -> Optional[str]:
+    """Why `mode` cannot run on a model declaring `spec`, or None if it can.
+
+    The one statement of each mode's precondition: `solve`, `break_group`
+    and `applicable_modes` all ask it.
+    """
+    if mode not in MODES:
+        return f"unknown mode {mode!r}"
+    if mode in ("precedence", "channel") and not spec.interchangeable_classes:
+        return f"{mode} needs interchangeable value classes"
+    if mode in ("static-lex", "getree") and spec.is_trivial:
+        return f"{mode} needs declared symmetries"
+    if mode == "getree" and spec.explicit and spec.interchangeable_classes:
+        return (
+            "getree needs a single symmetry source, got both explicit "
+            "elements and interchangeable classes"
+        )
+    return None
+
+
+def _require_mode(spec: SymmetrySpec, mode: str) -> None:
+    reason = _unsupported(spec, mode)
+    if reason is not None:
+        raise UnsupportedModeError(reason)
 
 
 @lru_cache(maxsize=64)
-def _value_subgroup(spec: SymmetrySpec, cap: int) -> tuple[VarValueSymmetry, ...]:
-    return tuple(spec.value_subgroup(cap))
+def _closed_group(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
+    return tuple(spec.closed_group())
+
+
+@lru_cache(maxsize=64)
+def _value_subgroup(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
+    """Elements with identity variable permutation (what dynamic
+    value-symmetry breaking can act on)."""
+    return tuple(g for g in _closed_group(spec) if g.theta_is_identity)
 
 
 def getree_allowed_values(
@@ -133,7 +154,6 @@ def getree_allowed_values(
     spec: SymmetrySpec,
     domains: Sequence[int],
     scope: Optional[Sequence[int]] = None,
-    cap: int = GROUP_CAP,
 ) -> list[int]:
     """Values worth branching on at this node, in ascending order.
 
@@ -153,7 +173,7 @@ def getree_allowed_values(
     if spec.explicit:
         stab = [
             g.sigma
-            for g in _value_subgroup(spec, cap)
+            for g in _value_subgroup(spec)
             if all(g.sigma(v) == v for v in decided)
         ]
         allowed = []
@@ -198,7 +218,6 @@ def getree_allowed_values(
 class _Prepared:
     domains: list[int]
     propagators: list
-    base_vars: int
     getree: bool
 
 
@@ -210,11 +229,11 @@ def _has_covering_alldiff(model: Model) -> bool:
     )
 
 
-def _static_lex_propagators(model: Model, cap: int) -> list:
+def _static_lex_propagators(model: Model) -> list:
     props = []
     simplify = _has_covering_alldiff(model)
     scope = model.symmetry_scope
-    for g in _closed_group(model.symmetry, cap):
+    for g in _closed_group(model.symmetry):
         if g.is_identity:
             continue
         if g.sigma.is_identity and simplify:
@@ -228,55 +247,25 @@ def _static_lex_propagators(model: Model, cap: int) -> list:
     return props
 
 
-def channel_layout(model: Model) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per interchangeable class: (class order, position-var ids) in the
-    extended variable numbering used by channel mode."""
-    out = []
-    nxt = model.num_vars
-    for cls in model.symmetry.interchangeable_classes:
-        z_vars = tuple(range(nxt, nxt + len(cls)))
-        nxt += len(cls)
-        out.append((cls, z_vars))
-    return out
-
-
 def _prepare(model: Model, config: SearchConfig) -> _Prepared:
     mode = config.symmetry_mode
-    spec = model.symmetry
+    _require_mode(model.symmetry, mode)
+    classes = model.symmetry.interchangeable_classes
     domains = model.initial_domains()
     props = build_propagators(model)
-    if mode == "none":
-        return _Prepared(domains, props, model.num_vars, False)
     if mode == "static-lex":
-        if spec.is_trivial:
-            raise UnsupportedModeError("static-lex needs declared symmetries")
-        props += _static_lex_propagators(model, config.group_cap)
-        return _Prepared(domains, props, model.num_vars, False)
-    if mode == "precedence":
-        if not spec.interchangeable_classes:
-            raise UnsupportedModeError("precedence needs interchangeable value classes")
-        for cls in spec.interchangeable_classes:
-            props.append(PrecedenceProp(model.symmetry_scope, cls))
-        return _Prepared(domains, props, model.num_vars, False)
-    if mode == "channel":
-        if not spec.interchangeable_classes:
-            raise UnsupportedModeError("channel needs interchangeable value classes")
-        for cls, z_vars in channel_layout(model):
+        props += _static_lex_propagators(model)
+    elif mode == "precedence":
+        props += [PrecedenceProp(model.symmetry_scope, cls) for cls in classes]
+    elif mode == "channel":
+        # each class's position variables are numbered after every variable
+        # so far, so the model's own variables keep their ids
+        for cls in classes:
+            z_vars = tuple(range(len(domains), len(domains) + len(cls)))
             channel = FirstOccurrenceChannelProp(model.symmetry_scope, z_vars, cls)
             domains += [channel.position_mask(k) for k in range(len(cls))]
-            props.append(channel)
-            props.append(OrderingChainProp(z_vars, strict=True))
-        return _Prepared(domains, props, model.num_vars, False)
-    if mode == "getree":
-        if spec.is_trivial:
-            raise UnsupportedModeError("getree needs declared symmetries")
-        if spec.explicit and spec.interchangeable_classes:
-            raise UnsupportedModeError(
-                "getree needs a single symmetry source, got both explicit "
-                "elements and interchangeable classes"
-            )
-        return _Prepared(domains, props, model.num_vars, True)
-    raise UnsupportedModeError(f"unknown mode {mode!r}")
+            props += [channel, OrderingChainProp(z_vars, strict=True)]
+    return _Prepared(domains, props, mode == "getree")
 
 
 def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tuple[int, ...]], SearchStats]:
@@ -327,7 +316,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             values = tuple(d.bit_length() - 1 for d in domains)
             if check_all(prep.propagators, values):
                 stats.solutions += 1
-                solutions.append(values[: prep.base_vars])
+                solutions.append(values[: model.num_vars])
                 if limit is not None and stats.solutions >= limit:
                     raise _SolutionLimit
             else:
@@ -335,8 +324,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             return
         if prep.getree:
             vals = getree_allowed_values(
-                partial, var, model.symmetry, domains,
-                scope=model.symmetry_scope, cap=config.group_cap,
+                partial, var, model.symmetry, domains, scope=model.symmetry_scope
             )
         else:
             vals = list(values_of(domains[var]))
@@ -376,7 +364,7 @@ def compare_methods(
     return out
 
 
-def break_group(model: Model, mode: str, cap: int = GROUP_CAP) -> Group:
+def break_group(model: Model, mode: str) -> Group:
     """The symmetry group a mode actually breaks; orbit checks use this.
 
     static-lex (and `none`, for checking a model's own posted constraints)
@@ -384,18 +372,16 @@ def break_group(model: Model, mode: str, cap: int = GROUP_CAP) -> Group:
     getree breaks the value-only subgroup (it cannot see variable
     permutations). Whenever that group is exactly the class product it is
     returned in structural form, which has no size limit; otherwise it is
-    enumerated, up to `cap` elements.
+    enumerated, up to `GROUP_CAP` elements. Raises UnsupportedModeError for
+    a mode the model cannot run, as `solve` does.
     """
     spec = model.symmetry
-    if mode not in MODES:
-        raise UnsupportedModeError(f"unknown mode {mode!r}")
-    if mode in ("precedence", "channel") and not spec.interchangeable_classes:
-        raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
+    _require_mode(spec, mode)
     if mode in ("precedence", "channel") or (spec.interchangeable_classes and not spec.explicit):
         return spec.class_product()
     if mode == "getree":
-        return list(_value_subgroup(spec, cap))
-    return list(_closed_group(spec, cap))
+        return list(_value_subgroup(spec))
+    return list(_closed_group(spec))
 
 
 @dataclass
@@ -419,7 +405,7 @@ def verify_symmetry_breaking(
     none_proj = [model.project_scope(s) for s in none_sols]
     reports = []
     for mode in modes:
-        group = break_group(model, mode, base.group_cap)
+        group = break_group(model, mode)
         orbits = orbit_partition(none_proj, group)
         if mode == "none":
             sols = none_sols
@@ -452,15 +438,6 @@ def verify_symmetry_breaking(
 
 
 def applicable_modes(model: Model) -> list[str]:
-    """Symmetry-breaking modes this model's declared symmetries support."""
-    out = []
-    spec = model.symmetry
-    if spec.is_trivial:
-        return out
-    out.append("static-lex")
-    if spec.interchangeable_classes:
-        out.append("precedence")
-        out.append("channel")
-    if bool(spec.explicit) != bool(spec.interchangeable_classes):
-        out.append("getree")
-    return out
+    """Symmetry-breaking modes (every mode but `none`) that this model's
+    declared symmetries support."""
+    return [m for m in MODES if m != "none" and _unsupported(model.symmetry, m) is None]

@@ -57,9 +57,6 @@ class ValuePermutation:
         """Composite mapping v -> self(first(v))."""
         return ValuePermutation(tuple(self.image[v] for v in first.image))
 
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(v for v, w in enumerate(self.image) if v == w)
-
 
 def inversion_permutation(size: int) -> ValuePermutation:
     """v -> (size-1) - v, the order-reversing value map."""
@@ -260,7 +257,7 @@ class SymmetrySpec:
     def is_trivial(self) -> bool:
         return not self.explicit and not self.interchangeable_classes
 
-    def class_groups(self, cap: int = GROUP_CAP) -> list[list[VarValueSymmetry]]:
+    def class_groups(self) -> list[list[VarValueSymmetry]]:
         return [
             full_symmetric_group(cls, self.scope_len, self.universe_size)
             for cls in self.interchangeable_classes
@@ -275,7 +272,7 @@ class SymmetrySpec:
         with the symmetric group of every interchangeable class."""
         parts: list[list[VarValueSymmetry]] = []
         if self.interchangeable_classes:
-            parts.append(product_group(self.class_groups(cap), cap))
+            parts.append(product_group(self.class_groups(), cap))
         if self.explicit:
             parts.append(close_group(self.explicit, cap))
         if not parts:
@@ -283,11 +280,6 @@ class SymmetrySpec:
         if len(parts) == 1:
             return parts[0]
         return close_group([g for part in parts for g in part], cap)
-
-    def value_subgroup(self, cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
-        """Elements with identity variable permutation (what dynamic
-        value-symmetry breaking can act on)."""
-        return [g for g in self.closed_group(cap) if g.theta_is_identity]
 
 
 Group = Sequence[VarValueSymmetry] | ClassProduct

@@ -28,23 +28,10 @@ def constraint_holds(c: Constraint, values: Sequence[int]) -> bool:
         if c.params.get("strict", True):
             return all(a < b for a, b in zip(seq, seq[1:]))
         return all(a <= b for a, b in zip(seq, seq[1:]))
-    if kind is ConstraintKind.PRECEDENCE:
-        return precedence_accepts([values[v] for v in c.scope], c.params["order"])
     if kind is ConstraintKind.LEX_LEADER:
         sym = c.params["symmetry"]
         proj = tuple(values[v] for v in c.scope)
         return proj <= sym.apply(proj)
-    if kind is ConstraintKind.FIRST_OCCURRENCE_CHANNEL:
-        x_scope = c.params["x_scope"]
-        z_vars = c.params["z_vars"]
-        order = c.params["order"]
-        n = len(x_scope)
-        for k, val in enumerate(order):
-            occ = [i for i, v in enumerate(x_scope, start=1) if values[v] == val]
-            want = occ[0] if occ else n + 1 + (k + 1)
-            if values[z_vars[k]] != want:
-                return False
-        return True
     if kind is ConstraintKind.EQUALITY_DISJUNCTION:
         return any(values[a] == values[b] for a, b in c.params["pairs"])
     raise AssertionError(f"oracle missing for {kind}")
@@ -65,7 +52,7 @@ def precedence_accepts(seq: Sequence[int], order: Sequence[int]) -> bool:
 def model_solutions(model: Model) -> list[tuple[int, ...]]:
     """Generate-and-test over the initial domain product."""
     out = []
-    for combo in itertools.product(*[sorted(d) for d in model.domains]):
+    for combo in itertools.product(*[list(values_of(d)) for d in model.domains]):
         if all(constraint_holds(c, combo) for c in model.constraints):
             out.append(combo)
     return out

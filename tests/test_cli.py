@@ -196,6 +196,8 @@ def test_verify_lists_at_most_cap_orbits(capsys, tmp_path):
     assert len(v["duplicate_orbits"]) == SOLUTION_SAMPLE_CAP
     assert v["missed_orbit_count"] == 0 and v["missed_orbits"] == []
     assert len(json.dumps(payload)) < 60_000
+    main(argv + ["--format", "json"])
+    assert len(capsys.readouterr().out) < 13_000  # one compact line, no indentation
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 1

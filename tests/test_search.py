@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from oracles import model_solutions, naive_all_interval
-from valsym.domains import DomainSet, mask_of, values_of
-from valsym.errors import BudgetExceeded, UnsupportedModeError
+from valsym.domains import mask_of, values_of
+from valsym.errors import BudgetExceeded, ModelError, UnsupportedModeError
 from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import (
     build_all_interval,
@@ -14,6 +14,7 @@ from valsym.problems import (
     random_interchangeable_model,
 )
 from valsym.search import (
+    MODES,
     SearchConfig,
     applicable_modes,
     break_group,
@@ -37,7 +38,7 @@ def _plain_model(n=2, m=2, constraints=()):
     return Model(
         name="plain",
         universe_size=m,
-        domains=tuple(DomainSet.full(m) for _ in range(n)),
+        domains=((1 << m) - 1,) * n,
         constraints=tuple(constraints),
         symmetry=SymmetrySpec(scope_len=n, universe_size=m),
         symmetry_scope=tuple(range(n)),
@@ -49,7 +50,7 @@ def _both_sources_model():
     return Model(
         name="both",
         universe_size=3,
-        domains=(DomainSet.full(3), DomainSet.full(3)),
+        domains=(0b111, 0b111),
         constraints=(),
         symmetry=SymmetrySpec(
             scope_len=2,
@@ -328,7 +329,9 @@ def test_break_group_is_structural_exactly_for_the_class_product():
     assert break_group(mixed, "static-lex") == list(mixed.symmetry.closed_group())
     explicit_only = build_all_interval(5)
     assert break_group(explicit_only, "none") == list(explicit_only.symmetry.closed_group())
-    assert break_group(explicit_only, "getree") == explicit_only.symmetry.value_subgroup()
+    assert break_group(explicit_only, "getree") == [
+        g for g in explicit_only.symmetry.closed_group() if g.theta_is_identity
+    ]
     assert break_group(_plain_model(), "none") == []
     with pytest.raises(UnsupportedModeError):
         break_group(explicit_only, "channel")
@@ -364,6 +367,40 @@ def test_unsupported_modes_raise():
             solve(explicit_only, SearchConfig(symmetry_mode=mode))
 
 
+SPEC_SHAPES = {
+    "no-symmetry": _plain_model,
+    "classes-only": lambda: build_coloring(3, TRIANGLE, 3),
+    "explicit-only": lambda: build_all_interval(5),
+    "both": _both_sources_model,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", sorted(SPEC_SHAPES))
+def test_mode_rules_agree(shape, mode):
+    # solve, break_group and applicable_modes read one precondition per mode
+    model = SPEC_SHAPES[shape]()
+    supported = mode == "none" or mode in applicable_modes(model)
+    config = SearchConfig(symmetry_mode=mode, solution_limit=1)
+    if supported:
+        solve(model, config)
+        break_group(model, mode)
+    else:
+        with pytest.raises(UnsupportedModeError):
+            solve(model, config)
+        with pytest.raises(UnsupportedModeError):
+            break_group(model, mode)
+
+
+@pytest.mark.parametrize("bad", [{0, 1}, 0, -1, 1 << 3], ids=["set", "empty", "negative", "above"])
+def test_model_rejects_bad_domain_masks(bad):
+    # universe_size 3: a valid mask is a non-zero int below 1 << 3
+    m = _plain_model(2, 3)
+    with pytest.raises(ModelError):
+        replace(m, domains=(0b111, bad))
+    assert replace(m, domains=(0b111, 0b010)).domains == (0b111, 0b010)
+
+
 def test_compare_methods_needs_two_distinct_modes():
     m = build_coloring(3, TRIANGLE, 3)
     with pytest.raises(ValueError):
@@ -388,7 +425,7 @@ def test_min_domain_picks_smallest_open_domain():
     # with descending values its solutions come out ordered by var 1
     m = _plain_model(2, 3, [Constraint(ConstraintKind.NOT_EQUAL, (0, 1))])
     doms = list(m.domains)
-    doms[1] = DomainSet([0, 1])
+    doms[1] = mask_of([0, 1])
     m = Model(
         name="uneven",
         universe_size=3,
