@@ -209,8 +209,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # a fault of valsym itself (RecursionError included): keep it apart
-        # from the verdict codes and out of the traceback printer
+        # a fault of valsym itself: keep it apart from the verdict codes and
+        # out of the traceback printer
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .domains import mask_of
 from .errors import DimacsParseError, ModelError
 from .model import Constraint, ConstraintKind, Model
-from .symmetry import (
-    SymmetrySpec,
-    ValuePermutation,
-    VarValueSymmetry,
-    inversion_permutation,
-)
+from .symmetry import SymmetrySpec, VarValueSymmetry, inversion_permutation
 
 ALL_INTERVAL_MIN, ALL_INTERVAL_MAX = 3, 14
 PIGEONHOLE_MIN, PIGEONHOLE_MAX = 2, 20

@@ -594,6 +594,18 @@ class FirstOccurrenceChannelProp(Propagator):
         return True
 
 
+def post_first_occurrence_channel(
+    domains: list[int], x_scope: Sequence[VarId], order: Sequence[int]
+) -> list[Propagator]:
+    """Number one position variable per value of `order` after every variable
+    in `domains`, so existing ids stay, append their initial masks, and return
+    the channel and the strict ordering chain over the new variables."""
+    z_vars = tuple(range(len(domains), len(domains) + len(order)))
+    channel = FirstOccurrenceChannelProp(x_scope, z_vars, order)
+    domains += [channel.position_mask(k) for k in range(len(order))]
+    return [channel, OrderingChainProp(z_vars, strict=True)]
+
+
 class EqualityDisjunctionProp(Propagator):
     """Some listed pair of variables must be equal; evaluated only once its
     whole scope is fixed."""

@@ -8,7 +8,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .model import Model
-from .search import ModeResult, SearchStats, VerifyModeReport
+from .search import ModeResult, VerifyModeReport
 
 SOLUTION_SAMPLE_CAP = 20
 

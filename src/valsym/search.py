@@ -19,21 +19,21 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .domains import copy_domains, values_of
 from .engine import build_watchers, propagate_to_fixpoint
 from .errors import BudgetExceeded, UnsupportedModeError
-from .model import Constraint, ConstraintKind, Model
+from .model import ConstraintKind, Model
 from .propagators import (
-    FirstOccurrenceChannelProp,
     LexLeaderProp,
     OrderingChainProp,
     PrecedenceProp,
     build_propagators,
     check_all,
+    post_first_occurrence_channel,
 )
 from .symmetry import Group, SymmetrySpec, VarValueSymmetry, orbit_partition
 
@@ -104,10 +104,6 @@ class ModeResult:
     mode: str
     solutions: list[tuple[int, ...]]
     stats: SearchStats
-
-
-class _SolutionLimit(Exception):
-    pass
 
 
 def _unsupported(spec: SymmetrySpec, mode: str) -> Optional[str]:
@@ -214,13 +210,6 @@ def getree_allowed_values(
     return list(values_of(dom))
 
 
-@dataclass
-class _Prepared:
-    domains: list[int]
-    propagators: list
-    getree: bool
-
-
 def _has_covering_alldiff(model: Model) -> bool:
     scope = set(model.symmetry_scope)
     return any(
@@ -247,8 +236,7 @@ def _static_lex_propagators(model: Model) -> list:
     return props
 
 
-def _prepare(model: Model, config: SearchConfig) -> _Prepared:
-    mode = config.symmetry_mode
+def _prepare(model: Model, mode: str) -> tuple[list[int], list]:
     _require_mode(model.symmetry, mode)
     classes = model.symmetry.interchangeable_classes
     domains = model.initial_domains()
@@ -258,32 +246,29 @@ def _prepare(model: Model, config: SearchConfig) -> _Prepared:
     elif mode == "precedence":
         props += [PrecedenceProp(model.symmetry_scope, cls) for cls in classes]
     elif mode == "channel":
-        # each class's position variables are numbered after every variable
-        # so far, so the model's own variables keep their ids
         for cls in classes:
-            z_vars = tuple(range(len(domains), len(domains) + len(cls)))
-            channel = FirstOccurrenceChannelProp(model.symmetry_scope, z_vars, cls)
-            domains += [channel.position_mask(k) for k in range(len(cls))]
-            props += [channel, OrderingChainProp(z_vars, strict=True)]
-    return _Prepared(domains, props, mode == "getree")
+            props += post_first_occurrence_channel(domains, model.symmetry_scope, cls)
+    return domains, props
 
 
 def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tuple[int, ...]], SearchStats]:
-    """Depth-first enumeration. Returns (solutions, stats); solutions are
-    full assignments over the model's variables (channel position variables
-    are stripped), deterministic for a given config."""
+    """Depth-first enumeration over an explicit stack, so model depth is not
+    bounded by Python's recursion limit. Returns (solutions, stats);
+    solutions are full assignments over the model's variables (channel
+    position variables are stripped), deterministic for a given config."""
     if config is None:
         config = SearchConfig()
-    prep = _prepare(model, config)
+    domains, props = _prepare(model, config.symmetry_mode)
+    getree = config.symmetry_mode == "getree"
     budget = config.enumeration_budget if config.enumeration_budget is not None else default_budget()
     limit = config.solution_limit
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
-    watchers = build_watchers(prep.propagators, len(prep.domains))
-    num_vars = len(prep.domains)
+    watchers = build_watchers(props, len(domains))
+    num_vars = len(domains)
     ascending = config.val_order == "ascending"
     min_dom = config.var_order == "min-domain"
-    partial: list[tuple[int, int]] = []
+    partial: list[tuple[int, int]] = []  # decisions from the root to the node
     t0 = time.perf_counter()
 
     def pick_var(domains) -> int:
@@ -300,50 +285,51 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 return v
         return -1
 
-    def dfs(domains, trigger, depth):
+    # one (domains, var, values left) frame per open ancestor of the node
+    stack: list = []
+    trigger = None
+    while True:
         stats.nodes += 1
         if stats.nodes > budget:
             stats.elapsed = time.perf_counter() - t0
             raise BudgetExceeded(budget, stats)
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        outcome = propagate_to_fixpoint(prep.propagators, domains, trigger, watchers, stats)
+        if len(stack) > stats.max_depth:
+            stats.max_depth = len(stack)
+        outcome = propagate_to_fixpoint(props, domains, trigger, watchers, stats)
         if outcome.failed:
             stats.failures += 1
-            return
-        var = pick_var(domains)
-        if var < 0:
+        elif (var := pick_var(domains)) < 0:
             values = tuple(d.bit_length() - 1 for d in domains)
-            if check_all(prep.propagators, values):
+            if check_all(props, values):
                 stats.solutions += 1
                 solutions.append(values[: model.num_vars])
                 if limit is not None and stats.solutions >= limit:
-                    raise _SolutionLimit
+                    break
             else:
                 stats.failures += 1
-            return
-        if prep.getree:
-            vals = getree_allowed_values(
-                partial, var, model.symmetry, domains, scope=model.symmetry_scope
-            )
         else:
-            vals = list(values_of(domains[var]))
-        if not ascending:
-            vals = vals[::-1]
-        for v in vals:
-            stats.branches += 1
-            child = copy_domains(domains)
-            child[var] = 1 << v
-            partial.append((var, v))
-            try:
-                dfs(child, (var,), depth + 1)
-            finally:
-                partial.pop()
-
-    try:
-        dfs(prep.domains, None, 0)
-    except _SolutionLimit:
-        pass
+            if getree:
+                vals = getree_allowed_values(
+                    partial, var, model.symmetry, domains, scope=model.symmetry_scope
+                )
+            else:
+                vals = list(values_of(domains[var]))
+            stack.append((domains, var, iter(vals if ascending else vals[::-1])))
+        # the next node is the next child of the deepest frame with one left
+        while stack:
+            parent, var, left = stack[-1]
+            v = next(left, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            break
+        stats.branches += 1
+        domains = copy_domains(parent)
+        domains[var] = 1 << v
+        del partial[len(stack) - 1:]
+        partial.append((var, v))
+        trigger = (var,)
     stats.elapsed = time.perf_counter() - t0
     return solutions, stats
 

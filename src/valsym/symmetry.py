@@ -9,6 +9,7 @@ theta(i). Pure value symmetries have theta = identity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -16,7 +17,6 @@ from .domains import values_of
 from .errors import BudgetExceeded, GroupTooLarge, ModelError
 
 GROUP_CAP = 10_080
-MAX_FULL_SYMMETRIC = 8
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,16 @@ def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) ->
 def full_symmetric_group(values: Sequence[int], scope_len: int, universe_size: int) -> list[VarValueSymmetry]:
     """All |values|! pure value symmetries permuting `values` among themselves.
 
-    Guarded at MAX_FULL_SYMMETRIC values; factorial growth beyond that is a
-    caller bug, not a workload.
+    Refused before anything is built when |values|! exceeds GROUP_CAP.
     """
     vals = list(values)
-    if len(vals) > MAX_FULL_SYMMETRIC:
+    size = math.factorial(len(vals))
+    if size > GROUP_CAP:
+        largest = max(k for k in range(len(vals)) if math.factorial(k) <= GROUP_CAP)
         raise GroupTooLarge(
-            len(vals), MAX_FULL_SYMMETRIC,
+            size, GROUP_CAP,
             f"static-lex enumerates a value class's permutations only up to "
-            f"{MAX_FULL_SYMMETRIC} values, got a class of {len(vals)}",
+            f"{largest} values, got a class of {len(vals)}",
         )
     if len(set(vals)) != len(vals):
         raise ModelError("interchangeable values must be distinct")
@@ -267,19 +268,20 @@ class SymmetrySpec:
         """The interchangeable classes' group in structural form."""
         return ClassProduct(self.interchangeable_classes, self.scope_len, self.universe_size)
 
-    def closed_group(self, cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
+    def closed_group(self) -> list[VarValueSymmetry]:
         """Full group the spec denotes: closure of explicit generators combined
-        with the symmetric group of every interchangeable class."""
+        with the symmetric group of every interchangeable class, capped at
+        GROUP_CAP elements."""
         parts: list[list[VarValueSymmetry]] = []
         if self.interchangeable_classes:
-            parts.append(product_group(self.class_groups(), cap))
+            parts.append(product_group(self.class_groups()))
         if self.explicit:
-            parts.append(close_group(self.explicit, cap))
+            parts.append(close_group(self.explicit))
         if not parts:
             return []
         if len(parts) == 1:
             return parts[0]
-        return close_group([g for part in parts for g in part], cap)
+        return close_group([g for part in parts for g in part])
 
 
 Group = Sequence[VarValueSymmetry] | ClassProduct

@@ -20,12 +20,7 @@ from typing import Optional, Sequence
 
 from .domains import mask_of, values_of
 from .engine import propagate_to_fixpoint
-from .propagators import (
-    FirstOccurrenceChannelProp,
-    LexLeaderProp,
-    OrderingChainProp,
-    PrecedenceProp,
-)
+from .propagators import LexLeaderProp, PrecedenceProp, post_first_occurrence_channel
 from .symmetry import ValuePermutation, VarValueSymmetry, exact_valsym_prune
 
 
@@ -85,10 +80,7 @@ class ChannelWitness:
     def channel_fixpoint(self) -> tuple[bool, list[int]]:
         doms = _domains_of(self.domains)
         n = len(doms)
-        z_vars = tuple(range(n, n + len(self.class_values)))
-        channel = FirstOccurrenceChannelProp(tuple(range(n)), z_vars, self.class_values)
-        doms += [channel.position_mask(k) for k in range(len(z_vars))]
-        props = [channel, OrderingChainProp(z_vars, strict=True)]
+        props = post_first_occurrence_channel(doms, tuple(range(n)), self.class_values)
         out = propagate_to_fixpoint(props, doms)
         return out.failed, doms[:n]
 

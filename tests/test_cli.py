@@ -252,12 +252,24 @@ def test_usage_and_model_errors_exit_two(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_static_lex_class_cap_names_the_limit(capsys):
-    argv = ["solve", "--model", "pigeonhole", "--n", "8", "--mode", "static-lex"]
+@pytest.mark.parametrize("n", [7, 8])
+def test_static_lex_class_cap_names_the_limit(capsys, n):
+    # 7! = 5 040 fits the 10 080-element group cap, 8! = 40 320 does not
+    argv = ["solve", "--model", "pigeonhole", "--n", str(n), "--mode", "static-lex"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "static-lex" in err and "up to 8 values" in err and "class of 9" in err
+    assert "static-lex" in err and "up to 7 values" in err and f"class of {n + 1}" in err
     assert "closure exceeded cap" not in err
+
+
+def test_deep_path_is_solved_in_precedence_mode(capsys, tmp_path):
+    n = 1200
+    path = tmp_path / "path.col"
+    path.write_text(f"p edge {n} {n - 1}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n)))
+    argv = ["solve", "--model", "coloring", "--file", str(path), "--colors", "3",
+            "--mode", "precedence"]
+    assert main(argv) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_bad_dimacs_reports_line_number(capsys, tmp_path):

@@ -10,8 +10,8 @@ from valsym.engine import propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.propagators import (
     FirstOccurrenceChannelProp,
-    OrderingChainProp,
     PrecedenceProp,
+    post_first_occurrence_channel,
 )
 from valsym.symmetry import full_symmetric_group
 
@@ -130,12 +130,8 @@ def test_precedence_equals_full_lex_leader_conjunction():
 
 def _channel_setup(doms_x, order):
     doms = list(doms_x)
-    n = len(doms_x)
-    z_vars = tuple(range(n, n + len(order)))
-    channel = FirstOccurrenceChannelProp(tuple(range(n)), z_vars, order)
-    doms += [channel.position_mask(k) for k in range(len(order))]
-    props = [channel, OrderingChainProp(z_vars, strict=True)]
-    return doms, props, z_vars
+    props = post_first_occurrence_channel(doms, tuple(range(len(doms_x))), order)
+    return doms, props, props[0].z_vars
 
 
 def test_channel_forces_positions_on_fixed_assignment():

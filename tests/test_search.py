@@ -247,6 +247,15 @@ def test_search_counters_are_pinned(model, mode, want):
     assert got == want
 
 
+def test_deep_model_is_solved_without_recursion():
+    # deeper than Python's default recursion limit of 1 000 frames
+    n = 3000
+    path = build_coloring(n, [(i, i + 1) for i in range(n - 1)], 3)
+    sols, stats = solve(path, SearchConfig(solution_limit=1))
+    assert (stats.nodes, stats.max_depth) == (n + 1, n)
+    assert sols == [tuple(i % 2 for i in range(n))]
+
+
 def test_ordering_heuristics_preserve_the_solution_set():
     m = build_all_interval(5)
     base, _ = solve(m)
