@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .errors import (
@@ -144,6 +145,22 @@ def _emit(report: RunReport, fmt: str):
         print(report.render())
 
 
+@contextmanager
+def _partial_report_on_budget(args, model: Model, modes: list[str], limit: Optional[int] = None):
+    """With --format json, a search that runs out of budget still emits a
+    report: the partial run of the mode that ran out. `main` then prints the
+    error and exits 3."""
+    try:
+        yield
+    except BudgetExceeded as exc:
+        if args.format == "json" and exc.stats is not None:
+            run = ModeResult(exc.mode, exc.solutions, exc.stats)
+            report = _report(args, model, modes, solution_limit=limit, results=[run],
+                             outcome="budget-exceeded")
+            _emit(report, "json")
+        raise
+
+
 def cmd_solve(args) -> int:
     model = _model_from_args(args)
     modes = args.mode or ["none"]
@@ -153,7 +170,8 @@ def cmd_solve(args) -> int:
     if args.all and args.limit is not None:
         raise ModelError("--all and --limit are mutually exclusive")
     limit = None if args.all else (args.limit if args.limit is not None else 1)
-    sols, stats = solve(model, _base_config(args, mode, limit))
+    with _partial_report_on_budget(args, model, [mode], limit):
+        sols, stats = solve(model, _base_config(args, mode, limit))
     report = _report(
         args, model, [mode], solution_limit=limit, results=[ModeResult(mode, sols, stats)]
     )
@@ -166,7 +184,8 @@ def cmd_compare(args) -> int:
     modes = args.mode or []
     if len(modes) < 2:
         raise ModelError("compare needs at least two --mode flags")
-    results = compare_methods(model, modes, _base_config(args, "none", None))
+    with _partial_report_on_budget(args, model, modes):
+        results = compare_methods(model, modes, _base_config(args, "none", None))
     report = _report(args, model, modes, results=[results[m] for m in modes])
     _emit(report, args.format)
     return EXIT_OK
@@ -179,9 +198,10 @@ def cmd_verify(args) -> int:
         modes = applicable_modes(model)
         if not modes:
             raise ModelError("model declares no symmetries to verify")
-    passed, reports, none_stats = verify_symmetry_breaking(
-        model, modes, _base_config(args, "none", None)
-    )
+    with _partial_report_on_budget(args, model, modes):
+        passed, reports, none_stats = verify_symmetry_breaking(
+            model, modes, _base_config(args, "none", None)
+        )
     report = _report(
         args, model, modes, results=[ModeResult("none", [], none_stats)], verification=reports
     )

@@ -31,9 +31,15 @@ class GroupTooLarge(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Search or enumeration passed its node/assignment budget."""
+    """Search or enumeration passed its node/assignment budget.
 
-    def __init__(self, budget: int, stats=None):
+    A search that runs out carries its partial stats, its mode and the
+    solutions it found before the budget ran out.
+    """
+
+    def __init__(self, budget: int, stats=None, mode: str | None = None, solutions=()):
         super().__init__(f"enumeration budget exceeded ({budget})")
         self.budget = budget
         self.stats = stats
+        self.mode = mode
+        self.solutions = list(solutions)

@@ -52,20 +52,17 @@ class NotEqualProp(Propagator):
 
 
 class AbsDiffProp(Propagator):
-    """|x - y| = d, filtered to arc consistency by support sweeps.
+    """|x - y| = d, filtered to generalised arc consistency.
 
-    Each sweep is word-level: a distance w has support iff X shifted by w
-    either way meets Y, and X keeps exactly the bits of Y shifted either way
-    by some distance still in D (then Y likewise against the new X).
-
-    When x, y and d are distinct, two rounds end at the fixpoint with no
-    further round. One whose X and Y sweeps move nothing: its D sweep checked
-    every distance against this X and Y, and each of X and Y lies in the
-    other shifted by D. One that follows a round that narrowed X or Y, as
-    soon as its D sweep keeps every distance: each x left in X has a partner
-    x+-w in Y for some w in D, that partner lies in X+-D, so the Y sweep
-    kept it, and the Y sweep left Y inside X+-D. Scopes that repeat a
-    variable repeat all three sweeps until a round moves nothing.
+    When x, y and d are distinct, one word-level sweep over the distances
+    reaches GAC: a distance w has support iff X shifted by w either way meets
+    Y, and then X's shifted copy joins Y's supports and Y's shifted copy joins
+    X's. Each kept value lies in a supporting triple (x, y, w) whose members
+    are all kept, and a removed value had no support even in the input
+    domains, so the result is the GAC closure and a second sweep would move
+    nothing. Scopes that repeat a variable (x == y, x == d, ...) repeat a D,
+    an X and a Y sweep until a round moves nothing; that fixpoint need not be
+    GAC, and the leaf check covers the gap.
     """
 
     kind = "abs-diff"
@@ -79,11 +76,38 @@ class AbsDiffProp(Propagator):
         self.watches = (x, y, d)
 
     def propagate(self, domains):
-        # each sweep re-reads its domains, since x, y and d need not be distinct
         x, y, d = self.x, self.y, self.d
-        distinct = self.distinct
+        if self.distinct:
+            dx, dy, dd = domains[x], domains[y], domains[d]
+            keep = sx = sy = 0
+            rest = dd
+            while rest:
+                bit = rest & -rest  # 2**w for a distance w
+                rest ^= bit
+                # multiplying and dividing by 2**w shift by w without computing w
+                a = dx * bit | dx // bit
+                if a & dy:
+                    keep |= bit
+                    sy |= a
+                    sx |= dy * bit | dy // bit
+            if not keep:
+                domains[d] = 0
+                return True, [d]
+            changed = []
+            if keep != dd:
+                domains[d] = keep
+                changed.append(d)
+            if dx & sx != dx:
+                domains[x] = dx & sx
+                changed.append(x)
+            if dy & sy != dy:
+                domains[y] = dy & sy
+                changed.append(y)
+            # both paths list the changed ids in a set's order: the engine
+            # wakes watchers in this order, and the propagation counts with it
+            return False, list(set(changed)) if len(changed) > 1 else changed
+        # each sweep re-reads its domains, since x, y and d are not distinct
         changed = set()
-        after_xy = False  # the last round narrowed X or Y of a distinct scope
         while True:
             moved = False
             dx, dy, dd = domains[x], domains[y], domains[d]
@@ -98,11 +122,9 @@ class AbsDiffProp(Propagator):
             if keep != dd:
                 domains[d] = keep
                 changed.add(d)
-                moved = not distinct  # distinct: D alone moving needs no new round
+                moved = True
                 if not keep:
                     return True, list(changed)
-            elif after_xy:
-                return False, list(changed)
             for a, b in self.sides:
                 da, db, rest = domains[a], domains[b], domains[d]
                 support = 0
@@ -119,7 +141,6 @@ class AbsDiffProp(Propagator):
                         return True, list(changed)
             if not moved:
                 return False, list(changed)
-            after_xy = distinct
 
     def check(self, values):
         return abs(values[self.x] - values[self.y]) == values[self.d]

@@ -62,6 +62,8 @@ class RunReport:
     seed: Optional[int] = None
     results: list[ModeResult] = field(default_factory=list)
     verification: Optional[list[VerifyModeReport]] = None
+    # "budget-exceeded": results hold the partial run of the mode that ran out
+    outcome: str = "complete"
 
     @property
     def verdict(self) -> Optional[str]:
@@ -110,6 +112,7 @@ class RunReport:
             }
         return {
             "command": self.command,
+            "outcome": self.outcome,
             "model": self.model.describe(),
             "config": {
                 "modes": list(self.modes),

@@ -271,7 +271,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     partial: list[tuple[int, int]] = []  # decisions from the root to the node
     t0 = time.perf_counter()
 
-    def pick_var(domains) -> int:
+    def pick_var(domains, start: int) -> int:
         if min_dom:
             best, best_size = -1, 0
             for v in range(num_vars):
@@ -279,7 +279,8 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 if s > 1 and (best < 0 or s < best_size):
                     best, best_size = v, s
             return best
-        for v in range(num_vars):
+        # in input order every variable before `start` is fixed already
+        for v in range(start, num_vars):
             d = domains[v]
             if d & (d - 1):
                 return v
@@ -288,17 +289,18 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     # one (domains, var, values left) frame per open ancestor of the node
     stack: list = []
     trigger = None
+    start = 0
     while True:
         stats.nodes += 1
         if stats.nodes > budget:
             stats.elapsed = time.perf_counter() - t0
-            raise BudgetExceeded(budget, stats)
+            raise BudgetExceeded(budget, stats, config.symmetry_mode, solutions)
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
         outcome = propagate_to_fixpoint(props, domains, trigger, watchers, stats)
         if outcome.failed:
             stats.failures += 1
-        elif (var := pick_var(domains)) < 0:
+        elif (var := pick_var(domains, start)) < 0:
             values = tuple(d.bit_length() - 1 for d in domains)
             if check_all(props, values):
                 stats.solutions += 1
@@ -330,6 +332,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         del partial[len(stack) - 1:]
         partial.append((var, v))
         trigger = (var,)
+        start = var + 1
     stats.elapsed = time.perf_counter() - t0
     return solutions, stats
 

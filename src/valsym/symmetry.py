@@ -162,8 +162,9 @@ def full_symmetric_group(values: Sequence[int], scope_len: int, universe_size: i
         largest = max(k for k in range(len(vals)) if math.factorial(k) <= GROUP_CAP)
         raise GroupTooLarge(
             size, GROUP_CAP,
-            f"static-lex enumerates a value class's permutations only up to "
-            f"{largest} values, got a class of {len(vals)}",
+            f"enumerating the whole symmetry group (for static-lex, or for orbit "
+            f"checks under explicit symmetries) takes a value class's permutations "
+            f"only up to {largest} values, got a class of {len(vals)}",
         )
     if len(set(vals)) != len(vals):
         raise ModelError("interchangeable values must be distinct")

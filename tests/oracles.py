@@ -145,8 +145,9 @@ def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[in
 def abs_diff_propagate_full_rounds(prop, domains: list[int]) -> tuple[bool, list[int]]:
     """AbsDiffProp.propagate as first written: rounds of the d, x and y
     sweeps repeated until a whole round moves nothing, on every scope. The
-    reference for the early-stopping version, which must match it in failure
-    flag and, when it does not fail, in domains and changed list."""
+    reference for the kernel that reaches the same closure in one sweep over
+    the distances when x, y and d are distinct, which must match it in
+    failure flag and, when it does not fail, in domains and changed list."""
     x, y, d = prop.x, prop.y, prop.d
     changed = set()
     while True:

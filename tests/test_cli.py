@@ -317,6 +317,28 @@ def test_budget_exhaustion_exits_three(capsys):
     )
 
 
+def test_budget_exhaustion_emits_a_partial_json_report(capsys):
+    argv = ["solve", "--model", "all-interval", "--n", "8", "--all", "--budget", "10"]
+    code, payload = run_json(capsys, argv)
+    assert code == 3
+    assert payload["outcome"] == "budget-exceeded"
+    assert payload["config"]["budget"] == 10 and payload["verification"] is None
+    (run,) = payload["runs"]
+    assert run["mode"] == "none"
+    stats = {k: v for k, v in run["stats"].items() if k != "elapsed"}
+    assert stats == {"nodes": 11, "branches": 10, "failures": 5, "solutions": 1,
+                     "propagation_calls": 204, "max_depth": 4}
+    # the solution found before the budget ran out is the full search's first
+    assert run["solution_count"] == 1
+    assert run["solutions"] == [list(solve(build_all_interval(8))[0][0])]
+    # both stderr lines stay
+    main(argv + ["--format", "json"])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "budget" in err[0] and err[1].startswith("partial stats:")
+    code, payload = run_json(capsys, argv[:-2])
+    assert code == 0 and payload["outcome"] == "complete"
+
+
 @pytest.mark.parametrize("command", ["solve", "compare", "verify"])
 def test_orderings_are_applied_and_echoed(capsys, command):
     argv = [command, "--model", "all-interval", "--n", "6", "--mode", "static-lex"]

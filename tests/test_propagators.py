@@ -100,7 +100,17 @@ def test_abs_diff_early_stop_matches_full_rounds():
     outcomes = Counter()
     for _ in range(24_000):
         prop, doms = _random_abs_diff_case(rng)
+        snapshot = list(doms)
         failed, changed = _assert_same_as_reference(prop, doms, abs_diff_propagate_full_rounds)
+        if prop.distinct:
+            # one sweep is the whole closure: a failing call leaves the same
+            # domains and changed list too, and a call right after one that
+            # did not fail is idle
+            if failed:
+                assert abs_diff_propagate_full_rounds(prop, snapshot) == (True, changed)
+                assert doms == snapshot
+            else:
+                assert prop.propagate(doms) == (False, [])
         outcomes[prop.distinct, failed, bool(changed)] += 1
     # distinct and aliased scopes each fail, narrow and reach a fixpoint untouched
     assert min(outcomes.values()) > 200 and len(outcomes) == 6

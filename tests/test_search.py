@@ -5,7 +5,7 @@ import pytest
 
 from oracles import model_solutions, naive_all_interval
 from valsym.domains import mask_of, values_of
-from valsym.errors import BudgetExceeded, ModelError, UnsupportedModeError
+from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError, UnsupportedModeError
 from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import (
     build_all_interval,
@@ -344,6 +344,31 @@ def test_break_group_is_structural_exactly_for_the_class_product():
     assert break_group(_plain_model(), "none") == []
     with pytest.raises(UnsupportedModeError):
         break_group(explicit_only, "channel")
+
+
+def test_verify_none_names_what_needs_the_whole_group():
+    # an explicit swap beside a class of 8 values: orbit checks of mode none
+    # enumerate the whole group, whose class part is past the cap
+    swap = VarValueSymmetry.value_only(2, ValuePermutation(tuple(range(8)) + (9, 8)))
+    model = Model(
+        name="swap-and-class",
+        universe_size=10,
+        domains=((1 << 10) - 1,) * 2,
+        constraints=(),
+        symmetry=SymmetrySpec(
+            scope_len=2,
+            universe_size=10,
+            explicit=(swap,),
+            interchangeable_classes=(tuple(range(8)),),
+        ),
+        symmetry_scope=(0, 1),
+    )
+    with pytest.raises(GroupTooLarge) as exc:
+        verify_symmetry_breaking(model, ["none"])
+    msg = str(exc.value)
+    assert "whole symmetry group" in msg and "orbit checks" in msg
+    assert "up to 7 values" in msg and "class of 8" in msg
+    assert not msg.startswith("static-lex")
 
 
 # --- mode applicability and compare_methods ----------------------------------
