@@ -6,7 +6,7 @@ symmetric duplicates: static lex-leader constraints, value precedence,
 first-occurrence channelling, and dynamic least-in-orbit branching.
 """
 
-from .domains import Assignment, VarId
+from .domains import VarId
 from .engine import PropagationOutcome, Propagator, propagate_to_fixpoint
 from .errors import (
     BudgetExceeded,
@@ -43,7 +43,6 @@ from .symmetry import (
     canonical_form,
     close_group,
     exact_valsym_prune,
-    full_symmetric_group,
     inversion_permutation,
     orbit_partition,
 )
@@ -51,7 +50,6 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "BudgetExceeded",
     "ClassProduct",
     "Constraint",
@@ -80,7 +78,6 @@ __all__ = [
     "close_group",
     "compare_methods",
     "exact_valsym_prune",
-    "full_symmetric_group",
     "getree_allowed_values",
     "inversion_permutation",
     "orbit_partition",

@@ -148,15 +148,15 @@ def _emit(report: RunReport, fmt: str):
 @contextmanager
 def _partial_report_on_budget(args, model: Model, modes: list[str], limit: Optional[int] = None):
     """With --format json, a search that runs out of budget still emits a
-    report: the partial run of the mode that ran out. `main` then prints the
-    error and exits 3."""
+    report: the runs of the modes that completed, then the partial run of the
+    mode that ran out. `main` then prints the error and exits 3."""
     try:
         yield
     except BudgetExceeded as exc:
         if args.format == "json" and exc.stats is not None:
             run = ModeResult(exc.mode, exc.solutions, exc.stats)
-            report = _report(args, model, modes, solution_limit=limit, results=[run],
-                             outcome="budget-exceeded")
+            report = _report(args, model, modes, solution_limit=limit,
+                             results=[*exc.completed, run], outcome="budget-exceeded")
             _emit(report, "json")
         raise
 

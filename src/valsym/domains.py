@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 VarId = int
-Assignment = tuple[int, ...]
 
 
 def mask_of(values: Iterable[int]) -> int:

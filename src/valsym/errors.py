@@ -18,11 +18,9 @@ class UnsupportedModeError(ValueError):
 
 
 class GroupTooLarge(RuntimeError):
-    """Group closure exceeded the element cap.
-
-    Callers should fall back to interchangeable-class handling or post
-    generators only instead of enumerating the whole group.
-    """
+    """An enumerated symmetry group would pass its element cap: raised by
+    `close_group` when a closure outgrows it, and by `SymmetrySpec.closed_group`,
+    before building anything, for a value class or class product past it."""
 
     def __init__(self, size: int, cap: int, message: str | None = None):
         super().__init__(message or f"group closure exceeded cap ({size} > {cap})")
@@ -34,7 +32,8 @@ class BudgetExceeded(RuntimeError):
     """Search or enumeration passed its node/assignment budget.
 
     A search that runs out carries its partial stats, its mode and the
-    solutions it found before the budget ran out.
+    solutions it found before the budget ran out; a comparison adds, in
+    `completed`, the results of the modes that finished before it.
     """
 
     def __init__(self, budget: int, stats=None, mode: str | None = None, solutions=()):
@@ -43,3 +42,4 @@ class BudgetExceeded(RuntimeError):
         self.stats = stats
         self.mode = mode
         self.solutions = list(solutions)
+        self.completed = []

@@ -75,6 +75,8 @@ class SearchConfig:
             raise ValueError(f"symmetry_mode must be one of {MODES}")
         if self.solution_limit is not None and self.solution_limit <= 0:
             raise ValueError("solution_limit must be positive or None")
+        if self.enumeration_budget is not None and self.enumeration_budget <= 0:
+            raise ValueError("enumeration_budget must be positive or None")
 
 
 @dataclass
@@ -340,7 +342,11 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
 def compare_methods(
     model: Model, modes: Sequence[str], config: Optional[SearchConfig] = None
 ) -> dict[str, ModeResult]:
-    """Run solve once per mode with identical orderings and budget."""
+    """Run solve once per mode with identical orderings and budget.
+
+    A mode that runs out of budget raises BudgetExceeded carrying, in
+    `completed`, the results of the modes that finished before it.
+    """
     if len(modes) < 2:
         raise ValueError("compare_methods needs at least two modes")
     if len(set(modes)) != len(modes):
@@ -348,7 +354,11 @@ def compare_methods(
     base = config if config is not None else SearchConfig()
     out: dict[str, ModeResult] = {}
     for mode in modes:
-        sols, stats = solve(model, replace(base, symmetry_mode=mode))
+        try:
+            sols, stats = solve(model, replace(base, symmetry_mode=mode))
+        except BudgetExceeded as exc:
+            exc.completed = list(out.values())
+            raise
         out[mode] = ModeResult(mode, sols, stats)
     return out
 

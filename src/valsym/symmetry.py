@@ -120,7 +120,9 @@ class VarValueSymmetry:
 
 
 def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
-    """BFS closure of the generators under composition, identity included.
+    """BFS closure of the generators under composition, identity included,
+    sorted with the identity first. `SymmetrySpec.closed_group` uses it for
+    specs with explicit elements.
 
     Raises GroupTooLarge as soon as the closure would exceed `cap`.
     """
@@ -149,47 +151,6 @@ def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) ->
     out = sorted(seen, key=lambda s: (s.theta, s.sigma.image))
     out.remove(ident)
     return [ident] + out
-
-
-def full_symmetric_group(values: Sequence[int], scope_len: int, universe_size: int) -> list[VarValueSymmetry]:
-    """All |values|! pure value symmetries permuting `values` among themselves.
-
-    Refused before anything is built when |values|! exceeds GROUP_CAP.
-    """
-    vals = list(values)
-    size = math.factorial(len(vals))
-    if size > GROUP_CAP:
-        largest = max(k for k in range(len(vals)) if math.factorial(k) <= GROUP_CAP)
-        raise GroupTooLarge(
-            size, GROUP_CAP,
-            f"enumerating the whole symmetry group (for static-lex, or for orbit "
-            f"checks under explicit symmetries) takes a value class's permutations "
-            f"only up to {largest} values, got a class of {len(vals)}",
-        )
-    if len(set(vals)) != len(vals):
-        raise ModelError("interchangeable values must be distinct")
-    out = []
-    for perm in itertools.permutations(vals):
-        img = list(range(universe_size))
-        for src, dst in zip(vals, perm):
-            img[src] = dst
-        out.append(VarValueSymmetry.value_only(scope_len, ValuePermutation(tuple(img))))
-    return out
-
-
-def product_group(groups: Sequence[list[VarValueSymmetry]], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
-    """Direct product of groups with disjoint supports (e.g. one per value class)."""
-    if not groups:
-        return []
-    total = 1
-    for g in groups:
-        total *= len(g)
-        if total > cap:
-            raise GroupTooLarge(total, cap)
-    out = groups[0]
-    for g in groups[1:]:
-        out = [a.compose(b) for a in out for b in g]
-    return out
 
 
 @dataclass(frozen=True)
@@ -259,30 +220,49 @@ class SymmetrySpec:
     def is_trivial(self) -> bool:
         return not self.explicit and not self.interchangeable_classes
 
-    def class_groups(self) -> list[list[VarValueSymmetry]]:
-        return [
-            full_symmetric_group(cls, self.scope_len, self.universe_size)
-            for cls in self.interchangeable_classes
-        ]
-
     def class_product(self) -> ClassProduct:
         """The interchangeable classes' group in structural form."""
         return ClassProduct(self.interchangeable_classes, self.scope_len, self.universe_size)
 
     def closed_group(self) -> list[VarValueSymmetry]:
-        """Full group the spec denotes: closure of explicit generators combined
-        with the symmetric group of every interchangeable class, capped at
-        GROUP_CAP elements."""
-        parts: list[list[VarValueSymmetry]] = []
-        if self.interchangeable_classes:
-            parts.append(product_group(self.class_groups()))
-        if self.explicit:
-            parts.append(close_group(self.explicit))
-        if not parts:
+        """The whole group the spec denotes; every enumerated group is built here.
+
+        A class or class product past GROUP_CAP is refused before anything is
+        built. Classes alone give every combination of per-class permutations
+        in declared class order, the order static-lex posts lex-leaders in.
+        Explicit elements are closed together with each class's generators:
+        the transposition of its first two values and the cycle over all.
+        """
+        if self.is_trivial:
             return []
-        if len(parts) == 1:
-            return parts[0]
-        return close_group([g for part in parts for g in part])
+        classes = self.interchangeable_classes
+        big = next((c for c in classes if math.factorial(len(c)) > GROUP_CAP), None)
+        if big is not None:
+            largest = max(k for k in range(len(big)) if math.factorial(k) <= GROUP_CAP)
+            raise GroupTooLarge(
+                math.factorial(len(big)), GROUP_CAP,
+                f"enumerating the whole symmetry group (for static-lex, or for orbit "
+                f"checks under explicit symmetries) takes a value class's permutations "
+                f"only up to {largest} values, got a class of {len(big)}",
+            )
+        order = math.prod(math.factorial(len(c)) for c in classes)
+        if order > GROUP_CAP:
+            raise GroupTooLarge(order, GROUP_CAP)
+        if self.explicit:
+            cycles = [c for cls in classes if len(cls) > 1 for c in (cls[:2], cls)]
+            return close_group(list(self.explicit) + [
+                VarValueSymmetry.value_only(
+                    self.scope_len, ValuePermutation.from_cycle(self.universe_size, c))
+                for c in cycles
+            ])
+        out = []
+        for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
+            img = list(range(self.universe_size))
+            for cls, perm in zip(classes, perms):
+                for src, dst in zip(cls, perm):
+                    img[src] = dst
+            out.append(VarValueSymmetry.value_only(self.scope_len, ValuePermutation(tuple(img))))
+        return out
 
 
 Group = Sequence[VarValueSymmetry] | ClassProduct

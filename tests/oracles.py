@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from valsym.domains import values_of
 from valsym.model import Constraint, ConstraintKind, Model
+from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, close_group
 
 
 def constraint_holds(c: Constraint, values: Sequence[int]) -> bool:
@@ -67,6 +68,35 @@ def naive_all_interval(n: int) -> list[tuple[int, ...]]:
         if len(set(diffs)) == n - 1:
             out.append(perm + diffs)
     return out
+
+
+def class_permutations(
+    values: Sequence[int], scope_len: int, universe_size: int
+) -> list[VarValueSymmetry]:
+    """All |values|! value symmetries permuting `values` among themselves, in
+    `itertools.permutations` order."""
+    out = []
+    for perm in itertools.permutations(values):
+        img = list(range(universe_size))
+        for src, dst in zip(values, perm):
+            img[src] = dst
+        out.append(VarValueSymmetry.value_only(scope_len, ValuePermutation(tuple(img))))
+    return out
+
+
+def enumerated_group(spec: SymmetrySpec) -> list[VarValueSymmetry]:
+    """SymmetrySpec.closed_group as first written, the reference for the
+    version that builds the group in one method: each class's permutations
+    combined by direct product in declared class order, and, when the spec
+    has explicit elements, the closure of those elements with every element
+    of that product. No size cap."""
+    product: list[VarValueSymmetry] = []
+    for cls in spec.interchangeable_classes:
+        perms = class_permutations(cls, spec.scope_len, spec.universe_size)
+        product = [a.compose(b) for a in product for b in perms] if product else perms
+    if not spec.explicit:
+        return product
+    return close_group(list(spec.explicit) + product, cap=10**9)
 
 
 def brute_support(

@@ -10,7 +10,7 @@ import random
 import statistics
 import time
 
-from oracles import brute_support, naive_all_interval, precedence_accepts
+from oracles import brute_support, class_permutations, naive_all_interval, precedence_accepts
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.problems import (
@@ -24,7 +24,6 @@ from valsym.symmetry import (
     ValuePermutation,
     VarValueSymmetry,
     exact_valsym_prune,
-    full_symmetric_group,
     inversion_permutation,
     orbit_partition,
 )
@@ -146,7 +145,7 @@ def test_criterion_4_precedence_equals_lex_conjunction():
     for n in range(1, 6):
         for m in range(1, 5):
             order = tuple(range(m))
-            group = full_symmetric_group(order, n, m)
+            group = class_permutations(order, n, m)
             prop = PrecedenceProp(tuple(range(n)), order)
             for a in itertools.product(range(m), repeat=n):
                 lex_ok = all(a <= g.apply(a) for g in group)

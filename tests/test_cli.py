@@ -339,6 +339,28 @@ def test_budget_exhaustion_emits_a_partial_json_report(capsys):
     assert code == 0 and payload["outcome"] == "complete"
 
 
+def test_compare_budget_report_keeps_the_completed_modes(capsys):
+    argv = ["compare", "--model", "all-interval", "--n", "8", "--mode", "static-lex",
+            "--mode", "none", "--budget", "300"]
+    code, payload = run_json(capsys, argv)
+    assert code == 3
+    assert payload["outcome"] == "budget-exceeded"
+    # static-lex completed before none ran out, and its run comes first
+    assert [(r["mode"], r["stats"]["nodes"]) for r in payload["runs"]] == [
+        ("static-lex", 139), ("none", 301)
+    ]
+    main(argv + ["--format", "json"])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "budget" in err[0] and err[1].startswith("partial stats:")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_is_a_usage_error(capsys, budget):
+    assert main(["solve", "--model", "all-interval", "--n", "5", "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert "enumeration_budget must be positive" in err and "exceeded" not in err
+
+
 @pytest.mark.parametrize("command", ["solve", "compare", "verify"])
 def test_orderings_are_applied_and_echoed(capsys, command):
     argv = [command, "--model", "all-interval", "--n", "6", "--mode", "static-lex"]

@@ -1,9 +1,12 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Every name a library module imports is read somewhere in that module,
+and the package exports exactly what it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import valsym
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "valsym"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +39,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exports_resolve_and_every_public_import_is_exported():
+    assert [name for name in valsym.__all__ if not hasattr(valsym, name)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(valsym.__all__)) == []

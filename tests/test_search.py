@@ -454,6 +454,24 @@ def test_config_validation():
         SearchConfig(solution_limit=0)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_config_rejects_a_non_positive_budget(budget):
+    with pytest.raises(ValueError, match="enumeration_budget must be positive"):
+        SearchConfig(enumeration_budget=budget)
+    assert SearchConfig(enumeration_budget=1).enumeration_budget == 1
+    assert SearchConfig().enumeration_budget is None
+
+
+def test_compare_methods_hands_up_the_completed_modes_with_the_budget_error():
+    model = build_all_interval(8)
+    with pytest.raises(BudgetExceeded) as exc:
+        compare_methods(model, ["static-lex", "none"], SearchConfig(enumeration_budget=300))
+    (done,) = exc.value.completed
+    assert (done.mode, done.stats.nodes, exc.value.mode) == ("static-lex", 139, "none")
+    want, _ = solve(model, SearchConfig(symmetry_mode="static-lex"))
+    assert done.solutions == want
+
+
 def test_min_domain_picks_smallest_open_domain():
     # two-var model where min-domain must branch the second variable first:
     # with descending values its solutions come out ordered by var 1

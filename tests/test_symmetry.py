@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerated_group
 from valsym.domains import mask_of, values_of
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError
 from valsym.problems import build_all_interval
@@ -18,10 +19,8 @@ from valsym.symmetry import (
     canonical_form,
     close_group,
     exact_valsym_prune,
-    full_symmetric_group,
     inversion_permutation,
     orbit_partition,
-    product_group,
 )
 
 E1 = (5, 0, 4, 1, 3, 2)
@@ -107,33 +106,51 @@ def test_close_group_respects_cap():
     assert len(close_group(swaps, cap=GROUP_CAP)) == 720
 
 
-def test_full_symmetric_group_sizes():
-    assert len(full_symmetric_group((0, 1, 2), 4, 5)) == 6
-    assert len(full_symmetric_group((2, 4), 3, 5)) == 2
+def _classes(scope_len, universe_size, *classes, explicit=()):
+    return SymmetrySpec(scope_len, universe_size, explicit, tuple(classes))
+
+
+def test_class_group_sizes():
+    assert len(_classes(4, 5, (0, 1, 2)).closed_group()) == 6
+    assert len(_classes(3, 5, (2, 4)).closed_group()) == 2
     for size in (8, 9):  # 8! = 40 320 is past GROUP_CAP
-        with pytest.raises(GroupTooLarge):
-            full_symmetric_group(tuple(range(size)), 3, size)
+        with pytest.raises(GroupTooLarge, match=f"up to 7 values, got a class of {size}"):
+            _classes(3, size, tuple(range(size))).closed_group()
 
 
-def test_full_symmetric_group_only_moves_class_values():
-    for g in full_symmetric_group((1, 3), 2, 5):
+def test_class_group_only_moves_class_values():
+    for g in _classes(2, 5, (1, 3)).closed_group():
+        assert g.theta_is_identity
         assert g.sigma(0) == 0 and g.sigma(2) == 2 and g.sigma(4) == 4
 
 
-def test_product_group_combines_independent_classes():
-    groups = [
-        full_symmetric_group((0, 1), 2, 6),
-        full_symmetric_group((3, 4, 5), 2, 6),
-    ]
-    prod = product_group(groups, cap=GROUP_CAP)
+def test_class_groups_combine_as_a_direct_product():
+    prod = _classes(2, 6, (0, 1), (3, 4, 5)).closed_group()
     assert len(prod) == 12
     assert len({g.sigma.image for g in prod}) == 12
+    assert all(g.sigma(2) == 2 and {g.sigma(0), g.sigma(1)} == {0, 1} for g in prod)
 
 
-def test_product_group_respects_cap():
-    groups = [full_symmetric_group((0, 1, 2), 2, 6)] * 2
-    with pytest.raises(GroupTooLarge):
-        product_group(groups, cap=30)
+@pytest.mark.parametrize("mixed", [False, True], ids=["classes", "mixed"])
+def test_class_product_past_the_cap_is_refused_before_building(mixed):
+    swap = (VarValueSymmetry.variable_only((1, 0, 2), 10),) if mixed else ()
+    # 7! * 3! = 30 240: each class fits the cap, their product does not
+    spec = _classes(3, 10, tuple(range(7)), (7, 8, 9), explicit=swap)
+    with pytest.raises(GroupTooLarge) as exc:
+        spec.closed_group()
+    assert (exc.value.size, exc.value.cap) == (30_240, GROUP_CAP)
+    # a class past the cap is named, not the product it belongs to
+    spec = _classes(3, 10, (8, 9), tuple(range(8)), explicit=swap)
+    with pytest.raises(GroupTooLarge, match="got a class of 8"):
+        spec.closed_group()
+
+
+def test_class_of_seven_beside_a_variable_swap_reaches_the_cap():
+    swap = VarValueSymmetry.variable_only((1, 0, 2), 7)
+    group = _classes(3, 7, tuple(range(7)), explicit=(swap,)).closed_group()
+    assert len(group) == 2 * 5_040 == GROUP_CAP
+    assert group[0].is_identity
+    assert len({(g.theta, g.sigma.image) for g in group}) == GROUP_CAP
 
 
 def test_spec_rejects_overlapping_classes():
@@ -296,7 +313,39 @@ def class_specs(draw):
 def test_class_product_matches_enumerated_group(case):
     spec, points = case
     cp = spec.class_product()
-    group = product_group(spec.class_groups())
+    group = enumerated_group(spec)
+    # closed_group lists the reference's elements in the reference's order
+    assert spec.closed_group() == group
     for p in points:
         assert cp.canonical(p) == canonical_form(p, group) == canonical_form(p, cp)
     assert orbit_partition(points, cp) == orbit_partition(points, group)
+
+
+@st.composite
+def mixed_specs(draw):
+    """One or two disjoint classes of up to 4 values beside one or two
+    explicit elements, each a random variable permutation paired with a
+    random value permutation, over a scope of up to 3 positions and a
+    universe of up to 5 values."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    assume(sum(sizes) <= 5)
+    universe = draw(st.integers(sum(sizes), 5))
+    values = draw(st.permutations(range(universe)))
+    classes, at = [], 0
+    for k in sizes:
+        classes.append(tuple(values[at:at + k]))
+        at += k
+    scope_len = draw(st.integers(1, 3))
+    element = st.builds(
+        VarValueSymmetry,
+        st.permutations(range(scope_len)).map(tuple),
+        st.permutations(range(universe)).map(lambda img: ValuePermutation(tuple(img))),
+    )
+    explicit = draw(st.lists(element, min_size=1, max_size=2))
+    return SymmetrySpec(scope_len, universe, tuple(explicit), tuple(classes))
+
+
+@given(mixed_specs())
+@settings(max_examples=80, deadline=None)
+def test_mixed_group_matches_the_reference_in_order(spec):
+    assert spec.closed_group() == enumerated_group(spec)
