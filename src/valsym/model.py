@@ -15,8 +15,6 @@ class ConstraintKind(enum.Enum):
     NOT_EQUAL = "not-equal"
     ABS_DIFF = "abs-diff"
     ALL_DIFFERENT = "all-different"
-    LEX_LEADER = "lex-leader"
-    ORDERING_CHAIN = "ordering-chain"
     # used by the pigeonhole family
     LAZY_ALL_DIFFERENT = "lazy-all-different"
     EQUALITY_DISJUNCTION = "equality-disjunction"
@@ -33,6 +31,7 @@ class Constraint:
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope) and self.kind in (
             ConstraintKind.NOT_EQUAL,
+            ConstraintKind.ABS_DIFF,
             ConstraintKind.ALL_DIFFERENT,
             ConstraintKind.LAZY_ALL_DIFFERENT,
         ):

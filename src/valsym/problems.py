@@ -14,21 +14,14 @@ ALL_INTERVAL_MIN, ALL_INTERVAL_MAX = 3, 14
 PIGEONHOLE_MIN, PIGEONHOLE_MAX = 2, 20
 
 
-def build_all_interval(
-    n: int,
-    *,
-    break_reversal: bool = False,
-    break_inversion: bool = False,
-    break_composed: bool = False,
-) -> Model:
+def build_all_interval(n: int) -> Model:
     """All-interval series: a permutation of 0..n-1 whose n-1 adjacent
     differences are all distinct.
 
     Variables 0..n-1 are the series, n..2n-2 the absolute differences. The
-    flags post the static symmetry-breaking constraints individually:
-    reversal simplifies to first < last, the other two are lex-leader
-    constraints for the value-inverting element and for reversal composed
-    with value inversion.
+    declared symmetries are reversal of the series and value inversion
+    v -> n-1-v; `static-lex` posts one constraint per non-identity element
+    of the group they generate.
     """
     if not ALL_INTERVAL_MIN <= n <= ALL_INTERVAL_MAX:
         raise ModelError(f"all-interval n must be in [{ALL_INTERVAL_MIN}, {ALL_INTERVAL_MAX}]")
@@ -45,24 +38,6 @@ def build_all_interval(
         )
     reversal = VarValueSymmetry.variable_only(tuple(range(n - 1, -1, -1)), n)
     inversion = VarValueSymmetry.value_only(n, inversion_permutation(n))
-    if break_reversal:
-        # under all-different values the reversal lex-leader constraint
-        # collapses to first < last
-        constraints.append(
-            Constraint(ConstraintKind.ORDERING_CHAIN, (series[0], series[-1]), {"strict": True})
-        )
-    if break_inversion:
-        constraints.append(
-            Constraint(ConstraintKind.LEX_LEADER, series, {"symmetry": inversion})
-        )
-    if break_composed:
-        constraints.append(
-            Constraint(
-                ConstraintKind.LEX_LEADER,
-                series,
-                {"symmetry": reversal.compose(inversion)},
-            )
-        )
     spec = SymmetrySpec(
         scope_len=n, universe_size=n, explicit=(reversal, inversion)
     )
@@ -73,12 +48,7 @@ def build_all_interval(
         constraints=tuple(constraints),
         symmetry=spec,
         symmetry_scope=series,
-        params={
-            "n": n,
-            "break_reversal": break_reversal,
-            "break_inversion": break_inversion,
-            "break_composed": break_composed,
-        },
+        params={"n": n},
     )
 
 

@@ -52,95 +52,59 @@ class NotEqualProp(Propagator):
 
 
 class AbsDiffProp(Propagator):
-    """|x - y| = d, filtered to generalised arc consistency.
+    """|x - y| = d on three distinct variables, filtered to generalised arc
+    consistency.
 
-    When x, y and d are distinct, one word-level sweep over the distances
-    reaches GAC: a distance w has support iff X shifted by w either way meets
-    Y, and then X's shifted copy joins Y's supports and Y's shifted copy joins
-    X's. Each kept value lies in a supporting triple (x, y, w) whose members
-    are all kept, and a removed value had no support even in the input
-    domains, so the result is the GAC closure and a second sweep would move
-    nothing. Scopes that repeat a variable (x == y, x == d, ...) repeat a D,
-    an X and a Y sweep until a round moves nothing; that fixpoint need not be
-    GAC, and the leaf check covers the gap.
+    One word-level sweep over the distances reaches GAC: a distance w has
+    support iff X shifted by w either way meets Y, and then X's shifted copy
+    joins Y's supports and Y's shifted copy joins X's. Each kept value lies
+    in a supporting triple (x, y, w) whose members are all kept, and a
+    removed value had no support even in the input domains, so the result is
+    the GAC closure and a second sweep would move nothing. A scope that
+    repeats a variable is refused, as `Constraint` refuses it.
     """
 
     kind = "abs-diff"
 
     def __init__(self, x: VarId, y: VarId, d: VarId):
+        if len({x, y, d}) != 3:
+            raise ModelError(f"abs-diff scope repeats a variable: {(x, y, d)}")
         self.x = x
         self.y = y
         self.d = d
-        self.sides = ((x, y), (y, x))
-        self.distinct = len({x, y, d}) == 3
         self.watches = (x, y, d)
 
     def propagate(self, domains):
         x, y, d = self.x, self.y, self.d
-        if self.distinct:
-            dx, dy, dd = domains[x], domains[y], domains[d]
-            keep = sx = sy = 0
-            rest = dd
-            while rest:
-                bit = rest & -rest  # 2**w for a distance w
-                rest ^= bit
-                # multiplying and dividing by 2**w shift by w without computing w
-                a = dx * bit | dx // bit
-                if a & dy:
-                    keep |= bit
-                    sy |= a
-                    sx |= dy * bit | dy // bit
-            if not keep:
-                domains[d] = 0
-                return True, [d]
-            changed = []
-            if keep != dd:
-                domains[d] = keep
-                changed.append(d)
-            if dx & sx != dx:
-                domains[x] = dx & sx
-                changed.append(x)
-            if dy & sy != dy:
-                domains[y] = dy & sy
-                changed.append(y)
-            # both paths list the changed ids in a set's order: the engine
-            # wakes watchers in this order, and the propagation counts with it
-            return False, list(set(changed)) if len(changed) > 1 else changed
-        # each sweep re-reads its domains, since x, y and d are not distinct
-        changed = set()
-        while True:
-            moved = False
-            dx, dy, dd = domains[x], domains[y], domains[d]
-            keep = 0
-            rest = dd
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                w = bit.bit_length() - 1
-                if ((dx >> w) | (dx << w)) & dy:
-                    keep |= bit
-            if keep != dd:
-                domains[d] = keep
-                changed.add(d)
-                moved = True
-                if not keep:
-                    return True, list(changed)
-            for a, b in self.sides:
-                da, db, rest = domains[a], domains[b], domains[d]
-                support = 0
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    w = bit.bit_length() - 1
-                    support |= (db >> w) | (db << w)
-                if da & support != da:
-                    da = domains[a] = da & support
-                    changed.add(a)
-                    moved = True
-                    if not da:
-                        return True, list(changed)
-            if not moved:
-                return False, list(changed)
+        dx, dy, dd = domains[x], domains[y], domains[d]
+        keep = sx = sy = 0
+        rest = dd
+        while rest:
+            bit = rest & -rest  # 2**w for a distance w
+            rest ^= bit
+            # multiplying and dividing by 2**w shift by w without computing w
+            a = dx * bit | dx // bit
+            if a & dy:
+                keep |= bit
+                sy |= a
+                sx |= dy * bit | dy // bit
+        if not keep:
+            domains[d] = 0
+            return True, [d]
+        changed = []
+        if keep != dd:
+            domains[d] = keep
+            changed.append(d)
+        if dx & sx != dx:
+            domains[x] = dx & sx
+            changed.append(x)
+        if dy & sy != dy:
+            domains[y] = dy & sy
+            changed.append(y)
+        # the changed ids go out in a set's order, as the first-written
+        # kernel listed them: the engine wakes watchers in this order, and
+        # the propagation counts with it
+        return False, list(set(changed)) if len(changed) > 1 else changed
 
     def check(self, values):
         return abs(values[self.x] - values[self.y]) == values[self.d]
@@ -238,24 +202,22 @@ class LazyAllDifferentProp(AllDifferentProp):
 
 
 class OrderingChainProp(Propagator):
-    """v0 < v1 < ... (or <=), kept bounds consistent."""
+    """v0 < v1 < ..., kept bounds consistent."""
 
     kind = "ordering-chain"
 
-    def __init__(self, chain: Sequence[VarId], strict: bool = True):
+    def __init__(self, chain: Sequence[VarId]):
         self.chain = tuple(chain)
-        self.strict = strict
         self.watches = self.chain
 
     def propagate(self, domains):
-        gap = 1 if self.strict else 0
         chain = self.chain
         changed = set()
         while True:
             moved = False
             for k in range(1, len(chain)):
                 prev = domains[chain[k - 1]]
-                above = -1 << ((prev & -prev).bit_length() - 1 + gap)
+                above = -1 << (prev & -prev).bit_length()
                 d = domains[chain[k]]
                 if d & above != d:
                     d = domains[chain[k]] = d & above
@@ -264,9 +226,8 @@ class OrderingChainProp(Propagator):
                     if not d:
                         return True, list(changed)
             for k in range(len(chain) - 2, -1, -1):
-                ub = domains[chain[k + 1]].bit_length() - 1 - gap
+                below = (1 << (domains[chain[k + 1]].bit_length() - 1)) - 1
                 d = domains[chain[k]]
-                below = (1 << (ub + 1)) - 1
                 if d & below != d:
                     d = domains[chain[k]] = d & below
                     changed.add(chain[k])
@@ -278,9 +239,7 @@ class OrderingChainProp(Propagator):
 
     def check(self, values):
         seq = [values[v] for v in self.chain]
-        if self.strict:
-            return all(a < b for a, b in zip(seq, seq[1:]))
-        return all(a <= b for a, b in zip(seq, seq[1:]))
+        return all(a < b for a, b in zip(seq, seq[1:]))
 
 
 class PrecedenceProp(Propagator):
@@ -624,7 +583,7 @@ def post_first_occurrence_channel(
     z_vars = tuple(range(len(domains), len(domains) + len(order)))
     channel = FirstOccurrenceChannelProp(x_scope, z_vars, order)
     domains += [channel.position_mask(k) for k in range(len(order))]
-    return [channel, OrderingChainProp(z_vars, strict=True)]
+    return [channel, OrderingChainProp(z_vars)]
 
 
 class EqualityDisjunctionProp(Propagator):
@@ -662,10 +621,6 @@ def build_propagator(c: Constraint) -> Propagator:
         return AllDifferentProp(c.scope)
     if kind is ConstraintKind.LAZY_ALL_DIFFERENT:
         return LazyAllDifferentProp(c.scope)
-    if kind is ConstraintKind.ORDERING_CHAIN:
-        return OrderingChainProp(c.scope, strict=c.params.get("strict", True))
-    if kind is ConstraintKind.LEX_LEADER:
-        return LexLeaderProp(c.scope, c.params["symmetry"])
     if kind is ConstraintKind.EQUALITY_DISJUNCTION:
         return EqualityDisjunctionProp(c.params["pairs"])
     raise ModelError(f"no propagator for constraint kind {kind}")

@@ -2,7 +2,9 @@
 
 Modes:
   none        plain DFS over the model's own constraints
-  static-lex  post one lex-leader constraint per non-identity group element
+  static-lex  post one lex-leader constraint per non-identity group element;
+              a variable-only element under an all-different covering the
+              scope posts the ordering of its first moved position instead
   precedence  post one value-precedence constraint per interchangeable class
   channel     add first-occurrence position variables, channel them to the
               scope and order them by a strict chain
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .domains import copy_domains, values_of
 from .engine import build_watchers, propagate_to_fixpoint
-from .errors import BudgetExceeded, UnsupportedModeError
+from .errors import BudgetExceeded, GroupTooLarge, UnsupportedModeError
 from .model import ConstraintKind, Model
 from .propagators import (
     LexLeaderProp,
@@ -90,15 +92,7 @@ class SearchStats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "branches": self.branches,
-            "failures": self.failures,
-            "solutions": self.solutions,
-            "propagation_calls": self.propagation_calls,
-            "max_depth": self.max_depth,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -174,22 +168,14 @@ def getree_allowed_values(
             for g in _value_subgroup(spec)
             if all(g.sigma(v) == v for v in decided)
         ]
+        # the stabilizer is a group, so a value's orbit is its images under it
         allowed = []
         seen = 0
         for v in values_of(dom):
-            if (seen >> v) & 1:
-                continue
-            allowed.append(v)
-            orbit = 1 << v
-            frontier = [v]
-            while frontier:
-                u = frontier.pop()
+            if not (seen >> v) & 1:
+                allowed.append(v)
                 for s in stab:
-                    w = s(u)
-                    if not (orbit >> w) & 1:
-                        orbit |= 1 << w
-                        frontier.append(w)
-            seen |= orbit
+                    seen |= 1 << s(v)
         return allowed
     if spec.interchangeable_classes:
         class_of = {}
@@ -232,7 +218,7 @@ def _static_lex_propagators(model: Model) -> list:
             # moved position decides, and ties there are impossible
             inv = g.theta_inverse()
             j0 = next(j for j in range(len(inv)) if inv[j] != j)
-            props.append(OrderingChainProp((scope[j0], scope[inv[j0]]), strict=True))
+            props.append(OrderingChainProp((scope[j0], scope[inv[j0]])))
         else:
             props.append(LexLeaderProp(scope, g))
     return props
@@ -438,5 +424,14 @@ def verify_symmetry_breaking(
 
 def applicable_modes(model: Model) -> list[str]:
     """Symmetry-breaking modes (every mode but `none`) that this model's
-    declared symmetries support."""
-    return [m for m in MODES if m != "none" and _unsupported(model.symmetry, m) is None]
+    declared symmetries support, less those that search with the enumerated
+    group when `SymmetrySpec.closed_group` refuses it as too large."""
+    spec = model.symmetry
+    modes = [m for m in MODES if m != "none" and _unsupported(spec, m) is None]
+    try:
+        _closed_group(spec)
+    except GroupTooLarge:
+        # static-lex, and getree over explicit elements, need the group's
+        # elements; precedence, channel and getree over classes do not
+        modes = [m for m in modes if m != "static-lex" and not (m == "getree" and spec.explicit)]
+    return modes

@@ -24,15 +24,6 @@ def constraint_holds(c: Constraint, values: Sequence[int]) -> bool:
     if kind in (ConstraintKind.ALL_DIFFERENT, ConstraintKind.LAZY_ALL_DIFFERENT):
         vals = [values[v] for v in c.scope]
         return len(set(vals)) == len(vals)
-    if kind is ConstraintKind.ORDERING_CHAIN:
-        seq = [values[v] for v in c.scope]
-        if c.params.get("strict", True):
-            return all(a < b for a, b in zip(seq, seq[1:]))
-        return all(a <= b for a, b in zip(seq, seq[1:]))
-    if kind is ConstraintKind.LEX_LEADER:
-        sym = c.params["symmetry"]
-        proj = tuple(values[v] for v in c.scope)
-        return proj <= sym.apply(proj)
     if kind is ConstraintKind.EQUALITY_DISJUNCTION:
         return any(values[a] == values[b] for a, b in c.params["pairs"])
     raise AssertionError(f"oracle missing for {kind}")
@@ -174,10 +165,10 @@ def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[in
 
 def abs_diff_propagate_full_rounds(prop, domains: list[int]) -> tuple[bool, list[int]]:
     """AbsDiffProp.propagate as first written: rounds of the d, x and y
-    sweeps repeated until a whole round moves nothing, on every scope. The
-    reference for the kernel that reaches the same closure in one sweep over
-    the distances when x, y and d are distinct, which must match it in
-    failure flag and, when it does not fail, in domains and changed list."""
+    sweeps repeated until a whole round moves nothing. The reference for the
+    kernel that reaches the same closure in one sweep over the distances,
+    which must match it in failure flag and, when it does not fail, in
+    domains and changed list."""
     x, y, d = prop.x, prop.y, prop.d
     changed = set()
     while True:

@@ -18,8 +18,14 @@ from valsym.problems import (
     build_pigeonhole,
     random_interchangeable_model,
 )
-from valsym.propagators import PrecedenceProp, build_propagators, check_all
-from valsym.search import SearchConfig, break_group, solve, verify_symmetry_breaking
+from valsym.propagators import LexLeaderProp, PrecedenceProp, build_propagators, check_all
+from valsym.search import (
+    SearchConfig,
+    _prepare,
+    break_group,
+    solve,
+    verify_symmetry_breaking,
+)
 from valsym.symmetry import (
     ValuePermutation,
     VarValueSymmetry,
@@ -59,17 +65,19 @@ def test_criterion_1_reference_vectors():
     if rev.compose(inv).apply(SERIES_11) != COMPOSED_11:
         problems.append("composed image mismatch")
 
-    base_props = build_propagators(build_all_interval(11))
+    model = build_all_interval(11)
+    base_props = build_propagators(model)
     vectors = (SERIES_11, REVERSED_11, INVERTED_11, COMPOSED_11)
     for vec in vectors:
         if not check_all(base_props, _with_diffs(vec)):
             problems.append(f"{vec[:3]}... violates the base model")
 
-    broken_props = build_propagators(
-        build_all_interval(
-            11, break_reversal=True, break_inversion=True, break_composed=True
-        )
-    )
+    # static-lex posts first < last for reversal (the series is all-different)
+    # and a lex-leader each for inversion and for the composed element
+    _, broken_props = _prepare(model, "static-lex")
+    posted = sorted(p.kind for p in broken_props[len(base_props):])
+    if posted != ["lex-leader", "lex-leader", "ordering-chain"]:
+        problems.append(f"static-lex posted {posted}")
     survivors = [
         vec for vec in vectors if check_all(broken_props, _with_diffs(vec))
     ]
@@ -88,8 +96,9 @@ def test_criterion_1_reference_vectors():
 def test_criterion_2_lex_fixpoints():
     t0 = time.perf_counter()
     problems = []
-    m = build_all_interval(11, break_inversion=True)
-    props = build_propagators(m)
+    m = build_all_interval(11)
+    inversion = VarValueSymmetry.value_only(11, inversion_permutation(11))
+    props = build_propagators(m) + [LexLeaderProp(m.symmetry_scope, inversion)]
     doms = m.initial_domains()
     out = propagate_to_fixpoint(props, doms)
     if out.failed or set(values_of(doms[0])) != set(range(6)):

@@ -158,6 +158,19 @@ def test_verify_nine_colour_class_has_no_size_limit(capsys, tmp_path):
     assert v["solution_count"] == 576 and v["orbit_count"] == 2
 
 
+def test_verify_default_modes_skip_a_group_past_the_cap(capsys, tmp_path):
+    # 8! colour permutations pass the group cap, so verify with no --mode
+    # checks the three modes that need no enumerated group
+    path = tmp_path / "path3.col"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "8"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    modes = payload["verification"]["modes"]
+    assert [v["mode"] for v in modes] == ["precedence", "channel", "getree"]
+    assert all(v["passed"] for v in modes)
+
+
 def test_verify_orbit_listings_are_capped(capsys, tmp_path):
     # mode none on a 3-vertex path with 9 colours returns all 576 solutions:
     # 72 with equal ends and 504 without; each listed orbit keeps its size but

@@ -13,7 +13,7 @@ from valsym.propagators import (
     PrecedenceProp,
     build_propagators,
 )
-from valsym.symmetry import ValuePermutation, VarValueSymmetry
+from valsym.symmetry import ValuePermutation, VarValueSymmetry, inversion_permutation
 
 
 def test_not_equal_fixpoint():
@@ -33,16 +33,21 @@ def test_failure_reported_not_stored():
 
 def test_chain_contradiction_fails():
     doms = [mask_of([2, 3]), mask_of([0, 1])]
-    out = propagate_to_fixpoint([OrderingChainProp((0, 1), strict=True)], doms)
+    out = propagate_to_fixpoint([OrderingChainProp((0, 1))], doms)
     assert out.failed
 
 
 def test_all_interval_root_prefix_bound():
     # with first<last and the inversion lex-leader posted, the root fixpoint
     # caps the first series variable at 5
-    m = build_all_interval(11, break_reversal=True, break_inversion=True)
+    m = build_all_interval(11)
+    inversion = VarValueSymmetry.value_only(11, inversion_permutation(11))
+    props = build_propagators(m) + [
+        OrderingChainProp((0, 10)),
+        LexLeaderProp(m.symmetry_scope, inversion),
+    ]
     doms = m.initial_domains()
-    out = propagate_to_fixpoint(build_propagators(m), doms)
+    out = propagate_to_fixpoint(props, doms)
     assert not out.failed
     assert set(values_of(doms[0])) <= set(range(6))
 
@@ -72,7 +77,7 @@ def _random_instance(rng):
         props.append(AllDifferentProp(tuple(range(n))))
     if rng.random() < 0.5:
         k = rng.randint(2, n)
-        props.append(OrderingChainProp(tuple(range(k)), strict=rng.random() < 0.5))
+        props.append(OrderingChainProp(tuple(range(k))))
     if rng.random() < 0.5:
         props.append(PrecedenceProp(tuple(range(n)), tuple(range(min(3, u)))))
     if rng.random() < 0.5:

@@ -75,8 +75,9 @@ def test_series_model_root_and_first_branch_fixpoints():
     # inversion leader under the series all-different: the root fixpoint caps
     # the first series variable at 5; assigning it 5 then caps the second
     # strictly below 5 (the tie consumes the lone fixed value)
-    m = build_all_interval(11, break_inversion=True)
-    props = build_propagators(m)
+    m = build_all_interval(11)
+    _, inversion, _ = _all_interval_syms(11)
+    props = build_propagators(m) + [LexLeaderProp(m.symmetry_scope, inversion)]
     doms = m.initial_domains()
     out = propagate_to_fixpoint(props, doms)
     assert not out.failed

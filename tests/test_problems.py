@@ -39,19 +39,6 @@ def test_all_interval_shape():
     assert len(m.symmetry.explicit) == 2
 
 
-def test_all_interval_break_flags_add_constraints():
-    base = build_all_interval(6)
-    broken = build_all_interval(
-        6, break_reversal=True, break_inversion=True, break_composed=True
-    )
-    extra = [c.kind for c in broken.constraints[len(base.constraints):]]
-    assert extra == [
-        ConstraintKind.ORDERING_CHAIN,
-        ConstraintKind.LEX_LEADER,
-        ConstraintKind.LEX_LEADER,
-    ]
-
-
 def test_all_interval_range_validation():
     with pytest.raises(ModelError):
         build_all_interval(2)

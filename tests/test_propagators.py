@@ -10,9 +10,12 @@ from oracles import (
     abs_diff_propagate_full_rounds,
     all_different_propagate_per_value,
     brute_support,
+    constraint_holds,
 )
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
+from valsym.errors import ModelError
+from valsym.model import Constraint, ConstraintKind
 from valsym.propagators import (
     AbsDiffProp,
     AllDifferentProp,
@@ -20,6 +23,7 @@ from valsym.propagators import (
     LazyAllDifferentProp,
     NotEqualProp,
     OrderingChainProp,
+    build_propagator,
 )
 
 
@@ -71,11 +75,9 @@ def test_abs_diff_is_arc_consistent():
 
 
 def _random_abs_diff_case(rng):
-    """An abs-diff propagator over shuffled variable ids, four in six of them
-    aliased (x == y, x == d, y == d or all three the same), with domains over
-    universes of up to 20 values."""
-    x, y, d = rng.sample(range(6), 3)
-    scope = rng.choice(((x, y, d), (x, y, d), (x, x, d), (x, y, x), (x, y, y), (x, x, x)))
+    """An abs-diff propagator over three shuffled variable ids, with domains
+    over universes of up to 20 values."""
+    scope = rng.sample(range(6), 3)
     u = rng.randint(2, 20)
     doms = []
     for _ in range(6):
@@ -102,18 +104,25 @@ def test_abs_diff_early_stop_matches_full_rounds():
         prop, doms = _random_abs_diff_case(rng)
         snapshot = list(doms)
         failed, changed = _assert_same_as_reference(prop, doms, abs_diff_propagate_full_rounds)
-        if prop.distinct:
-            # one sweep is the whole closure: a failing call leaves the same
-            # domains and changed list too, and a call right after one that
-            # did not fail is idle
-            if failed:
-                assert abs_diff_propagate_full_rounds(prop, snapshot) == (True, changed)
-                assert doms == snapshot
-            else:
-                assert prop.propagate(doms) == (False, [])
-        outcomes[prop.distinct, failed, bool(changed)] += 1
-    # distinct and aliased scopes each fail, narrow and reach a fixpoint untouched
-    assert min(outcomes.values()) > 200 and len(outcomes) == 6
+        # one sweep is the whole closure: a failing call leaves the same
+        # domains and changed list too, and a call right after one that did
+        # not fail is idle
+        if failed:
+            assert abs_diff_propagate_full_rounds(prop, snapshot) == (True, changed)
+            assert doms == snapshot
+        else:
+            assert prop.propagate(doms) == (False, [])
+        outcomes[failed, bool(changed)] += 1
+    # the cases fail, narrow and reach a fixpoint untouched
+    assert min(outcomes.values()) > 200 and len(outcomes) == 3
+
+
+@pytest.mark.parametrize("scope", [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 0, 0)])
+def test_abs_diff_refuses_a_repeated_variable(scope):
+    with pytest.raises(ModelError, match="repeats a variable"):
+        Constraint(ConstraintKind.ABS_DIFF, scope)
+    with pytest.raises(ModelError, match="repeats a variable"):
+        AbsDiffProp(*scope)
 
 
 def _random_all_different_case(rng, cls):
@@ -206,7 +215,7 @@ def test_lazy_all_different_check_exact():
 
 def test_ordering_chain_bounds():
     failed, doms = run(
-        [OrderingChainProp((0, 1, 2), strict=True)],
+        [OrderingChainProp((0, 1, 2))],
         [mask_of(range(5)), mask_of(range(5)), mask_of(range(5))],
     )
     assert not failed
@@ -217,7 +226,7 @@ def test_ordering_chain_bounds():
 def test_ordering_chain_keeps_interior_holes():
     # bounds consistency only: the hole at 2 survives
     failed, doms = run(
-        [OrderingChainProp((0, 1), strict=True)],
+        [OrderingChainProp((0, 1))],
         [mask_of([0, 2, 4]), mask_of([1, 3, 5])],
     )
     assert not failed
@@ -225,14 +234,26 @@ def test_ordering_chain_keeps_interior_holes():
     assert list(values_of(doms[1])) == [1, 3, 5]
 
 
-def test_ordering_chain_non_strict():
-    failed, doms = run(
-        [OrderingChainProp((0, 1), strict=False)],
-        [mask_of([3, 4]), mask_of([0, 3])],
-    )
-    assert not failed
-    assert list(values_of(doms[0])) == [3]
-    assert list(values_of(doms[1])) == [3]
+# one descriptor per kind, each scope over variables 0..3
+REGISTRY_CASES = {
+    ConstraintKind.NOT_EQUAL: Constraint(ConstraintKind.NOT_EQUAL, (0, 2)),
+    ConstraintKind.ABS_DIFF: Constraint(ConstraintKind.ABS_DIFF, (0, 1, 3)),
+    ConstraintKind.ALL_DIFFERENT: Constraint(ConstraintKind.ALL_DIFFERENT, (0, 1, 2)),
+    ConstraintKind.LAZY_ALL_DIFFERENT: Constraint(ConstraintKind.LAZY_ALL_DIFFERENT, (1, 2, 3)),
+    ConstraintKind.EQUALITY_DISJUNCTION: Constraint(
+        ConstraintKind.EQUALITY_DISJUNCTION, (0, 1, 2, 3), {"pairs": ((0, 2), (1, 3))}
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)
+def test_every_constraint_kind_has_a_propagator_and_an_oracle(kind):
+    # the enum, the factory and the reference oracle cover the same kinds
+    c = REGISTRY_CASES[kind]
+    prop = build_propagator(c)
+    assert prop.kind == kind.value
+    for values in product(range(3), repeat=4):
+        assert prop.check(values) == constraint_holds(c, values)
 
 
 def test_equality_disjunction_waits_for_full_fix():
@@ -270,7 +291,7 @@ def test_binary_propagators_sound_and_contracting(inst):
     props = [NotEqualProp(0, 1)]
     if n >= 3:
         props.append(AbsDiffProp(0, 1, 2))
-    props.append(OrderingChainProp((0, n - 1), strict=False))
+    props.append(OrderingChainProp((0, n - 1)))
     snapshot = list(doms)
 
     def accepts(c):
@@ -278,7 +299,7 @@ def test_binary_propagators_sound_and_contracting(inst):
             return False
         if n >= 3 and abs(c[0] - c[1]) != c[2]:
             return False
-        return c[0] <= c[n - 1]
+        return c[0] < c[n - 1]
 
     failed, doms = run(props, doms)
     want = brute_support(snapshot, accepts)

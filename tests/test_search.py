@@ -388,6 +388,9 @@ def test_applicable_modes_by_symmetry_shape():
         "precedence",
         "channel",
     ]
+    # a class of 8 values is past the enumerated group's cap: static-lex is
+    # left out, and getree over the class needs no enumerated group
+    assert applicable_modes(build_pigeonhole(7)) == ["precedence", "channel", "getree"]
 
 
 def test_unsupported_modes_raise():
