@@ -2,7 +2,8 @@
 
 Propagators are contracting and monotone, so running them in any fair order
 reaches the same greatest fixpoint; the engine uses a FIFO queue re-seeded by
-the variables each run changed.
+the variables each run changed. A propagator returns at its own fixpoint, so
+the engine does not wake it for the changes it made itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ class Propagator:
 
     propagate() receives the node's domains as a list of bitmasks, narrows
     only variables it watches by writing `domains[v] = mask`, and reports
-    (failed, changed_vars).
+    (failed, changed_vars). It must return at its own fixpoint: a second run
+    on its output changes nothing. The engine relies on this and does not wake
+    a propagator for its own changes; one that breaks the contract still
+    prunes soundly, but reaches a weaker fixpoint.
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
     """
@@ -81,18 +85,19 @@ def propagate_to_fixpoint(
     calls = 0
     while queue:
         idx = queue.popleft()
-        pending[idx] = False
         calls += 1
         failed, changed = propagators[idx].propagate(domains)
         if failed:
             if stats is not None:
                 stats.propagation_calls += calls
             return PropagationOutcome(True)
+        # idx is still pending, so its own changes do not queue it again
         for v in changed:
             for w in watchers[v]:
                 if not pending[w]:
                     pending[w] = True
                     queue.append(w)
+        pending[idx] = False
     if stats is not None:
         stats.propagation_calls += calls
     return PropagationOutcome(False)

@@ -101,10 +101,7 @@ class AbsDiffProp(Propagator):
         if dy & sy != dy:
             domains[y] = dy & sy
             changed.append(y)
-        # the changed ids go out in a set's order, as the first-written
-        # kernel listed them: the engine wakes watchers in this order, and
-        # the propagation counts with it
-        return False, list(set(changed)) if len(changed) > 1 else changed
+        return False, changed
 
     def check(self, values):
         return abs(values[self.x] - values[self.y]) == values[self.d]
@@ -358,9 +355,9 @@ class LexLeaderProp(Propagator):
 
     With U_j = X at scope position j and V_j = sigma(X at position
     theta^-1(j)), the image assignment reads V_0 V_1 ... and the constraint is
-    U <=lex V. Filtering walks the forced-tie prefix, enforces U <= V at the
-    first open position (strict when the positions after it force U > V), and
-    leaves the rest to later runs; the leaf check is exact.
+    U <=lex V. A pass walks the forced-tie prefix and enforces U <= V at the
+    first open position (strict when the positions after it force U > V);
+    passes repeat until one changes nothing. The leaf check is exact.
     """
 
     kind = "lex-leader"
@@ -391,6 +388,14 @@ class LexLeaderProp(Propagator):
         )
 
     def propagate(self, domains):
+        changed = []
+        while True:
+            failed, more = self._pass(domains)
+            changed += more
+            if failed or not more:
+                return failed, changed
+
+    def _pass(self, domains):
         L = len(self.u_vars)
         sig = self.sig
         j = 0

@@ -6,7 +6,7 @@ generate-and-test."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from valsym.domains import values_of
 from valsym.model import Constraint, ConstraintKind, Model
@@ -168,7 +168,7 @@ def abs_diff_propagate_full_rounds(prop, domains: list[int]) -> tuple[bool, list
     sweeps repeated until a whole round moves nothing. The reference for the
     kernel that reaches the same closure in one sweep over the distances,
     which must match it in failure flag and, when it does not fail, in
-    domains and changed list."""
+    domains and in the set of changed variables."""
     x, y, d = prop.x, prop.y, prop.d
     changed = set()
     while True:

@@ -2,7 +2,6 @@ import random
 
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
-from valsym.model import Constraint, ConstraintKind
 from valsym.problems import build_all_interval
 from valsym.search import SearchStats
 from valsym.propagators import (
@@ -21,6 +20,16 @@ def test_not_equal_fixpoint():
     out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
     assert not out.failed
     assert doms == [mask_of([3]), mask_of([4])]
+
+
+def test_own_changes_do_not_wake_a_propagator():
+    # not-equal returns at its own fixpoint, so narrowing var 1 does not queue
+    # it for a second run that could change nothing
+    doms = [mask_of([3]), mask_of([3, 4])]
+    stats = SearchStats()
+    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms, stats=stats)
+    assert not out.failed and doms == [mask_of([3]), mask_of([4])]
+    assert stats.propagation_calls == 1
 
 
 def test_failure_reported_not_stored():

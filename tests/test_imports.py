@@ -1,5 +1,5 @@
-"""Every name a library module imports is read somewhere in that module,
-and the package exports exactly what it imports."""
+"""Every name a library or test module imports is read somewhere in that
+module, and the package exports exactly what it imports."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,10 @@ import pytest
 
 import valsym
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "valsym"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "valsym"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +38,11 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: f"tests/{p.name}" if p.parent == TESTS else p.name,
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -13,18 +13,23 @@ from oracles import (
     constraint_holds,
 )
 from valsym.domains import mask_of, values_of
-from valsym.engine import propagate_to_fixpoint
+from valsym import propagators
+from valsym.engine import Propagator, propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.model import Constraint, ConstraintKind
 from valsym.propagators import (
     AbsDiffProp,
     AllDifferentProp,
     EqualityDisjunctionProp,
+    FirstOccurrenceChannelProp,
     LazyAllDifferentProp,
+    LexLeaderProp,
     NotEqualProp,
     OrderingChainProp,
+    PrecedenceProp,
     build_propagator,
 )
+from valsym.symmetry import ValuePermutation, VarValueSymmetry
 
 
 def run(props, doms):
@@ -93,7 +98,8 @@ def _assert_same_as_reference(prop, doms, reference):
     assert failed == want_failed
     if not failed:
         assert doms == want_doms
-        assert changed == want_changed
+        # which vars changed matters, not the order they are listed in
+        assert sorted(changed) == sorted(want_changed)
     return failed, changed
 
 
@@ -313,3 +319,95 @@ def test_binary_propagators_sound_and_contracting(inst):
     assert not failed
     for i in range(n):
         assert want[i] <= set(values_of(doms[i])) <= set(values_of(snapshot[i]))
+
+
+# --- idempotence: every propagator returns at its own fixpoint ---------------
+
+
+def _random_masks(rng, n, u, fixed=0.3):
+    """n non-empty domains over u values, each fixed with probability `fixed`."""
+    return [
+        1 << rng.randrange(u) if rng.random() < fixed else rng.randrange(1, 1 << u)
+        for _ in range(n)
+    ]
+
+
+def _random_order(rng, u):
+    return tuple(rng.sample(range(u), rng.randint(1, u)))
+
+
+def _random_lex_leader_case(rng):
+    n, u = rng.randint(2, 5), rng.randint(2, 4)
+    theta = rng.sample(range(n), n)
+    sym = VarValueSymmetry(tuple(theta), ValuePermutation(tuple(rng.sample(range(u), u))))
+    return LexLeaderProp(tuple(range(n)), sym), _random_masks(rng, n, u)
+
+
+def _random_channel_case(rng):
+    n, u = rng.randint(2, 5), rng.randint(2, 4)
+    order = _random_order(rng, u)
+    prop = FirstOccurrenceChannelProp(range(n), range(n, n + len(order)), order)
+    doms = _random_masks(rng, n, u)
+    for k in range(len(order)):
+        full = prop.position_mask(k)
+        doms.append(full & rng.randrange(1 << full.bit_length()) or full)
+    return prop, doms
+
+
+def _random_chain_case(rng):
+    n = rng.randint(2, 5)
+    return OrderingChainProp(rng.sample(range(n), n)), _random_masks(rng, n, 7)
+
+
+def _random_precedence_case(rng):
+    n, u = rng.randint(2, 6), rng.randint(2, 5)
+    return PrecedenceProp(range(n), _random_order(rng, u)), _random_masks(rng, n, u)
+
+
+def _random_disjunction_case(rng):
+    n = rng.randint(2, 4)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+    return EqualityDisjunctionProp(pairs), _random_masks(rng, n, 3, fixed=0.8)
+
+
+IDEMPOTENCE_CASES = {
+    "not-equal": lambda rng: (NotEqualProp(0, 1), _random_masks(rng, 2, 4, fixed=0.5)),
+    "abs-diff": _random_abs_diff_case,
+    "all-different": lambda rng: _random_all_different_case(rng, AllDifferentProp),
+    "lazy-all-different": lambda rng: _random_all_different_case(rng, LazyAllDifferentProp),
+    "ordering-chain": _random_chain_case,
+    "precedence": _random_precedence_case,
+    "lex-leader": _random_lex_leader_case,
+    "first-occurrence-channel": _random_channel_case,
+    "equality-disjunction": _random_disjunction_case,
+}
+
+
+def test_idempotence_cases_cover_every_propagator_kind():
+    kinds = {
+        cls.kind for cls in vars(propagators).values()
+        if isinstance(cls, type) and issubclass(cls, Propagator) and cls is not Propagator
+    }
+    assert kinds == set(IDEMPOTENCE_CASES)
+
+
+@pytest.mark.parametrize("kind", list(IDEMPOTENCE_CASES))
+def test_propagate_returns_at_its_own_fixpoint(kind):
+    # the engine does not wake a propagator for its own changes, so a second
+    # run on the first one's output must change nothing
+    rng = random.Random(5151)
+    outcomes = Counter()
+    for _ in range(4_000):
+        prop, doms = IDEMPOTENCE_CASES[kind](rng)
+        assert prop.kind == kind
+        first = list(doms)
+        if prop.propagate(first)[0]:
+            outcomes["failed"] += 1
+            continue
+        second = list(first)
+        assert prop.propagate(second) == (False, [])
+        assert second == first
+        outcomes["narrowed" if first != doms else "unchanged"] += 1
+    # most cases do not fail, and every kind that can narrow does so often
+    assert outcomes["narrowed"] + outcomes["unchanged"] > 1_000
+    assert (outcomes["narrowed"] > 300) == (kind != "equality-disjunction")
