@@ -89,6 +89,15 @@ class Model:
                         f"declared symmetry does not preserve domains "
                         f"(var {var} -> var {image_var})"
                     )
+        # a class's permutations preserve a domain iff it holds all or none of the class
+        for cls in self.symmetry.interchangeable_classes:
+            cls_mask = mask_of(cls)
+            for var in self.symmetry_scope:
+                if (self.domains[var] & cls_mask) not in (0, cls_mask):
+                    raise ModelError(
+                        f"initial domain of var {var} holds part of interchangeable "
+                        f"class {cls}, not all of it"
+                    )
 
     @property
     def num_vars(self) -> int:

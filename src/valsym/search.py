@@ -9,7 +9,8 @@ Modes:
   channel     add first-occurrence position variables, channel them to the
               scope and order them by a strict chain
   getree      dynamic filtering: at each node branch only on the least value
-              of each orbit of the stabilizer of the decisions so far
+              of each orbit of the stabilizer of the decisions so far, in
+              the value subgroup of whatever is declared (`break_group`)
 
 Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
@@ -23,7 +24,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .domains import copy_domains, values_of
 from .engine import build_watchers, propagate_to_fixpoint
@@ -37,7 +38,7 @@ from .propagators import (
     check_all,
     post_first_occurrence_channel,
 )
-from .symmetry import Group, SymmetrySpec, VarValueSymmetry, orbit_partition
+from .symmetry import ClassProduct, Group, SymmetrySpec, VarValueSymmetry, orbit_partition
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
 VAR_ORDERS = ("input", "min-domain")
@@ -114,11 +115,6 @@ def _unsupported(spec: SymmetrySpec, mode: str) -> Optional[str]:
         return f"{mode} needs interchangeable value classes"
     if mode in ("static-lex", "getree") and spec.is_trivial:
         return f"{mode} needs declared symmetries"
-    if mode == "getree" and spec.explicit and spec.interchangeable_classes:
-        return (
-            "getree needs a single symmetry source, got both explicit "
-            "elements and interchangeable classes"
-        )
     return None
 
 
@@ -133,69 +129,47 @@ def _closed_group(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
     return tuple(spec.closed_group())
 
 
-@lru_cache(maxsize=64)
-def _value_subgroup(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
-    """Elements with identity variable permutation (what dynamic
-    value-symmetry breaking can act on)."""
-    return tuple(g for g in _closed_group(spec) if g.theta_is_identity)
-
-
 def getree_allowed_values(
     partial: Sequence[tuple[int, int]],
     next_var: int,
-    spec: SymmetrySpec,
+    group: Group,
     domains: Sequence[int],
-    scope: Optional[Sequence[int]] = None,
+    scope: Container[int],
 ) -> list[int]:
     """Values worth branching on at this node, in ascending order.
 
-    partial is the sequence of (var, value) decisions made so far. Only one
-    value per orbit of the current stabilizer survives: the least one still
-    in the domain mask. Variables outside the symmetry scope are not filtered.
-    The spec must have a single symmetry source (explicit elements or
-    interchangeable classes); `solve` checks that once, before search.
+    partial is the sequence of (var, value) decisions made so far, group the
+    value group `break_group(model, "getree")` returns and scope the set of
+    variables it acts on. Only one value per orbit of the stabilizer of the
+    decided scope values survives: the least one still in the domain mask.
+    Variables outside the scope are not filtered.
     """
-    if scope is None:
-        scope = tuple(range(spec.scope_len))
-    scope_set = set(scope)
     dom = domains[next_var]
-    if next_var not in scope_set:
+    if next_var not in scope:
         return list(values_of(dom))
-    decided = {val for var, val in partial if var in scope_set}
-    if spec.explicit:
-        stab = [
-            g.sigma
-            for g in _value_subgroup(spec)
-            if all(g.sigma(v) == v for v in decided)
-        ]
-        # the stabilizer is a group, so a value's orbit is its images under it
-        allowed = []
-        seen = 0
-        for v in values_of(dom):
-            if not (seen >> v) & 1:
-                allowed.append(v)
-                for s in stab:
-                    seen |= 1 << s(v)
-        return allowed
-    if spec.interchangeable_classes:
-        class_of = {}
-        for idx, cls in enumerate(spec.interchangeable_classes):
-            for v in cls:
-                class_of[v] = idx
+    decided = {val for var, val in partial if var in scope}
+    allowed = []
+    if isinstance(group, ClassProduct):
+        class_of = group.class_of
         fresh_done = set()
-        allowed = []
         for v in values_of(dom):
             idx = class_of.get(v)
             if idx is None or v in decided:
                 allowed.append(v)
-                continue
-            if idx in fresh_done:
-                continue
-            # v is the least unused value of its class still in the domain
-            allowed.append(v)
-            fresh_done.add(idx)
+            elif idx not in fresh_done:
+                # v is the least unused value of its class still in the domain
+                allowed.append(v)
+                fresh_done.add(idx)
         return allowed
-    return list(values_of(dom))
+    stab = [g.sigma for g in group if all(g.sigma(v) == v for v in decided)]
+    # the stabilizer is a group, so a value's orbit is its images under it
+    seen = 0
+    for v in values_of(dom):
+        if not (seen >> v) & 1:
+            allowed.append(v)
+            for s in stab:
+                seen |= 1 << s(v)
+    return allowed
 
 
 def _has_covering_alldiff(model: Model) -> bool:
@@ -248,6 +222,8 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         config = SearchConfig()
     domains, props = _prepare(model, config.symmetry_mode)
     getree = config.symmetry_mode == "getree"
+    if getree:
+        group, scope = break_group(model, "getree"), set(model.symmetry_scope)
     budget = config.enumeration_budget if config.enumeration_budget is not None else default_budget()
     limit = config.solution_limit
     stats = SearchStats()
@@ -299,9 +275,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 stats.failures += 1
         else:
             if getree:
-                vals = getree_allowed_values(
-                    partial, var, model.symmetry, domains, scope=model.symmetry_scope
-                )
+                vals = getree_allowed_values(partial, var, group, domains, scope)
             else:
                 vals = list(values_of(domains[var]))
             stack.append((domains, var, iter(vals if ascending else vals[::-1])))
@@ -355,17 +329,18 @@ def break_group(model: Model, mode: str) -> Group:
     static-lex (and `none`, for checking a model's own posted constraints)
     break the full closed group; precedence/channel break the class product;
     getree breaks the value-only subgroup (it cannot see variable
-    permutations). Whenever that group is exactly the class product it is
-    returned in structural form, which has no size limit; otherwise it is
-    enumerated, up to `GROUP_CAP` elements. Raises UnsupportedModeError for
-    a mode the model cannot run, as `solve` does.
+    permutations), and its search filters on the group returned here.
+    Whenever that group is exactly the class product it is returned in
+    structural form, which has no size limit; otherwise it is enumerated, up
+    to `GROUP_CAP` elements. Raises UnsupportedModeError for a mode the model
+    cannot run, as `solve` does.
     """
     spec = model.symmetry
     _require_mode(spec, mode)
     if mode in ("precedence", "channel") or (spec.interchangeable_classes and not spec.explicit):
         return spec.class_product()
     if mode == "getree":
-        return list(_value_subgroup(spec))
+        return [g for g in _closed_group(spec) if g.theta_is_identity]
     return list(_closed_group(spec))
 
 

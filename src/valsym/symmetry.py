@@ -17,6 +17,8 @@ from .domains import values_of
 from .errors import BudgetExceeded, GroupTooLarge, ModelError
 
 GROUP_CAP = 10_080
+# the most values a class may hold for its permutations to fit GROUP_CAP
+_MAX_CLASS = next(k for k in itertools.count() if math.factorial(k + 1) > GROUP_CAP)
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,14 @@ class ClassProduct:
     that class's k-th smallest value, and values outside every class stay
     fixed. Each step takes the least value not yet used as an image, which is
     the greedy choice that minimises the image position by position.
+    `class_of` maps each class value to the index of its class.
     """
 
     classes: tuple[tuple[int, ...], ...]
     scope_len: int
     universe_size: int
     _ascending: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _class_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    class_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         class_of: dict[int, int] = {}
@@ -181,11 +184,11 @@ class ClassProduct:
                     raise ModelError(f"class value {v} outside universe")
                 class_of[v] = idx
         object.__setattr__(self, "_ascending", tuple(tuple(sorted(cls)) for cls in self.classes))
-        object.__setattr__(self, "_class_of", class_of)
+        object.__setattr__(self, "class_of", class_of)
 
     def canonical(self, assignment: Sequence[int]) -> tuple[int, ...]:
         """Lex-least image of the assignment, in one pass over it."""
-        class_of = self._class_of
+        class_of = self.class_of
         fresh = [iter(cls) for cls in self._ascending]
         relabel: dict[int, int] = {}
         for v in assignment:
@@ -236,14 +239,13 @@ class SymmetrySpec:
         if self.is_trivial:
             return []
         classes = self.interchangeable_classes
-        big = next((c for c in classes if math.factorial(len(c)) > GROUP_CAP), None)
+        big = next((c for c in classes if len(c) > _MAX_CLASS), None)
         if big is not None:
-            largest = max(k for k in range(len(big)) if math.factorial(k) <= GROUP_CAP)
             raise GroupTooLarge(
                 math.factorial(len(big)), GROUP_CAP,
                 f"enumerating the whole symmetry group (for static-lex, or for orbit "
                 f"checks under explicit symmetries) takes a value class's permutations "
-                f"only up to {largest} values, got a class of {len(big)}",
+                f"only up to {_MAX_CLASS} values, got a class of {len(big)}",
             )
         order = math.prod(math.factorial(len(c)) for c in classes)
         if order > GROUP_CAP:

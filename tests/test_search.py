@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import model_solutions, naive_all_interval
+from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError, UnsupportedModeError
 from valsym.model import Constraint, ConstraintKind, Model
@@ -280,31 +281,31 @@ def test_getree_explicit_filters_inverted_pairs():
     # empty partial allows only the lower half (plus the fixed point 5)
     m = build_all_interval(11)
     doms = m.initial_domains()
-    vals = getree_allowed_values([], 0, m.symmetry, doms, scope=m.symmetry_scope)
-    assert vals == [0, 1, 2, 3, 4, 5]
+    group, scope = break_group(m, "getree"), set(m.symmetry_scope)
+    assert getree_allowed_values([], 0, group, doms, scope) == [0, 1, 2, 3, 4, 5]
 
 
 def test_getree_explicit_stabilizer_relaxes_after_moving_value():
     m = build_all_interval(11)
     doms = m.initial_domains()
+    group, scope = break_group(m, "getree"), set(m.symmetry_scope)
     # deciding 4 kills the inversion (4 is not fixed by v -> 10 - v)
-    vals = getree_allowed_values([(0, 4)], 1, m.symmetry, doms, scope=m.symmetry_scope)
-    assert vals == list(range(11))
+    assert getree_allowed_values([(0, 4)], 1, group, doms, scope) == list(range(11))
     # deciding the fixed point 5 keeps the inversion in the stabilizer
-    vals = getree_allowed_values([(0, 5)], 1, m.symmetry, doms, scope=m.symmetry_scope)
-    assert vals == [0, 1, 2, 3, 4, 5]
+    assert getree_allowed_values([(0, 5)], 1, group, doms, scope) == [0, 1, 2, 3, 4, 5]
 
 
 def test_getree_classes_allow_used_plus_one_fresh():
     spec = SymmetrySpec(
         scope_len=4, universe_size=4, interchangeable_classes=((0, 1, 2, 3),)
     )
+    group, scope = spec.class_product(), set(range(4))
     doms = [mask_of(range(4)) for _ in range(4)]
-    assert getree_allowed_values([], 0, spec, doms) == [0]
-    assert getree_allowed_values([(0, 0), (1, 1)], 2, spec, doms) == [0, 1, 2]
+    assert getree_allowed_values([], 0, group, doms, scope) == [0]
+    assert getree_allowed_values([(0, 0), (1, 1)], 2, group, doms, scope) == [0, 1, 2]
     # a hole in the domain shifts the fresh representative
     doms[3] = mask_of([1, 3])
-    assert getree_allowed_values([(0, 0)], 3, spec, doms) == [1]
+    assert getree_allowed_values([(0, 0)], 3, group, doms, scope) == [1]
 
 
 def test_getree_classes_pass_through_non_class_values():
@@ -312,21 +313,56 @@ def test_getree_classes_pass_through_non_class_values():
         scope_len=2, universe_size=4, interchangeable_classes=((1, 2),)
     )
     doms = [mask_of(range(4)), mask_of(range(4))]
-    assert getree_allowed_values([], 0, spec, doms) == [0, 1, 3]
+    assert getree_allowed_values([], 0, spec.class_product(), doms, {0, 1}) == [0, 1, 3]
 
 
 def test_getree_ignores_vars_outside_scope():
     m = build_all_interval(11)
     doms = m.initial_domains()
     diff_var = 11  # first difference variable
-    vals = getree_allowed_values([], diff_var, m.symmetry, doms, scope=m.symmetry_scope)
+    group, scope = break_group(m, "getree"), set(m.symmetry_scope)
+    vals = getree_allowed_values([], diff_var, group, doms, scope)
     assert vals == list(values_of(doms[diff_var]))
 
 
-def test_getree_rejects_mixed_symmetry_sources():
-    m = _both_sources_model()
-    with pytest.raises(UnsupportedModeError):
-        solve(m, SearchConfig(symmetry_mode="getree"))
+def _value_permutation_beside_a_class(rng):
+    """A random model declaring a value permutation and a value class; one in
+    three also declares a variable swap, under an all-different on the scope."""
+    n, m = rng.randint(2, 4), rng.randint(3, 5)
+    k = rng.randint(2, m - 1)
+    cls = tuple(sorted(rng.sample(range(m), k)))
+    image = list(range(m))
+    rng.shuffle(image)
+    explicit = [VarValueSymmetry.value_only(n, ValuePermutation(tuple(image)))]
+    constraints = [
+        Constraint(ConstraintKind.NOT_EQUAL, (i, j))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+    ]
+    if rng.random() < 1 / 3:
+        explicit.append(VarValueSymmetry.variable_only((1, 0) + tuple(range(2, n)), m))
+        constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, tuple(range(n))))
+    return Model(
+        name="value-permutation-and-class",
+        universe_size=m,
+        domains=((1 << m) - 1,) * n,
+        constraints=tuple(constraints),
+        symmetry=SymmetrySpec(n, m, tuple(explicit), (cls,)),
+        symmetry_scope=tuple(range(n)),
+    )
+
+
+def test_getree_breaks_the_value_subgroup_beside_a_class():
+    # getree filters on the enumerated value subgroup of everything declared,
+    # so an explicit value permutation and a class may be declared together
+    rng = random.Random(1212)
+    for _ in range(40):
+        m = _value_permutation_beside_a_class(rng)
+        assert applicable_modes(m)[-1] == "getree"
+        for var_order in ("input", "min-domain"):
+            for val_order in ("ascending", "descending"):
+                config = SearchConfig(var_order=var_order, val_order=val_order)
+                passed, reports, _ = verify_symmetry_breaking(m, ["getree"], config)
+                assert passed, (m.symmetry, var_order, val_order, reports)
 
 
 def test_break_group_is_structural_exactly_for_the_class_product():
@@ -387,6 +423,7 @@ def test_applicable_modes_by_symmetry_shape():
         "static-lex",
         "precedence",
         "channel",
+        "getree",
     ]
     # a class of 8 values is past the enumerated group's cap: static-lex is
     # left out, and getree over the class needs no enumerated group
@@ -427,6 +464,18 @@ def test_mode_rules_agree(shape, mode):
             solve(model, config)
         with pytest.raises(UnsupportedModeError):
             break_group(model, mode)
+
+
+def test_model_rejects_a_domain_holding_part_of_a_class():
+    # class (0, 1, 2) with x0 in {1}: the class's permutations do not map the
+    # domains onto each other, so the class-based modes would lose solutions
+    m = _plain_model(2, 3, [Constraint(ConstraintKind.NOT_EQUAL, (0, 1))])
+    spec = SymmetrySpec(scope_len=2, universe_size=3, interchangeable_classes=((0, 1, 2),))
+    with pytest.raises(ModelError, match="var 0 holds part of interchangeable class"):
+        replace(m, domains=(0b010, 0b111), symmetry=spec)
+    # a domain may hold a class wholly or not at all
+    spec = SymmetrySpec(scope_len=2, universe_size=3, interchangeable_classes=((1, 2),))
+    assert replace(m, domains=(0b001, 0b110), symmetry=spec).domains == (0b001, 0b110)
 
 
 @pytest.mark.parametrize("bad", [{0, 1}, 0, -1, 1 << 3], ids=["set", "empty", "negative", "above"])
@@ -494,3 +543,30 @@ def test_min_domain_picks_smallest_open_domain():
     assert sorted(input_first) == sorted(min_dom_first)
     assert input_first[0] == (0, 1)   # var 0 enumerated first
     assert min_dom_first[0] == (1, 0)  # var 1 enumerated first
+
+
+# the attributes bench/tracer.py patches on valsym.search to count work
+TRACED_ENTRY_POINTS = (
+    "getree_allowed_values",
+    "propagate_to_fixpoint",
+    "copy_domains",
+    "check_all",
+    "orbit_partition",
+)
+
+
+def test_search_calls_the_traced_entry_points_through_the_module(monkeypatch):
+    # a call through a bound reference would bypass the tracer's patch and
+    # read as zero work, which its integrity check cannot see
+    calls = dict.fromkeys(TRACED_ENTRY_POINTS, 0)
+    for name in TRACED_ENTRY_POINTS:
+        def counting(*args, _name=name, _fn=getattr(search, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(search, name, counting)
+    model = build_all_interval(6)
+    solve(model, SearchConfig(symmetry_mode="getree"))
+    assert all(calls[name] > 0 for name in TRACED_ENTRY_POINTS if name != "orbit_partition"), calls
+    before = dict(calls)
+    verify_symmetry_breaking(model, ["getree"])
+    assert all(calls[name] > before[name] for name in TRACED_ENTRY_POINTS), calls

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from oracles import enumerated_group
 from valsym.domains import mask_of, values_of
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError
+from valsym.model import Model
 from valsym.problems import build_all_interval
-from valsym.search import break_group
+from valsym.search import applicable_modes, break_group
 from valsym.symmetry import (
     GROUP_CAP,
     ClassProduct,
@@ -116,6 +118,23 @@ def test_class_group_sizes():
     for size in (8, 9):  # 8! = 40 320 is past GROUP_CAP
         with pytest.raises(GroupTooLarge, match=f"up to 7 values, got a class of {size}"):
             _classes(3, size, tuple(range(size))).closed_group()
+
+
+def test_a_huge_class_is_refused_at_once():
+    size = 20_000
+    model = Model(
+        name="huge-class",
+        universe_size=size,
+        domains=((1 << size) - 1,) * 2,
+        constraints=(),
+        symmetry=_classes(2, size, tuple(range(size))),
+        symmetry_scope=(0, 1),
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(GroupTooLarge, match=f"up to 7 values, got a class of {size}"):
+        model.symmetry.closed_group()
+    assert applicable_modes(model) == ["precedence", "channel", "getree"]
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_class_group_only_moves_class_values():
