@@ -20,6 +20,10 @@ class ConstraintKind(enum.Enum):
     EQUALITY_DISJUNCTION = "equality-disjunction"
 
 
+# bound once: Python 3.11 looks enum members up slowly, per Constraint built
+_DISJUNCTION = ConstraintKind.EQUALITY_DISJUNCTION
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Declarative constraint descriptor; propagators are built from these."""
@@ -36,6 +40,13 @@ class Constraint:
             ConstraintKind.LAZY_ALL_DIFFERENT,
         ):
             raise ModelError(f"{self.kind.value} scope repeats a variable: {self.scope}")
+        if self.kind is _DISJUNCTION:
+            pairs = self.params.get("pairs")  # () is legal: the disjunction is then false
+            if not isinstance(pairs, (tuple, list)) or not all(
+                isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
+                and p[0] in self.scope and p[1] in self.scope for p in pairs
+            ):
+                raise ModelError(f"equality-disjunction pairs must be distinct scope vars: {pairs}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .symmetry import VarValueSymmetry
 
 class NotEqualProp(Propagator):
     kind = "not-equal"
+    fix_only = True
 
     def __init__(self, x: VarId, y: VarId):
         self.x = x
@@ -593,9 +594,10 @@ def post_first_occurrence_channel(
 
 class EqualityDisjunctionProp(Propagator):
     """Some listed pair of variables must be equal; evaluated only once its
-    whole scope is fixed."""
+    whole scope is fixed. With no pairs it always fails."""
 
     kind = "equality-disjunction"
+    fix_only = True
 
     def __init__(self, pairs: Sequence[tuple[VarId, VarId]]):
         self.pairs = tuple(tuple(p) for p in pairs)

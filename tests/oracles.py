@@ -253,3 +253,17 @@ def all_different_propagate_per_value(prop, domains: list[int]) -> tuple[bool, l
                     moved = True
         if not moved:
             return False, list(changed)
+
+
+def naive_fixpoint(propagators, domains: list[int]) -> bool:
+    """Propagation as the engine's reference: rerun every propagator, in
+    order, until a whole round changes nothing, so each one in effect wakes on
+    every change to any variable. Leaves the fixpoint in `domains` and
+    returns whether some propagator failed."""
+    while True:
+        before = list(domains)
+        for p in propagators:
+            if p.propagate(domains)[0]:
+                return True
+        if domains == before:
+            return False

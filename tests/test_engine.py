@@ -1,11 +1,17 @@
 import random
 
+import pytest
+
+from oracles import naive_fixpoint
+from test_propagators import IDEMPOTENCE_CASES
+from valsym import propagators
 from valsym.domains import mask_of, values_of
-from valsym.engine import propagate_to_fixpoint
-from valsym.problems import build_all_interval
-from valsym.search import SearchStats
+from valsym.engine import Propagator, propagate_to_fixpoint
+from valsym.problems import build_all_interval, build_pigeonhole
+from valsym.search import MODES, SearchConfig, SearchStats, solve
 from valsym.propagators import (
     AllDifferentProp,
+    EqualityDisjunctionProp,
     LexLeaderProp,
     NotEqualProp,
     OrderingChainProp,
@@ -94,6 +100,9 @@ def _random_instance(rng):
         rng.shuffle(img)
         sym = VarValueSymmetry.value_only(n, ValuePermutation(tuple(img)))
         props.append(LexLeaderProp(tuple(range(n)), sym))
+    if rng.random() < 0.5:
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+        props.append(EqualityDisjunctionProp(pairs))
     return doms, props
 
 
@@ -131,3 +140,103 @@ def test_fixpoint_is_stable():
         out2 = propagate_to_fixpoint(props, doms)
         assert not out2.failed
         assert doms == before
+
+
+def test_fixpoint_matches_waking_every_propagator_on_every_change():
+    # fix-only propagators are woken only when a watched variable becomes
+    # fixed, and run ahead of the rest; the fixpoint must not change, at the
+    # root and after a search-style decision on a copy of the root fixpoint
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(600):
+        doms, props = _random_instance(rng)
+        if not props:
+            continue
+        ref = list(doms)
+        ref_failed = naive_fixpoint(props, ref)
+        assert propagate_to_fixpoint(props, doms).failed == ref_failed
+        if ref_failed:
+            continue
+        assert doms == ref
+        open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
+        if not open_vars:
+            continue
+        v = rng.choice(open_vars)
+        child = list(doms)
+        child[v] = 1 << rng.choice(list(values_of(child[v])))
+        ref = list(child)
+        ref_failed = naive_fixpoint(props, ref)
+        assert propagate_to_fixpoint(props, child, trigger_vars=[v]).failed == ref_failed
+        if not ref_failed:
+            assert child == ref
+        checked += 1
+    assert checked > 100
+
+
+def _unfixed_mask(rng, width):
+    while True:
+        mask = rng.randrange(1, 1 << width)
+        if mask & (mask - 1):
+            return mask
+
+
+def test_fix_only_propagators_prune_nothing_while_no_watched_variable_is_fixed():
+    # the engine wakes a fix-only propagator only when a change leaves a
+    # watched variable fixed, so one that could prune earlier is mislabelled
+    fix_only = [
+        cls for cls in vars(propagators).values()
+        if isinstance(cls, type) and issubclass(cls, Propagator) and cls.fix_only
+    ]
+    assert fix_only
+    rng = random.Random(1313)
+    for cls in fix_only:
+        for _ in range(2_000):
+            prop, doms = IDEMPOTENCE_CASES[cls.kind](rng)
+            if not prop.watches:
+                continue  # a disjunction of no pairs: the root runs it anyway
+            width = max(3, max(d.bit_length() for d in doms))
+            for v in prop.watches:
+                doms[v] = _unfixed_mask(rng, width)
+            before = list(doms)
+            assert prop.propagate(doms) == (False, []), (cls.kind, before)
+            assert doms == before
+
+
+def test_root_runs_not_equal_only_through_a_fixed_variable():
+    # x0 is fixed at the root, so its not-equal prunes x1; neither x2 nor x3
+    # is fixed, so theirs does not run
+    doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1]), mask_of([0, 1])]
+    stats = SearchStats()
+    out = propagate_to_fixpoint([NotEqualProp(2, 3), NotEqualProp(0, 1)], doms, stats=stats)
+    assert not out.failed and doms[1] == mask_of([4])
+    assert stats.propagation_calls == 1
+
+
+class _Recorder(Propagator):
+    def __init__(self, name, watches, fix_only, log):
+        self.name, self.watches, self.fix_only, self.log = name, watches, fix_only, log
+
+    def propagate(self, domains):
+        self.log.append(self.name)
+        return False, []
+
+
+def test_fix_only_watchers_run_before_the_fifo():
+    log = []
+    props = [
+        _Recorder("global", (0, 1), False, log),
+        _Recorder("on-fix-0", (0,), True, log),
+        _Recorder("on-fix-1", (1,), True, log),
+    ]
+    doms = [mask_of([2]), mask_of([0, 1])]
+    assert not propagate_to_fixpoint(props, doms, trigger_vars=[0, 1]).failed
+    # x1 is not fixed, so only x0's fix-only watcher wakes, ahead of the FIFO
+    assert log == ["on-fix-0", "global"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pigeonhole_2_fails_at_its_root(mode):
+    # n=2 has no non-adjacent pair: its equality disjunction has no pairs and
+    # watches nothing, so only the root can run it
+    _, stats = solve(build_pigeonhole(2), SearchConfig(symmetry_mode=mode))
+    assert (stats.nodes, stats.failures, stats.solutions) == (1, 1, 0)

@@ -278,6 +278,28 @@ def test_equality_disjunction_empty_is_unsat():
     assert failed
 
 
+def test_equality_disjunction_with_no_pairs_is_legal():
+    c = Constraint(ConstraintKind.EQUALITY_DISJUNCTION, (0, 1), {"pairs": ()})
+    assert not constraint_holds(c, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},  # no pairs at all
+        {"pairs": ((0, 5),)},  # a variable outside the scope
+        {"pairs": ((0, 1), (1, 1))},  # a variable paired with itself
+        {"pairs": ((0, 1, 0),)},  # not a pair
+        {"pairs": (0, 1)},  # variables, not pairs
+        {"pairs": None},
+    ],
+    ids=["missing", "outside-scope", "same-variable", "triple", "flat", "none"],
+)
+def test_equality_disjunction_refuses_malformed_pairs(params):
+    with pytest.raises(ModelError, match="pairs must be distinct scope vars"):
+        Constraint(ConstraintKind.EQUALITY_DISJUNCTION, (0, 1), params)
+
+
 @st.composite
 def _sound_instance(draw):
     u = draw(st.integers(min_value=2, max_value=6))

@@ -218,16 +218,16 @@ PINNED_COUNTS = [
     ("all-interval-7", "none", (150, 149, 78, 32, 1878)),
     ("all-interval-7", "static-lex", (46, 45, 27, 8, 789)),
     ("all-interval-7", "getree", (76, 75, 39, 16, 947)),
-    ("graph-12", "none", (151, 150, 48, 48, 2335)),
-    ("graph-12", "static-lex", (26, 25, 8, 8, 649)),
-    ("graph-12", "precedence", (26, 25, 8, 8, 469)),
-    ("graph-12", "channel", (26, 25, 8, 8, 504)),
-    ("graph-12", "getree", (28, 27, 8, 8, 424)),
-    ("pigeonhole-6", "precedence", (1, 0, 1, 0, 19)),
-    ("pigeonhole-6", "channel", (1, 0, 1, 0, 21)),
-    ("pigeonhole-6", "getree", (33, 32, 13, 0, 205)),
-    ("graph-40", "precedence", (53, 52, 15, 12, 1541)),
-    ("graph-40", "channel", (53, 52, 15, 12, 1553)),
+    ("graph-12", "none", (151, 150, 48, 48, 1881)),
+    ("graph-12", "static-lex", (26, 25, 8, 8, 414)),
+    ("graph-12", "precedence", (26, 25, 8, 8, 338)),
+    ("graph-12", "channel", (26, 25, 8, 8, 360)),
+    ("graph-12", "getree", (28, 27, 8, 8, 318)),
+    ("pigeonhole-6", "precedence", (1, 0, 1, 0, 12)),
+    ("pigeonhole-6", "channel", (1, 0, 1, 0, 14)),
+    ("pigeonhole-6", "getree", (33, 32, 13, 0, 162)),
+    ("graph-40", "precedence", (53, 52, 15, 12, 906)),
+    ("graph-40", "channel", (53, 52, 15, 12, 916)),
     ("all-interval-8", "none", (449, 448, 284, 40, 6043)),
     ("all-interval-8", "static-lex", (139, 138, 95, 10, 2514)),
 ]
