@@ -21,6 +21,8 @@ class ConstraintKind(enum.Enum):
 
 
 # bound once: Python 3.11 looks enum members up slowly, per Constraint built
+_NOT_EQUAL = ConstraintKind.NOT_EQUAL
+_ABS_DIFF = ConstraintKind.ABS_DIFF
 _DISJUNCTION = ConstraintKind.EQUALITY_DISJUNCTION
 
 
@@ -33,14 +35,18 @@ class Constraint:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.scope)) != len(self.scope) and self.kind in (
+        kind = self.kind
+        arity = 2 if kind is _NOT_EQUAL else 3 if kind is _ABS_DIFF else None
+        if arity is not None and len(self.scope) != arity:
+            raise ModelError(f"{kind.value} takes {arity} variables, got scope {self.scope}")
+        if len(set(self.scope)) != len(self.scope) and kind in (
             ConstraintKind.NOT_EQUAL,
             ConstraintKind.ABS_DIFF,
             ConstraintKind.ALL_DIFFERENT,
             ConstraintKind.LAZY_ALL_DIFFERENT,
         ):
-            raise ModelError(f"{self.kind.value} scope repeats a variable: {self.scope}")
-        if self.kind is _DISJUNCTION:
+            raise ModelError(f"{kind.value} scope repeats a variable: {self.scope}")
+        if kind is _DISJUNCTION:
             pairs = self.params.get("pairs")  # () is legal: the disjunction is then false
             if not isinstance(pairs, (tuple, list)) or not all(
                 isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
@@ -86,6 +92,8 @@ class Model:
         for v in self.symmetry_scope:
             if not 0 <= v < n:
                 raise ModelError(f"symmetry scope names unknown var {v}")
+        if len(set(self.symmetry_scope)) != len(self.symmetry_scope):
+            raise ModelError(f"symmetry scope repeats a variable: {self.symmetry_scope}")
         if self.symmetry.scope_len != len(self.symmetry_scope):
             raise ModelError("symmetry scope length mismatch")
         if self.symmetry.universe_size != self.universe_size:

@@ -99,6 +99,27 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
     return num_vertices, edges
 
 
+def _one_class_model(
+    name: str, num_vars: int, num_values: int, constraints: list[Constraint], params: dict
+) -> Model:
+    """num_vars variables, each over all of 0..num_values-1, every one in the
+    symmetry scope, and all values forming one interchangeable class."""
+    spec = SymmetrySpec(
+        scope_len=num_vars,
+        universe_size=num_values,
+        interchangeable_classes=(tuple(range(num_values)),),
+    )
+    return Model(
+        name=name,
+        universe_size=num_values,
+        domains=((1 << num_values) - 1,) * num_vars,
+        constraints=tuple(constraints),
+        symmetry=spec,
+        symmetry_scope=tuple(range(num_vars)),
+        params=params,
+    )
+
+
 def build_coloring(num_vertices: int, edges: Iterable[tuple[int, int]], num_colors: int) -> Model:
     """Graph coloring: adjacent vertices get different colors; all colors
     form one interchangeable class."""
@@ -118,20 +139,8 @@ def build_coloring(num_vertices: int, edges: Iterable[tuple[int, int]], num_colo
             continue
         seen.add(key)
         constraints.append(Constraint(ConstraintKind.NOT_EQUAL, key))
-    spec = SymmetrySpec(
-        scope_len=num_vertices,
-        universe_size=num_colors,
-        interchangeable_classes=(tuple(range(num_colors)),),
-    )
-    return Model(
-        name="coloring",
-        universe_size=num_colors,
-        domains=((1 << num_colors) - 1,) * num_vertices,
-        constraints=tuple(constraints),
-        symmetry=spec,
-        symmetry_scope=tuple(range(num_vertices)),
-        params={"vertices": num_vertices, "edges": len(constraints), "colors": num_colors},
-    )
+    params = {"vertices": num_vertices, "edges": len(constraints), "colors": num_colors}
+    return _one_class_model("coloring", num_vertices, num_colors, constraints, params)
 
 
 def build_coloring_from_dimacs(text: str, num_colors: int) -> Model:
@@ -153,36 +162,14 @@ def build_pigeonhole(n: int) -> Model:
     """
     if not PIGEONHOLE_MIN <= n <= PIGEONHOLE_MAX:
         raise ModelError(f"pigeonhole n must be in [{PIGEONHOLE_MIN}, {PIGEONHOLE_MAX}]")
-    universe = n + 1
     scope = tuple(range(n))
-    nonadjacent = [
-        (i, j) for i in range(n) for j in range(i + 2, n)
-    ]
-    constraints = [
-        Constraint(ConstraintKind.NOT_EQUAL, pair) for pair in nonadjacent
-    ]
+    nonadjacent = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    constraints = [Constraint(ConstraintKind.NOT_EQUAL, pair) for pair in nonadjacent]
     constraints.append(Constraint(ConstraintKind.LAZY_ALL_DIFFERENT, scope))
     constraints.append(
-        Constraint(
-            ConstraintKind.EQUALITY_DISJUNCTION,
-            scope,
-            {"pairs": tuple(nonadjacent)},
-        )
+        Constraint(ConstraintKind.EQUALITY_DISJUNCTION, scope, {"pairs": tuple(nonadjacent)})
     )
-    spec = SymmetrySpec(
-        scope_len=n,
-        universe_size=universe,
-        interchangeable_classes=(tuple(range(universe)),),
-    )
-    return Model(
-        name="pigeonhole",
-        universe_size=universe,
-        domains=((1 << universe) - 1,) * n,
-        constraints=tuple(constraints),
-        symmetry=spec,
-        symmetry_scope=scope,
-        params={"n": n},
-    )
+    return _one_class_model("pigeonhole", n, n + 1, constraints, {"n": n})
 
 
 def random_interchangeable_model(
@@ -203,17 +190,5 @@ def random_interchangeable_model(
         k = rng.randint(2, min(3, n, m))
         scope = tuple(sorted(rng.sample(range(n), k)))
         constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, scope))
-    spec = SymmetrySpec(
-        scope_len=n,
-        universe_size=m,
-        interchangeable_classes=(tuple(range(m)),),
-    )
-    return Model(
-        name="random-interchangeable",
-        universe_size=m,
-        domains=((1 << m) - 1,) * n,
-        constraints=tuple(constraints),
-        symmetry=spec,
-        symmetry_scope=tuple(range(n)),
-        params={"n": n, "m": m, "constraints": len(constraints)},
-    )
+    params = {"n": n, "m": m, "constraints": len(constraints)}
+    return _one_class_model("random-interchangeable", n, m, constraints, params)

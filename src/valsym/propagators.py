@@ -209,31 +209,28 @@ class OrderingChainProp(Propagator):
         self.watches = self.chain
 
     def propagate(self, domains):
+        # one round is the fixpoint: the backward sweep only lowers maxima, so
+        # the minima the forward sweep bounded on stay put (or a domain empties)
         chain = self.chain
         changed = set()
-        while True:
-            moved = False
-            for k in range(1, len(chain)):
-                prev = domains[chain[k - 1]]
-                above = -1 << (prev & -prev).bit_length()
-                d = domains[chain[k]]
-                if d & above != d:
-                    d = domains[chain[k]] = d & above
-                    changed.add(chain[k])
-                    moved = True
-                    if not d:
-                        return True, list(changed)
-            for k in range(len(chain) - 2, -1, -1):
-                below = (1 << (domains[chain[k + 1]].bit_length() - 1)) - 1
-                d = domains[chain[k]]
-                if d & below != d:
-                    d = domains[chain[k]] = d & below
-                    changed.add(chain[k])
-                    moved = True
-                    if not d:
-                        return True, list(changed)
-            if not moved:
-                return False, list(changed)
+        for k in range(1, len(chain)):
+            prev = domains[chain[k - 1]]
+            above = -1 << (prev & -prev).bit_length()
+            d = domains[chain[k]]
+            if d & above != d:
+                d = domains[chain[k]] = d & above
+                changed.add(chain[k])
+                if not d:
+                    return True, list(changed)
+        for k in range(len(chain) - 2, -1, -1):
+            below = (1 << (domains[chain[k + 1]].bit_length() - 1)) - 1
+            d = domains[chain[k]]
+            if d & below != d:
+                d = domains[chain[k]] = d & below
+                changed.add(chain[k])
+                if not d:
+                    return True, list(changed)
+        return False, list(changed)
 
     def check(self, values):
         seq = [values[v] for v in self.chain]
@@ -367,18 +364,16 @@ class LexLeaderProp(Propagator):
         if len(sym.theta) != len(scope):
             raise ModelError("lex-leader symmetry does not fit scope")
         self.scope = tuple(scope)
-        self.sym = sym
         inv = sym.theta_inverse()
-        self.u_vars = self.scope
         self.v_vars = tuple(self.scope[inv[j]] for j in range(len(scope)))
         self.sig = sym.sigma.image
         # values sigma fixes, and values sigma moves upwards
         self.fixed = mask_of(v for v, w in enumerate(self.sig) if w == v)
         self.rising = mask_of(v for v, w in enumerate(self.sig) if w > v)
-        self.watches = tuple(sorted(set(self.u_vars) | set(self.v_vars)))
+        self.watches = tuple(sorted(set(self.scope) | set(self.v_vars)))
 
     def _forced_tie(self, domains, j: int) -> bool:
-        uv, vv = self.u_vars[j], self.v_vars[j]
+        uv, vv = self.scope[j], self.v_vars[j]
         if uv == vv:
             return not domains[uv] & ~self.fixed
         du, dv = domains[uv], domains[vv]
@@ -397,7 +392,7 @@ class LexLeaderProp(Propagator):
                 return failed, changed
 
     def _pass(self, domains):
-        L = len(self.u_vars)
+        L = len(self.scope)
         sig = self.sig
         j = 0
         while j < L and self._forced_tie(domains, j):
@@ -411,13 +406,13 @@ class LexLeaderProp(Propagator):
             k += 1
         strict = False
         if k < L:
-            du = domains[self.u_vars[k]]
+            du = domains[self.scope[k]]
             min_u = (du & -du).bit_length() - 1
             max_v = max(sig[b] for b in values_of(domains[self.v_vars[k]]))
             if min_u > max_v:
                 strict = True
         changed = []
-        uv, vv = self.u_vars[alpha], self.v_vars[alpha]
+        uv, vv = self.scope[alpha], self.v_vars[alpha]
         if uv == vv:
             d = domains[uv]
             keep = d & (self.rising if strict else self.rising | self.fixed)
@@ -448,7 +443,7 @@ class LexLeaderProp(Propagator):
         return False, changed
 
     def check(self, values):
-        u = tuple(values[v] for v in self.u_vars)
+        u = tuple(values[v] for v in self.scope)
         w = tuple(self.sig[values[v]] for v in self.v_vars)
         return u <= w
 

@@ -14,6 +14,7 @@ from valsym.problems import (
     random_interchangeable_model,
 )
 from valsym.search import SearchConfig, applicable_modes, solve
+from valsym.symmetry import SymmetrySpec
 
 TRIANGLE_DIMACS = """c triangle
 p edge 3 3
@@ -190,3 +191,22 @@ def test_random_model_constraints_hold_on_enumeration():
     m = random_interchangeable_model(rng, max_vars=4, max_values=3)
     for s in model_solutions(m):
         assert all(constraint_holds(c, s) for c in m.constraints)
+
+
+# --- one-class layout ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, n, m",
+    [
+        (lambda: build_coloring(4, [(0, 1), (2, 3)], 3), 4, 3),
+        (lambda: build_pigeonhole(5), 5, 6),
+        (lambda: random_interchangeable_model(random.Random(9), 6, 4), 5, 4),
+    ],
+    ids=["coloring", "pigeonhole", "random-interchangeable"],
+)
+def test_one_class_families_share_the_layout(build, n, m):
+    model = build()
+    assert model.domains == ((1 << m) - 1,) * n
+    assert model.symmetry_scope == tuple(range(n))
+    assert model.symmetry == SymmetrySpec(n, m, interchangeable_classes=(tuple(range(m)),))

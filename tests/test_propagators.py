@@ -131,6 +131,20 @@ def test_abs_diff_refuses_a_repeated_variable(scope):
         AbsDiffProp(*scope)
 
 
+@pytest.mark.parametrize(
+    "kind, scope, message",
+    [
+        (ConstraintKind.NOT_EQUAL, (0, 1, 2), "not-equal takes 2 variables"),
+        (ConstraintKind.NOT_EQUAL, (0,), "not-equal takes 2 variables"),
+        (ConstraintKind.ABS_DIFF, (0, 1), "abs-diff takes 3 variables"),
+    ],
+    ids=["not-equal-over-3", "not-equal-over-1", "abs-diff-over-2"],
+)
+def test_constraint_refuses_a_scope_of_the_wrong_arity(kind, scope, message):
+    with pytest.raises(ModelError, match=message):
+        Constraint(kind, scope)
+
+
 def _random_all_different_case(rng, cls):
     """An all-different propagator over a scope of 2-10 shuffled variable ids
     out of up to 20, its domains drawn from a universe of n-1 to 14 values

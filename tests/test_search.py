@@ -478,6 +478,15 @@ def test_model_rejects_a_domain_holding_part_of_a_class():
     assert replace(m, domains=(0b001, 0b110), symmetry=spec).domains == (0b001, 0b110)
 
 
+def test_model_rejects_a_symmetry_scope_that_repeats_a_variable():
+    # accepted, scope (0, 0) made verify report every breaking mode as FAIL:
+    # 2 solutions over 1 orbit
+    m = _plain_model(2, 2)
+    spec = SymmetrySpec(scope_len=2, universe_size=2, interchangeable_classes=((0, 1),))
+    with pytest.raises(ModelError, match="symmetry scope repeats a variable"):
+        replace(m, symmetry=spec, symmetry_scope=(0, 0))
+
+
 @pytest.mark.parametrize("bad", [{0, 1}, 0, -1, 1 << 3], ids=["set", "empty", "negative", "above"])
 def test_model_rejects_bad_domain_masks(bad):
     # universe_size 3: a valid mask is a non-zero int below 1 << 3
