@@ -1,13 +1,13 @@
 """Chaotic-iteration propagation engine.
 
 Propagators are contracting and monotone, so running them in any fair order
-reaches the same greatest fixpoint. A change to a variable wakes its watchers
-into a FIFO queue, except a `fix_only` one, woken only when the variable
-becomes fixed, into a second FIFO drained first: not-equal cascades settle
-before the global propagators run. The root runs all the others in index
-order, and a fix-only one through a variable fixed already or if it watches
-none. A propagator returns at its own fixpoint, so the engine does not wake
-it for the changes it made itself.
+reaches the same greatest fixpoint. A change to a variable wakes the
+propagators that list it in `wakes` into a FIFO queue, except a `fix_only`
+one, woken only when the variable becomes fixed, into a second FIFO drained
+first: not-equal cascades settle before the global propagators run. The root
+runs all the others in index order, and a fix-only one through a waking
+variable fixed already or if it has none. A propagator returns at its own
+fixpoint, so the engine does not wake it for the changes it made itself.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class Propagator:
     on its output changes nothing. The engine relies on this and does not wake
     a propagator for its own changes; one that breaks the contract still
     prunes soundly, but reaches a weaker fixpoint.
-    fix_only declares that it prunes nothing while no watched variable is a
-    singleton; the engine then wakes it only when one becomes fixed.
+    wakes names the watched variables whose changes wake it, all of them unless
+    a subclass narrows it. fix_only declares that it prunes nothing while none
+    of those is a singleton; the engine then wakes it only when one is fixed.
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
     """
@@ -45,6 +46,10 @@ class Propagator:
     kind = "propagator"
     watches: tuple[VarId, ...] = ()
     fix_only = False
+
+    @property
+    def wakes(self) -> tuple[VarId, ...]:
+        return self.watches
 
     def propagate(self, domains: list[int]) -> tuple[bool, list[int]]:
         raise NotImplementedError
@@ -57,7 +62,7 @@ def build_watchers(propagators: Sequence[Propagator], num_vars: int) -> list[tup
     """Per variable: (watchers woken by any change, fix-only ones by a fix)."""
     watchers: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
     for idx, p in enumerate(propagators):
-        for v in p.watches:
+        for v in p.wakes:
             watchers[v][p.fix_only].append(idx)
     return watchers
 
@@ -81,9 +86,9 @@ def propagate_to_fixpoint(
     first: deque[int] = deque()  # fix-only propagators, run before `queue`
     queue: deque[int] = deque()
     if trigger_vars is None:
-        # fix-only propagators that watch something wake through fixed variables
+        # fix-only propagators with a waking variable wake through fixed ones
         for idx, p in enumerate(propagators):
-            if not p.fix_only or not p.watches:
+            if not p.fix_only or not p.wakes:
                 pending[idx] = True
                 (first if p.fix_only else queue).append(idx)
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]

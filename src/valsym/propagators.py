@@ -19,37 +19,48 @@ from .errors import ModelError
 from .model import Constraint, ConstraintKind, Model
 from .symmetry import VarValueSymmetry
 
+_NOT_EQUAL = ConstraintKind.NOT_EQUAL  # bound once: enum member lookup is slow
+
 
 class NotEqualProp(Propagator):
+    """x differs from each of `others`. The star wakes only when x becomes
+    fixed and drops x's value from every neighbour in one loop; see
+    `build_propagators`, which puts each edge into the stars of both ends."""
+
     kind = "not-equal"
     fix_only = True
 
-    def __init__(self, x: VarId, y: VarId):
+    def __init__(self, x: VarId, others: Sequence[VarId]):
         self.x = x
-        self.y = y
-        self.watches = (x, y)
+        self.others = tuple(others)
+        self.watches = (x, *self.others)
+
+    @property
+    def wakes(self):
+        return (self.x,)
 
     def propagate(self, domains):
+        dx = domains[self.x]
+        if dx & (dx - 1):
+            return False, []
         changed = []
-        x, y = self.x, self.y
-        dx, dy = domains[x], domains[y]
-        # a fixed variable's mask is its value's bit; drop it from the other
-        if not dx & (dx - 1) and dy & dx:
-            dy ^= dx
-            domains[y] = dy
-            if not dy:
-                return True, [y]
-            changed.append(y)
-        if not dy & (dy - 1) and dx & dy:
-            dx ^= dy
-            domains[x] = dx
-            if not dx:
-                return True, [x]
-            changed.append(x)
+        # a fixed variable's mask is its value's bit
+        for y in self.others:
+            dy = domains[y]
+            if dy & dx:
+                domains[y] = dy ^ dx
+                changed.append(y)
+                if dy == dx:
+                    return True, changed
         return False, changed
 
     def check(self, values):
-        return values[self.x] != values[self.y]
+        # a plain loop: a generator per leaf costs more than the comparisons
+        v = values[self.x]
+        for y in self.others:
+            if values[y] == v:
+                return False
+        return True
 
 
 class AbsDiffProp(Propagator):
@@ -612,10 +623,8 @@ class EqualityDisjunctionProp(Propagator):
 
 
 def build_propagator(c: Constraint) -> Propagator:
+    """The propagator of one constraint other than not-equal (see below)."""
     kind = c.kind
-    if kind is ConstraintKind.NOT_EQUAL:
-        x, y = c.scope
-        return NotEqualProp(x, y)
     if kind is ConstraintKind.ABS_DIFF:
         x, y, d = c.scope
         return AbsDiffProp(x, y, d)
@@ -629,7 +638,18 @@ def build_propagator(c: Constraint) -> Propagator:
 
 
 def build_propagators(model: Model) -> list[Propagator]:
-    return [build_propagator(c) for c in model.constraints]
+    """One propagator per constraint, except that the not-equals become one
+    star per variable over its distinct neighbours, placed first."""
+    neighbours: dict[VarId, dict[VarId, None]] = {}
+    props = []
+    for c in model.constraints:
+        if c.kind is _NOT_EQUAL:
+            x, y = c.scope
+            neighbours.setdefault(x, {})[y] = None
+            neighbours.setdefault(y, {})[x] = None
+        else:
+            props.append(build_propagator(c))
+    return [NotEqualProp(x, others) for x, others in neighbours.items()] + props
 
 
 def check_all(propagators: Sequence[Propagator], values: Sequence[int]) -> bool:

@@ -267,3 +267,22 @@ def naive_fixpoint(propagators, domains: list[int]) -> bool:
                 return True
         if domains == before:
             return False
+
+
+def not_equal_forward_check(edges, domains: list[int]) -> bool:
+    """Pairwise forward checking, the reference for the solver's not-equal
+    stars: while an edge has one end fixed to a value the other end still
+    holds, drop that value there. Leaves the fixpoint in `domains` and returns
+    whether some domain emptied."""
+    moved = True
+    while moved:
+        moved = False
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                fixed = list(values_of(domains[x]))
+                if len(fixed) == 1 and fixed[0] in values_of(domains[y]):
+                    domains[y] &= ~(1 << fixed[0])
+                    moved = True
+                    if not domains[y]:
+                        return True
+    return False

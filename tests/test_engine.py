@@ -21,19 +21,24 @@ from valsym.propagators import (
 from valsym.symmetry import ValuePermutation, VarValueSymmetry, inversion_permutation
 
 
+def _edge(x, y):
+    """x != y as the solver posts it: one star at each end."""
+    return [NotEqualProp(x, (y,)), NotEqualProp(y, (x,))]
+
+
 def test_not_equal_fixpoint():
     doms = [mask_of([3]), mask_of([3, 4])]
-    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms)
+    out = propagate_to_fixpoint(_edge(0, 1), doms)
     assert not out.failed
     assert doms == [mask_of([3]), mask_of([4])]
 
 
 def test_own_changes_do_not_wake_a_propagator():
-    # not-equal returns at its own fixpoint, so narrowing var 1 does not queue
-    # it for a second run that could change nothing
+    # the chain returns at its own fixpoint, so narrowing var 1, which it
+    # watches and wakes on, does not queue it for a run that changes nothing
     doms = [mask_of([3]), mask_of([3, 4])]
     stats = SearchStats()
-    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms, stats=stats)
+    out = propagate_to_fixpoint([OrderingChainProp((0, 1))], doms, stats=stats)
     assert not out.failed and doms == [mask_of([3]), mask_of([4])]
     assert stats.propagation_calls == 1
 
@@ -41,7 +46,7 @@ def test_own_changes_do_not_wake_a_propagator():
 def test_failure_reported_not_stored():
     doms = [mask_of([3]), mask_of([3])]
     stats = SearchStats()
-    out = propagate_to_fixpoint([NotEqualProp(0, 1)], doms, stats=stats)
+    out = propagate_to_fixpoint(_edge(0, 1), doms, stats=stats)
     assert out.failed
     assert stats.propagation_calls == 1  # counted on the failing return too
 
@@ -69,7 +74,7 @@ def test_all_interval_root_prefix_bound():
 
 def test_trigger_vars_wake_only_watchers():
     doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
-    props = [NotEqualProp(0, 1)]
+    props = _edge(0, 1)
     stats = SearchStats()
     out = propagate_to_fixpoint(props, doms, trigger_vars=[2], stats=stats)
     # nothing watches var 2, so nothing runs and nothing changes
@@ -83,11 +88,13 @@ def _random_instance(rng):
     n = rng.randint(3, 5)
     u = rng.randint(3, 5)
     doms = [rng.randrange(1, 1 << u) for _ in range(n)]
-    props = []
+    neighbours = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.3:
-                props.append(NotEqualProp(i, j))
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+    props = [NotEqualProp(x, ys) for x, ys in enumerate(neighbours) if ys]
     if rng.random() < 0.5:
         props.append(AllDifferentProp(tuple(range(n))))
     if rng.random() < 0.5:
@@ -180,9 +187,11 @@ def _unfixed_mask(rng, width):
             return mask
 
 
-def test_fix_only_propagators_prune_nothing_while_no_watched_variable_is_fixed():
-    # the engine wakes a fix-only propagator only when a change leaves a
-    # watched variable fixed, so one that could prune earlier is mislabelled
+def test_fix_only_propagators_prune_nothing_while_no_waking_variable_is_fixed():
+    # the engine wakes a fix-only propagator only when a change leaves one of
+    # its waking variables fixed, so one that could prune earlier is
+    # mislabelled; the other watched variables (a star's neighbours) may be
+    # fixed, as drawn or all of them
     fix_only = [
         cls for cls in vars(propagators).values()
         if isinstance(cls, type) and issubclass(cls, Propagator) and cls.fix_only
@@ -192,29 +201,45 @@ def test_fix_only_propagators_prune_nothing_while_no_watched_variable_is_fixed()
     for cls in fix_only:
         for _ in range(2_000):
             prop, doms = IDEMPOTENCE_CASES[cls.kind](rng)
-            if not prop.watches:
+            if not prop.wakes:
                 continue  # a disjunction of no pairs: the root runs it anyway
             width = max(3, max(d.bit_length() for d in doms))
-            for v in prop.watches:
+            for v in prop.wakes:
                 doms[v] = _unfixed_mask(rng, width)
-            before = list(doms)
-            assert prop.propagate(doms) == (False, []), (cls.kind, before)
-            assert doms == before
+            rest = [v for v in prop.watches if v not in prop.wakes]
+            fixed = list(doms)
+            for v in rest:
+                fixed[v] = 1 << rng.choice(list(values_of(fixed[v])))
+            for case in (doms, fixed):
+                before = list(case)
+                assert prop.propagate(case) == (False, []), (cls.kind, before)
+                assert case == before
+
+
+def test_a_star_prunes_nothing_while_its_centre_is_unfixed():
+    doms = [mask_of([0, 1]), mask_of([0]), mask_of([1])]
+    star = NotEqualProp(0, (1, 2))
+    assert star.wakes == (0,) and star.watches == (0, 1, 2)
+    assert star.propagate(doms) == (False, [])
+    assert doms == [mask_of([0, 1]), mask_of([0]), mask_of([1])]
 
 
 def test_root_runs_not_equal_only_through_a_fixed_variable():
-    # x0 is fixed at the root, so its not-equal prunes x1; neither x2 nor x3
-    # is fixed, so theirs does not run
-    doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1]), mask_of([0, 1])]
+    # x0 is fixed at the root, so its star prunes x1, which stays open; no
+    # other star's centre is fixed, so none of them runs
+    doms = [mask_of([3]), mask_of([3, 4, 5]), mask_of([0, 1]), mask_of([0, 1])]
     stats = SearchStats()
-    out = propagate_to_fixpoint([NotEqualProp(2, 3), NotEqualProp(0, 1)], doms, stats=stats)
-    assert not out.failed and doms[1] == mask_of([4])
+    out = propagate_to_fixpoint(_edge(2, 3) + _edge(0, 1), doms, stats=stats)
+    assert not out.failed and doms[1] == mask_of([4, 5])
     assert stats.propagation_calls == 1
 
 
 class _Recorder(Propagator):
-    def __init__(self, name, watches, fix_only, log):
+    wakes = ()  # shadows the default, so that an instance can set its own
+
+    def __init__(self, name, watches, fix_only, log, wakes=None):
         self.name, self.watches, self.fix_only, self.log = name, watches, fix_only, log
+        self.wakes = watches if wakes is None else wakes
 
     def propagate(self, domains):
         self.log.append(self.name)
@@ -232,6 +257,34 @@ def test_fix_only_watchers_run_before_the_fifo():
     assert not propagate_to_fixpoint(props, doms, trigger_vars=[0, 1]).failed
     # x1 is not fixed, so only x0's fix-only watcher wakes, ahead of the FIFO
     assert log == ["on-fix-0", "global"]
+
+
+@pytest.mark.parametrize("fix_only", [False, True])
+def test_only_waking_variables_wake_a_propagator(fix_only):
+    # it watches x0 and x1 but wakes on x0 alone
+    log = []
+    props = [_Recorder("p", (0, 1), fix_only, log, wakes=(0,))]
+    doms = [mask_of([0, 1]), mask_of([2])]
+    assert not propagate_to_fixpoint(props, doms, trigger_vars=[1]).failed
+    assert log == []
+    doms[0] = mask_of([1])
+    assert not propagate_to_fixpoint(props, doms, trigger_vars=[0]).failed
+    assert log == ["p"]
+
+
+def test_root_wakes_a_fix_only_propagator_through_fixed_waking_variables_only():
+    log = []
+    props = [_Recorder("p", (0, 1), True, log, wakes=(0,))]
+    # x1 is fixed but does not wake it, and x0 is open
+    assert not propagate_to_fixpoint(props, [mask_of([0, 1]), mask_of([2])]).failed
+    assert log == []
+    assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
+    assert log == ["p"]
+    # with no waking variable at all, the root runs it once
+    log.clear()
+    props = [_Recorder("q", (0, 1), True, log, wakes=())]
+    assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
+    assert log == ["q"]
 
 
 @pytest.mark.parametrize("mode", MODES)

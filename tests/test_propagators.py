@@ -11,12 +11,13 @@ from oracles import (
     all_different_propagate_per_value,
     brute_support,
     constraint_holds,
+    not_equal_forward_check,
 )
 from valsym.domains import mask_of, values_of
 from valsym import propagators
 from valsym.engine import Propagator, propagate_to_fixpoint
 from valsym.errors import ModelError
-from valsym.model import Constraint, ConstraintKind
+from valsym.model import Constraint, ConstraintKind, Model
 from valsym.propagators import (
     AbsDiffProp,
     AllDifferentProp,
@@ -27,9 +28,10 @@ from valsym.propagators import (
     NotEqualProp,
     OrderingChainProp,
     PrecedenceProp,
-    build_propagator,
+    build_propagators,
+    check_all,
 )
-from valsym.symmetry import ValuePermutation, VarValueSymmetry
+from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry
 
 
 def run(props, doms):
@@ -266,14 +268,62 @@ REGISTRY_CASES = {
 }
 
 
+def _graph_model(num_vars, num_values, constraints):
+    """A model with full domains and no declared symmetry."""
+    return Model(
+        name="graph",
+        universe_size=num_values,
+        domains=((1 << num_values) - 1,) * num_vars,
+        constraints=tuple(constraints),
+        symmetry=SymmetrySpec(scope_len=0, universe_size=num_values),
+        symmetry_scope=(),
+    )
+
+
 @pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)
 def test_every_constraint_kind_has_a_propagator_and_an_oracle(kind):
     # the enum, the factory and the reference oracle cover the same kinds
     c = REGISTRY_CASES[kind]
-    prop = build_propagator(c)
-    assert prop.kind == kind.value
+    props = build_propagators(_graph_model(4, 3, [c]))
+    assert props and {p.kind for p in props} == {kind.value}
     for values in product(range(3), repeat=4):
-        assert prop.check(values) == constraint_holds(c, values)
+        assert check_all(props, values) == constraint_holds(c, values)
+
+
+def test_not_equal_stars_match_pairwise_forward_checking():
+    # random graphs, repeated and reversed edges included, over random masks:
+    # the stars reach the pairwise fixpoint, at the root and after a decision
+    rng = random.Random(3030)
+    outcomes = Counter()
+    for _ in range(2_000):
+        n, u = rng.randint(2, 7), rng.randint(2, 4)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        model = _graph_model(n, u, [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges])
+        props = build_propagators(model)
+        values = [rng.randrange(u) for _ in range(n)]
+        holds = all(constraint_holds(c, values) for c in model.constraints)
+        assert check_all(props, values) == holds
+        outcomes["holds" if holds else "violated"] += 1
+        doms = _random_masks(rng, n, u, fixed=0.4)
+        ref = list(doms)
+        ref_failed = not_equal_forward_check(edges, ref)
+        assert propagate_to_fixpoint(props, doms).failed == ref_failed, (edges, ref)
+        if ref_failed:
+            outcomes["failed"] += 1
+            continue
+        assert doms == ref
+        open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
+        if not open_vars:
+            continue
+        v = rng.choice(open_vars)
+        doms[v] = 1 << rng.choice(list(values_of(doms[v])))
+        ref = list(doms)
+        ref_failed = not_equal_forward_check(edges, ref)
+        assert propagate_to_fixpoint(props, doms, trigger_vars=[v]).failed == ref_failed
+        if not ref_failed:
+            assert doms == ref
+        outcomes["decided"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_equality_disjunction_waits_for_full_fix():
@@ -330,7 +380,7 @@ def test_binary_propagators_sound_and_contracting(inst):
     # fixpoint domains contain every brute-force support and never grow
     u, doms = inst
     n = len(doms)
-    props = [NotEqualProp(0, 1)]
+    props = [NotEqualProp(0, (1,)), NotEqualProp(1, (0,))]
     if n >= 3:
         props.append(AbsDiffProp(0, 1, 2))
     props.append(OrderingChainProp((0, n - 1)))
@@ -406,8 +456,15 @@ def _random_disjunction_case(rng):
     return EqualityDisjunctionProp(pairs), _random_masks(rng, n, 3, fixed=0.8)
 
 
+def _random_star_case(rng):
+    n = rng.randint(2, 5)
+    x = rng.randrange(n)
+    others = rng.sample([v for v in range(n) if v != x], rng.randint(1, n - 1))
+    return NotEqualProp(x, others), _random_masks(rng, n, 4, fixed=0.5)
+
+
 IDEMPOTENCE_CASES = {
-    "not-equal": lambda rng: (NotEqualProp(0, 1), _random_masks(rng, 2, 4, fixed=0.5)),
+    "not-equal": _random_star_case,
     "abs-diff": _random_abs_diff_case,
     "all-different": lambda rng: _random_all_different_case(rng, AllDifferentProp),
     "lazy-all-different": lambda rng: _random_all_different_case(rng, LazyAllDifferentProp),
@@ -447,3 +504,18 @@ def test_propagate_returns_at_its_own_fixpoint(kind):
     # most cases do not fail, and every kind that can narrow does so often
     assert outcomes["narrowed"] + outcomes["unchanged"] > 1_000
     assert (outcomes["narrowed"] > 300) == (kind != "equality-disjunction")
+
+
+@pytest.mark.parametrize("kind", list(IDEMPOTENCE_CASES))
+def test_propagate_narrows_only_watched_variables_and_reports_each(kind):
+    # bench/tracer.py snapshots only `watches` and counts the values removed
+    # from the variables reported as changed, so both must cover every write;
+    # two trailing variables that nothing watches catch a stray index
+    rng = random.Random(6161)
+    for _ in range(2_000):
+        prop, doms = IDEMPOTENCE_CASES[kind](rng)
+        doms += _random_masks(rng, 2, 4)
+        before = list(doms)
+        _, changed = prop.propagate(doms)
+        narrowed = {v for v, (a, b) in enumerate(zip(before, doms)) if a != b}
+        assert narrowed == set(changed) <= set(prop.watches), (kind, before)
