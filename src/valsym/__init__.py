@@ -41,8 +41,6 @@ from .symmetry import (
     ValuePermutation,
     VarValueSymmetry,
     canonical_form,
-    close_group,
-    exact_valsym_prune,
     inversion_permutation,
     orbit_partition,
 )
@@ -75,9 +73,7 @@ __all__ = [
     "build_coloring_from_dimacs",
     "build_pigeonhole",
     "canonical_form",
-    "close_group",
     "compare_methods",
-    "exact_valsym_prune",
     "getree_allowed_values",
     "inversion_permutation",
     "orbit_partition",

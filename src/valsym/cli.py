@@ -153,7 +153,7 @@ def _partial_report_on_budget(args, model: Model, modes: list[str], limit: Optio
     try:
         yield
     except BudgetExceeded as exc:
-        if args.format == "json" and exc.stats is not None:
+        if args.format == "json":
             run = ModeResult(exc.mode, exc.solutions, exc.stats)
             report = _report(args, model, modes, solution_limit=limit,
                              results=[*exc.completed, run], outcome="budget-exceeded")
@@ -220,10 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.stats is not None:
-            counts = exc.stats.as_dict().items()
-            partial = " ".join(f"{k}={v}" for k, v in counts if k != "elapsed")
-            print(f"partial stats: {partial}", file=sys.stderr)
+        counts = exc.stats.as_dict().items()
+        partial = " ".join(f"{k}={v}" for k, v in counts if k != "elapsed")
+        print(f"partial stats: {partial}", file=sys.stderr)
         return EXIT_BUDGET
     except (ModelError, DimacsParseError, UnsupportedModeError, GroupTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,14 +29,14 @@ class GroupTooLarge(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Search or enumeration passed its node/assignment budget.
+    """A search passed its node budget.
 
-    A search that runs out carries its partial stats, its mode and the
-    solutions it found before the budget ran out; a comparison adds, in
-    `completed`, the results of the modes that finished before it.
+    It carries the search's partial stats, its mode and the solutions it
+    found before the budget ran out; a comparison adds, in `completed`, the
+    results of the modes that finished before it.
     """
 
-    def __init__(self, budget: int, stats=None, mode: str | None = None, solutions=()):
+    def __init__(self, budget: int, stats, mode: str, solutions=()):
         super().__init__(f"enumeration budget exceeded ({budget})")
         self.budget = budget
         self.stats = stats

@@ -279,15 +279,6 @@ class PrecedenceProp(Propagator):
         self.value_bit = {1 << r: 1 << v for r, v in enumerate(order)}
         self.watches = self.scope
 
-    def _dest(self, state: int, value: int) -> int:
-        # -1 = dead
-        r = self.rank.get(value)
-        if r is None or r < state:
-            return state
-        if r == state:
-            return state + 1
-        return -1
-
     def _ranks(self, mask: int) -> int:
         """Rank mask of the class values in a domain mask."""
         rank_bit = self.rank_bit
@@ -350,12 +341,12 @@ class PrecedenceProp(Propagator):
         return False, changed
 
     def check(self, values):
-        state = 0
+        nxt = 0  # rank of the next class value allowed to appear first
         for var in self.scope:
-            dest = self._dest(state, values[var])
-            if dest < 0:
+            r = self.rank.get(values[var], -1)
+            if r > nxt:
                 return False
-            state = dest
+            nxt += r == nxt
         return True
 
 

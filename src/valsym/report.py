@@ -42,12 +42,8 @@ def _orbit_lines(orbits: Sequence[Sequence[tuple[int, ...]]]) -> list[str]:
     return lines
 
 
-def schema_path():
-    return resources.files("valsym") / "schema" / "run_report.schema.json"
-
-
 def load_schema() -> dict:
-    return json.loads(schema_path().read_text())
+    return json.loads((resources.files("valsym") / "schema" / "run_report.schema.json").read_text())
 
 
 @dataclass

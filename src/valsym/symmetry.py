@@ -1,4 +1,4 @@
-"""Value and variable/value symmetries, group closure, orbits, exact pruning.
+"""Value and variable/value symmetries, group closure, orbits.
 
 A symmetry acts on assignments to an ordered tuple of scope variables. The
 element (theta, sigma) maps assignment A to A' with A'(theta(i)) = sigma(A(i)):
@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .domains import values_of
-from .errors import BudgetExceeded, GroupTooLarge, ModelError
+from .errors import GroupTooLarge, ModelError
 
 GROUP_CAP = 10_080
 # the most values a class may hold for its permutations to fit GROUP_CAP
@@ -48,12 +47,6 @@ class ValuePermutation:
     @property
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.image))
-
-    def inverse(self) -> "ValuePermutation":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return ValuePermutation(tuple(inv))
 
     def after(self, first: "ValuePermutation") -> "ValuePermutation":
         """Composite mapping v -> self(first(v))."""
@@ -117,9 +110,6 @@ class VarValueSymmetry:
         theta = tuple(then.theta[p] for p in self.theta)
         return VarValueSymmetry(theta, then.sigma.after(self.sigma))
 
-    def inverse(self) -> "VarValueSymmetry":
-        return VarValueSymmetry(self.theta_inverse(), self.sigma.inverse())
-
 
 def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
     """BFS closure of the generators under composition, identity included,
@@ -164,12 +154,12 @@ class ClassProduct:
     reading left to right, the k-th distinct value met from a class becomes
     that class's k-th smallest value, and values outside every class stay
     fixed. Each step takes the least value not yet used as an image, which is
-    the greedy choice that minimises the image position by position.
-    `class_of` maps each class value to the index of its class.
+    the greedy choice that minimises the image position by position, on an
+    assignment of any length. `class_of` maps each class value to the index
+    of its class.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    scope_len: int
     universe_size: int
     _ascending: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     class_of: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -225,7 +215,7 @@ class SymmetrySpec:
 
     def class_product(self) -> ClassProduct:
         """The interchangeable classes' group in structural form."""
-        return ClassProduct(self.interchangeable_classes, self.scope_len, self.universe_size)
+        return ClassProduct(self.interchangeable_classes, self.universe_size)
 
     def closed_group(self) -> list[VarValueSymmetry]:
         """The whole group the spec denotes; every enumerated group is built here.
@@ -303,31 +293,3 @@ def canonical_form(assignment: Sequence[int], group: Group) -> tuple[int, ...]:
     if not group:
         return t
     return min(g.apply(t) for g in group)
-
-
-def exact_valsym_prune(
-    domains: Sequence[int],
-    symmetries: Sequence[VarValueSymmetry],
-    budget: int = 1_000_000,
-) -> list[int] | None:
-    """Ground-truth filter for the conjunction of all lex-leader comparisons.
-
-    Enumerates every full assignment from the domain masks (no other
-    constraints) and keeps a value iff it appears in some assignment A with
-    A <=lex g(A) for every listed symmetry. Returns the surviving masks, or
-    None when nothing survives (failure). Raises BudgetExceeded if the product
-    of domain sizes passes `budget`.
-    """
-    total = 1
-    for d in domains:
-        total *= d.bit_count()
-        if total > budget:
-            raise BudgetExceeded(budget)
-    support = [0] * len(domains)
-    for combo in itertools.product(*[list(values_of(d)) for d in domains]):
-        if all(combo <= g.apply(combo) for g in symmetries):
-            for i, v in enumerate(combo):
-                support[i] |= 1 << v
-    if any(m == 0 for m in support):
-        return None
-    return support

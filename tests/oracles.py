@@ -105,6 +105,14 @@ def brute_support(
     return support if any_ok else None
 
 
+def lex_leader_support(
+    domains: Sequence[int], symmetries: Sequence[VarValueSymmetry]
+) -> Optional[list[set]]:
+    """The exact filter for the conjunction of the lex-leader comparisons
+    A <=lex g(A), one per listed symmetry: brute_support under it."""
+    return brute_support(domains, lambda a: all(a <= g.apply(a) for g in symmetries))
+
+
 def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
     """FirstOccurrenceChannelProp.propagate as first written: one scan of the
     whole scope per class value and pass. The reference for the single-scan

@@ -1,5 +1,6 @@
 """Every name a library or test module imports is read somewhere in that
-module, and the package exports exactly what it imports."""
+module, every library module serves another one, and the package exports
+exactly what it imports."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,22 @@ def test_checker_flags_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_library_module_but_the_cli_is_imported_by_another():
+    # test-only helpers belong under tests/, not in the library
+    imports = {
+        path.stem: {
+            node.module for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        for path in MODULES
+    }
+    unused = [
+        name for name in imports
+        if name != "cli" and not any(name in imps for other, imps in imports.items() if other != name)
+    ]
+    assert unused == []
 
 
 def test_exports_resolve_and_every_public_import_is_exported():

@@ -2,7 +2,8 @@
 found them.
 
 Two gaps matter and both are easy to lose to an innocent-looking propagator
-improvement, so they are pinned here and re-verified by the test suite:
+improvement, so they are pinned here and re-verified by acceptance
+criterion 6 and test_witnesses.py:
 
   * decomposition gap: posting one lex-leader propagator per symmetry in a
     set can be strictly weaker than filtering the whole conjunction at once,
@@ -18,10 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import mask_of, values_of
-from .engine import propagate_to_fixpoint
-from .propagators import LexLeaderProp, PrecedenceProp, post_first_occurrence_channel
-from .symmetry import ValuePermutation, VarValueSymmetry, exact_valsym_prune
+from oracles import lex_leader_support
+from valsym.domains import mask_of, values_of
+from valsym.engine import propagate_to_fixpoint
+from valsym.propagators import LexLeaderProp, PrecedenceProp, post_first_occurrence_channel
+from valsym.symmetry import ValuePermutation, VarValueSymmetry
 
 
 def _domains_of(values: Sequence[Sequence[int]]) -> list[int]:
@@ -51,21 +53,16 @@ class DecompositionWitness:
         out = propagate_to_fixpoint(props, doms)
         return out.failed, doms
 
-    def oracle_fixpoint(self) -> Optional[list[int]]:
-        return exact_valsym_prune(_domains_of(self.domains), self.symmetries())
+    def oracle_fixpoint(self) -> Optional[list[set]]:
+        return lex_leader_support(_domains_of(self.domains), self.symmetries())
 
     def gap_values(self) -> list[tuple[int, int]]:
         """(var, value) pairs the decomposition retains but the oracle prunes."""
         failed, decomp = self.decomposition_fixpoint()
         if failed:
             return []
-        oracle = self.oracle_fixpoint()
-        out = []
-        for i, d in enumerate(decomp):
-            oracle_mask = 0 if oracle is None else oracle[i]
-            for v in values_of(d & ~oracle_mask):
-                out.append((i, v))
-        return out
+        oracle = self.oracle_fixpoint() or [set()] * len(decomp)
+        return [(i, v) for i, d in enumerate(decomp) for v in values_of(d) if v not in oracle[i]]
 
 
 @dataclass(frozen=True)
