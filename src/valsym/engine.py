@@ -8,6 +8,11 @@ first: not-equal cascades settle before the global propagators run. The root
 runs all the others in index order, and a fix-only one through a waking
 variable fixed already or if it has none. A propagator returns at its own
 fixpoint, so the engine does not wake it for the changes it made itself.
+
+Watchers are two per-variable lists, (on_change, on_fix), of tuples of
+propagator indices; a variable nothing wakes holds the shared `()`. Search
+builds a model's own watchers once and extends copies of them with a mode's
+extra propagators, numbered after the model's own.
 """
 
 from __future__ import annotations
@@ -41,8 +46,11 @@ class Propagator:
     of those is a singleton; the engine then wakes it only when one is fixed.
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
+    A propagator keeps no state after __init__: search shares a model's own
+    propagators across all its solves.
     """
 
+    __slots__ = ()
     kind = "propagator"
     watches: tuple[VarId, ...] = ()
     fix_only = False
@@ -58,20 +66,38 @@ class Propagator:
         raise NotImplementedError
 
 
-def build_watchers(propagators: Sequence[Propagator], num_vars: int) -> list[tuple[list, list]]:
-    """Per variable: (watchers woken by any change, fix-only ones by a fix)."""
-    watchers: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-    for idx, p in enumerate(propagators):
+Watchers = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
+
+
+def build_watchers(
+    propagators: Sequence[Propagator],
+    num_vars: int,
+    base: Optional[Watchers] = None,
+    first: int = 0,
+) -> Watchers:
+    """Per variable: the indices of the propagators any change wakes, and of
+    the fix-only ones a fix wakes. With `base`, copies of its lists, padded
+    to num_vars, are extended with `propagators` numbered from `first`, which
+    leaves each entry in index order when `first` is past every index in
+    `base`; `base` itself is not changed."""
+    if base is None:
+        base = ([], [])
+    pad = [()] * (num_vars - len(base[0]))
+    lists = (base[0] + pad, base[1] + pad)
+    added: dict[tuple[bool, VarId], list[int]] = {}
+    for idx, p in enumerate(propagators, first):
         for v in p.wakes:
-            watchers[v][p.fix_only].append(idx)
-    return watchers
+            added.setdefault((p.fix_only, v), []).append(idx)
+    for (fix_only, v), idxs in added.items():
+        lists[fix_only][v] += tuple(idxs)
+    return lists
 
 
 def propagate_to_fixpoint(
     propagators: Sequence[Propagator],
     domains: list[int],
     trigger_vars: Optional[Sequence[int]] = None,
-    watchers: Optional[list[tuple[list, list]]] = None,
+    watchers: Optional[Watchers] = None,
     stats=None,
 ) -> PropagationOutcome:
     """Run propagators to their common fixpoint.
@@ -94,18 +120,19 @@ def propagate_to_fixpoint(
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
     else:
         changed = trigger_vars
+    on_change, on_fix = watchers
     idx = len(propagators)  # the spare pending slot: no propagator ran yet
     calls = 0
     while True:
         # enqueueing is inlined: it runs once per watcher of every change
         for v in changed:
-            on_change, on_fix = watchers[v]
-            for w in on_change:
+            for w in on_change[v]:
                 if not pending[w]:
                     pending[w] = True
                     queue.append(w)
-            if on_fix and not domains[v] & (domains[v] - 1):
-                for w in on_fix:
+            fix_woken = on_fix[v]
+            if fix_woken and not domains[v] & (domains[v] - 1):
+                for w in fix_woken:
                     if not pending[w]:
                         pending[w] = True
                         first.append(w)

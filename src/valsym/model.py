@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from .domains import VarId, mask_of, values_of
@@ -24,15 +25,21 @@ class ConstraintKind(enum.Enum):
 _NOT_EQUAL = ConstraintKind.NOT_EQUAL
 _ABS_DIFF = ConstraintKind.ABS_DIFF
 _DISJUNCTION = ConstraintKind.EQUALITY_DISJUNCTION
+# one read-only empty params shared by every constraint that has none; a
+# mappingproxy cannot be a plain field default, since it is unhashable
+_NO_PARAMS = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    """Declarative constraint descriptor; propagators are built from these."""
+    """Declarative constraint descriptor; propagators are built from these.
+
+    Slotted, and sharing one empty `params`, because a model may hold tens of
+    thousands of them."""
 
     kind: ConstraintKind
     scope: tuple[VarId, ...]
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=lambda: _NO_PARAMS)
 
     def __post_init__(self):
         kind = self.kind

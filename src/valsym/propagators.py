@@ -27,13 +27,17 @@ class NotEqualProp(Propagator):
     fixed and drops x's value from every neighbour in one loop; see
     `build_propagators`, which puts each edge into the stars of both ends."""
 
+    __slots__ = ("x", "others")  # a model holds one star per variable
     kind = "not-equal"
     fix_only = True
 
     def __init__(self, x: VarId, others: Sequence[VarId]):
         self.x = x
         self.others = tuple(others)
-        self.watches = (x, *self.others)
+
+    @property
+    def watches(self):
+        return (self.x, *self.others)
 
     @property
     def wakes(self):
@@ -601,13 +605,14 @@ class EqualityDisjunctionProp(Propagator):
         self.watches = tuple(sorted({v for p in self.pairs for v in p}))
 
     def propagate(self, domains):
-        if not self.pairs:
-            return True, []
-        if all(not domains[v] & (domains[v] - 1) for v in self.watches):
-            # singleton masks are equal exactly when their values are
-            if not any(domains[a] == domains[b] for a, b in self.pairs):
-                return True, []
-        return False, []
+        # in input order the scope's tail is fixed last, so scanning from the
+        # end usually stops at once
+        for v in reversed(self.watches):
+            d = domains[v]
+            if d & (d - 1):
+                return False, []
+        # singleton masks are equal exactly when their values are
+        return not any(domains[a] == domains[b] for a, b in self.pairs), []
 
     def check(self, values):
         return any(values[a] == values[b] for a, b in self.pairs)

@@ -16,6 +16,13 @@ Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
 re-checked against the exact constraint relations, so weak propagators cost
 time, never correctness.
+
+A model's own propagators and their watchers are built on its first `solve`
+and kept in the model's `__dict__`, outside its fields, so `==`, `repr` and
+`dataclasses.replace` do not see them; every later solve, in any mode, shares
+them. A propagator keeps no state after `__init__`, so sharing one is safe.
+Each solve builds only its mode's extra propagators and watches them through
+extended copies of the shared watcher lists.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import lru_cache
 from typing import Container, Optional, Sequence
 
 from .domains import copy_domains, values_of
-from .engine import build_watchers, propagate_to_fixpoint
+from .engine import Watchers, build_watchers, propagate_to_fixpoint
 from .errors import BudgetExceeded, GroupTooLarge, UnsupportedModeError
 from .model import ConstraintKind, Model
 from .propagators import (
@@ -198,19 +205,33 @@ def _static_lex_propagators(model: Model) -> list:
     return props
 
 
-def _prepare(model: Model, mode: str) -> tuple[list[int], list]:
+def _own_propagators(model: Model) -> tuple[tuple, Watchers]:
+    """The model's own propagators and their watchers, built on first use."""
+    own = model.__dict__.get("_own_propagators")
+    if own is None:
+        props = tuple(build_propagators(model))
+        own = model.__dict__["_own_propagators"] = (props, build_watchers(props, model.num_vars))
+    return own
+
+
+def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
+    """The working domains, the propagators and their watchers for one solve:
+    the model's shared own ones, then those the mode posts."""
     _require_mode(model.symmetry, mode)
     classes = model.symmetry.interchangeable_classes
     domains = model.initial_domains()
-    props = build_propagators(model)
+    own, watchers = _own_propagators(model)
+    extra = []
     if mode == "static-lex":
-        props += _static_lex_propagators(model)
+        extra = _static_lex_propagators(model)
     elif mode == "precedence":
-        props += [PrecedenceProp(model.symmetry_scope, cls) for cls in classes]
+        extra = [PrecedenceProp(model.symmetry_scope, cls) for cls in classes]
     elif mode == "channel":
         for cls in classes:
-            props += post_first_occurrence_channel(domains, model.symmetry_scope, cls)
-    return domains, props
+            extra += post_first_occurrence_channel(domains, model.symmetry_scope, cls)
+    if extra:
+        watchers = build_watchers(extra, len(domains), watchers, len(own))
+    return domains, [*own, *extra], watchers
 
 
 def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tuple[int, ...]], SearchStats]:
@@ -220,7 +241,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     position variables are stripped), deterministic for a given config."""
     if config is None:
         config = SearchConfig()
-    domains, props = _prepare(model, config.symmetry_mode)
+    domains, props, watchers = _prepare(model, config.symmetry_mode)
     getree = config.symmetry_mode == "getree"
     if getree:
         group, scope = break_group(model, "getree"), set(model.symmetry_scope)
@@ -228,7 +249,6 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     limit = config.solution_limit
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
-    watchers = build_watchers(props, len(domains))
     num_vars = len(domains)
     ascending = config.val_order == "ascending"
     min_dom = config.var_order == "min-domain"

@@ -79,7 +79,7 @@ def test_criterion_1_reference_vectors():
 
     # static-lex posts first < last for reversal (the series is all-different)
     # and a lex-leader each for inversion and for the composed element
-    _, broken_props = _prepare(model, "static-lex")
+    _, broken_props, _ = _prepare(model, "static-lex")
     posted = sorted(p.kind for p in broken_props[len(base_props):])
     if posted != ["lex-leader", "lex-leader", "ordering-chain"]:
         problems.append(f"static-lex posted {posted}")

@@ -6,7 +6,8 @@ from oracles import naive_fixpoint
 from test_propagators import IDEMPOTENCE_CASES
 from valsym import propagators
 from valsym.domains import mask_of, values_of
-from valsym.engine import Propagator, propagate_to_fixpoint
+from valsym.engine import Propagator, build_watchers, propagate_to_fixpoint
+from valsym.model import Constraint, ConstraintKind
 from valsym.problems import build_all_interval, build_pigeonhole
 from valsym.search import MODES, SearchConfig, SearchStats, solve
 from valsym.propagators import (
@@ -232,6 +233,43 @@ def test_root_runs_not_equal_only_through_a_fixed_variable():
     out = propagate_to_fixpoint(_edge(2, 3) + _edge(0, 1), doms, stats=stats)
     assert not out.failed and doms[1] == mask_of([4, 5])
     assert stats.propagation_calls == 1
+
+
+def _random_watched(rng, num_vars):
+    scope = rng.sample(range(num_vars), rng.randint(1, num_vars))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return NotEqualProp(scope[0], scope[1:])
+    if kind == 1:
+        return AllDifferentProp(scope)
+    if kind == 2:
+        return OrderingChainProp(scope)
+    return EqualityDisjunctionProp(list(zip(scope, scope[1:])))
+
+
+def test_extending_base_watchers_matches_watching_the_whole_list():
+    # the order of each entry is the order propagators are queued in, so it
+    # is what keeps propagation_calls the same
+    rng = random.Random(2929)
+    for _ in range(500):
+        base_vars = rng.randint(1, 6)
+        num_vars = base_vars + rng.randint(0, 3)  # a mode may add variables
+        head = [_random_watched(rng, base_vars) for _ in range(rng.randint(0, 6))]
+        tail = [_random_watched(rng, num_vars) for _ in range(rng.randint(0, 6))]
+        base = build_watchers(head, base_vars)
+        before = tuple(list(lists) for lists in base)
+        extended = build_watchers(tail, num_vars, base, len(head))
+        assert extended == build_watchers(head + tail, num_vars)
+        assert base == before
+        assert all(type(entry) is tuple for lists in extended for entry in lists)
+
+
+def test_stars_and_default_params_are_lean():
+    assert not hasattr(NotEqualProp(0, (1,)), "__dict__")
+    a = Constraint(ConstraintKind.NOT_EQUAL, (0, 1))
+    b = Constraint(ConstraintKind.ALL_DIFFERENT, (1, 2, 3))
+    assert not hasattr(a, "__dict__") and a.params is b.params
+    assert a == Constraint(ConstraintKind.NOT_EQUAL, (0, 1), {})
 
 
 class _Recorder(Propagator):

@@ -249,6 +249,51 @@ def test_search_counters_are_pinned(model, mode, want):
     assert got == want
 
 
+# A model builds its own propagators on its first solve and keeps them for
+# every later one; each builder here makes a fresh, equal twin.
+_CACHE_MODELS = {
+    name: _PINNED_MODELS[name] for name in ("graph-12", "pigeonhole-6", "all-interval-8")
+} | {"random": lambda: random_interchangeable_model(random.Random(9), 8, 4)}
+
+
+def _run(model, mode):
+    sols, stats = solve(model, SearchConfig(symmetry_mode=mode))
+    counts = stats.as_dict()
+    del counts["elapsed"]
+    return sols, counts
+
+
+@pytest.mark.parametrize("name", _CACHE_MODELS)
+def test_solving_a_model_again_in_any_mode_matches_a_fresh_twin(name):
+    build = _CACHE_MODELS[name]
+    model = build()
+    runs = ["none", *applicable_modes(model)] * 2
+    random.Random(name).shuffle(runs)
+    for mode in runs:
+        assert _run(model, mode) == _run(build(), mode), (name, mode)
+    assert model == build()
+    assert repr(model) == repr(build())
+
+
+@pytest.mark.parametrize("name", ["graph-12", "all-interval-8"])
+def test_a_static_lex_solve_leaves_nothing_behind_for_none(name):
+    model = _CACHE_MODELS[name]()
+    solve(model, SearchConfig(symmetry_mode="static-lex"))
+    _, stats = solve(model, SearchConfig())
+    _, fresh = solve(_CACHE_MODELS[name](), SearchConfig())
+    assert stats.propagation_calls == fresh.propagation_calls
+
+
+def test_a_replaced_model_builds_its_own_propagators():
+    model = _CACHE_MODELS["graph-12"]()
+    solve(model, SearchConfig())
+    fewer = model.constraints[:-3]
+    solved_twin = replace(model, constraints=fewer)
+    fresh_twin = replace(_CACHE_MODELS["graph-12"](), constraints=fewer)
+    assert _run(solved_twin, "none") == _run(fresh_twin, "none")
+    assert _run(solved_twin, "none")[0] != _run(model, "none")[0]
+
+
 def test_repeated_not_equals_solve_as_their_deduplicated_twin():
     # the public Model API may list an edge twice, either way round
     edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)]
