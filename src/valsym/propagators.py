@@ -128,14 +128,19 @@ class AllDifferentProp(Propagator):
     of available values equals the scope size, a value held by only one
     variable is fixed there; fewer available values than variables fails.
 
-    Holders are counted with two words in the same scope pass that takes the
-    union: `twice |= once & d; once |= d`, so `once & ~twice` holds the values
-    with exactly one holder. Values are fixed in ascending order at the first
-    variable holding them; a fix that drops a value with other holders counts
-    again, so a value left with one holder by an earlier fix is fixed in the
-    same round, and the writes are those of one scope scan per value. A round
-    that fixes no value and leaves no new assigned variable is the last: the
-    next one would prune nothing and find every single holder fixed already.
+    A round reads the scope once. It counts holders with two words, `twice |=
+    once & d; once |= d`, so `once & ~twice` holds the values with exactly
+    one holder, and takes `open_union`, the union of the domains that are not
+    singletons. Two scans are skipped because they could write nothing: the
+    prune scan runs only when `open_union & fixed_mask`, since an open domain
+    that holds no assigned value needs no prune, and single holders are looked
+    for only in `open_union`, since a value whose only holder is fixed needs
+    no write. Values are fixed in ascending order at the first variable
+    holding them; a fix that drops a value with other holders counts again,
+    so a value left with one holder by an earlier fix is fixed in the same
+    round, and the writes are those of one scope scan per value. A round that
+    fixes no value and leaves no new assigned variable is the last: the next
+    one would prune nothing and find every single holder fixed already.
     """
 
     kind = "all-different"
@@ -147,6 +152,7 @@ class AllDifferentProp(Propagator):
 
     def propagate(self, domains):
         scope = self.scope
+        size = len(scope)
         prune = self.prune_assigned
         changed = set()
         while True:
@@ -154,16 +160,18 @@ class AllDifferentProp(Propagator):
             # pruning assigned values leaves each pruned value in the singleton
             # holding it, so it neither shrinks the union nor leaves a value
             # with one holder that needs a write: the counts need no redo
-            once = twice = fixed_mask = 0
+            once = twice = open_union = fixed_mask = 0
             for v in scope:
                 d = domains[v]
                 twice |= once & d
                 once |= d
-                if prune and not d & (d - 1):
+                if d & (d - 1):
+                    open_union |= d
+                elif prune:
                     if d & fixed_mask:
                         return True, list(changed)  # two vars on one value
                     fixed_mask |= d
-            if fixed_mask:
+            if open_union & fixed_mask:
                 for v in scope:
                     d = domains[v]
                     if d & (d - 1) and d & fixed_mask:
@@ -173,11 +181,13 @@ class AllDifferentProp(Propagator):
                             return True, list(changed)
                         if not d & (d - 1):
                             moved = True  # a new assignment to prune next round
-            if once.bit_count() < len(scope):
+            count = once.bit_count()
+            if count < size:
                 return True, list(changed)
-            if once.bit_count() == len(scope):
-                # every available value is used exactly once
-                single = once & ~twice
+            if count == size:
+                # every available value is used exactly once; domains only
+                # shrink, so open_union still covers every open domain
+                single = once & ~twice & open_union
                 while single:
                     bit = single & -single
                     single ^= bit
@@ -195,7 +205,7 @@ class AllDifferentProp(Propagator):
                                         e = domains[u]
                                         twice |= once & e
                                         once |= e
-                                    single = once & ~twice & -(bit << 1)
+                                    single = once & ~twice & open_union & -(bit << 1)
                             break
             if not moved:
                 return False, list(changed)

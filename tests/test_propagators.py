@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,50 @@ def test_all_different_holder_count_matches_per_value_scans(cls):
         outcomes["failed" if failed else min(len(changed), 2)] += 1
     # failures, fixpoints and calls that narrow one and several variables all occur often
     assert min(outcomes.values()) > 300 and len(outcomes) == 4
+
+
+def _engine_shaped_all_different_case(rng, cls):
+    """A random case brought to the reference's fixpoint, then one open scope
+    variable narrowed by one value or fixed: the input the engine sends after
+    one change. None when the fixpoint fails or leaves no open variable."""
+    prop, doms = _random_all_different_case(rng, cls)
+    if all_different_propagate_per_value(prop, doms)[0]:
+        return None
+    open_vars = [v for v in prop.scope if doms[v] & (doms[v] - 1)]
+    if not open_vars:
+        return None
+    v = rng.choice(open_vars)
+    bit = 1 << rng.choice(list(values_of(doms[v])))
+    doms[v] = doms[v] ^ bit if rng.random() < 0.5 else bit
+    return prop, doms
+
+
+@pytest.mark.parametrize("cls", [AllDifferentProp, LazyAllDifferentProp])
+def test_all_different_matches_per_value_scans_on_engine_traffic(cls):
+    rng = random.Random(4545)
+    seen = Counter()
+    for _ in range(20_000):
+        case = _engine_shaped_all_different_case(rng, cls)
+        if case is None:
+            continue
+        prop, doms = case
+        scope_doms = [doms[v] for v in prop.scope]
+        fixed = [d for d in scope_doms if not d & (d - 1)]
+        open_union = reduce(or_, (d for d in scope_doms if d & (d - 1)), 0)
+        holders = Counter(b for d in scope_doms for b in values_of(d))
+        want = list(doms)
+        want_failed, want_changed = all_different_propagate_per_value(prop, want)
+        failed, changed = prop.propagate(doms)
+        assert (failed, doms, set(changed)) == (want_failed, want, set(want_changed))
+        # the cases reach the scans this kernel skips, and the writes it keeps
+        if fixed and not open_union & reduce(or_, fixed):
+            seen["prune scan skipped"] += 1
+        if len(holders) == len(prop.scope) and any(holders[d.bit_length() - 1] == 1 for d in fixed):
+            seen["single holder fixed already"] += 1
+        if not failed and any(d & (d - 1) and not doms[v] & (doms[v] - 1)
+                              for v, d in zip(prop.scope, scope_doms)):
+            seen["fix written"] += 1
+    assert min(seen.values()) > 300 and len(seen) == 3, seen
 
 
 def test_all_different_assigned_value_pruning():

@@ -249,6 +249,35 @@ def test_search_counters_are_pinned(model, mode, want):
     assert got == want
 
 
+# The all-interval n = 10 table of the ROADMAP baseline, all solutions, in
+# the same counts as PINNED_COUNTS. "full" declares reversal and inversion,
+# "value-only" inversion alone. Mode none ignores the group, so it runs once;
+# getree breaks the value subgroup, which both groups share.
+ALL_INTERVAL_10_COUNTS = [
+    ("full", "input", "none", (4369, 4368, 2858, 296, 70331)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 30224)),
+    ("full", "input", "getree", (2185, 2184, 1429, 148, 35171)),
+    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 39482)),
+    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35171)),
+    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 327977)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 50354)),
+    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
+    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 39985)),
+    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
+]
+
+
+@pytest.mark.parametrize("group,order,mode,want", ALL_INTERVAL_10_COUNTS)
+def test_all_interval_10_table_is_pinned(group, order, mode, want):
+    model = build_all_interval(10)
+    if group == "value-only":
+        inversion = model.symmetry.explicit[1]
+        model = replace(model, symmetry=replace(model.symmetry, explicit=(inversion,)))
+    _, stats = solve(model, SearchConfig(var_order=order, symmetry_mode=mode))
+    got = (stats.nodes, stats.branches, stats.failures, stats.solutions, stats.propagation_calls)
+    assert got == want
+
+
 # A model builds its own propagators on its first solve and keeps them for
 # every later one; each builder here makes a fresh, equal twin.
 _CACHE_MODELS = {
