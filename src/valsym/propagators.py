@@ -365,78 +365,122 @@ class PrecedenceProp(Propagator):
 
 
 class LexLeaderProp(Propagator):
-    """Assignment <=lex its image under one variable/value symmetry.
+    """Assignment <=lex its image under each of some variable/value
+    symmetries, filtered element by element.
 
-    With U_j = X at scope position j and V_j = sigma(X at position
-    theta^-1(j)), the image assignment reads V_0 V_1 ... and the constraint is
-    U <=lex V. A pass walks the forced-tie prefix and enforces U <= V at the
-    first open position (strict when the positions after it force U > V);
-    passes repeat until one changes nothing. The leaf check is exact.
+    For one element, with U_j = X at scope position j and V_j = sigma(X at
+    position theta^-1(j)), the image assignment reads V_0 V_1 ... and the
+    constraint is U <=lex V. A pass walks the forced-tie prefix and enforces
+    U <= V at the first open position (strict when the positions after it
+    force U > V); passes repeat until one changes nothing, and sweeps over
+    the elements until one changes nothing. That is the common fixpoint of
+    one propagator per element, not a filter of the conjunction. A
+    value-only element has V_j = sigma(U_j), so position j ties when sigma
+    fixes all of D_j; its pass is inlined. The leaf check is exact.
     """
 
     kind = "lex-leader"
 
-    def __init__(self, scope: Sequence[VarId], sym: VarValueSymmetry):
-        if len(sym.theta) != len(scope):
-            raise ModelError("lex-leader symmetry does not fit scope")
+    def __init__(self, scope: Sequence[VarId], *syms: VarValueSymmetry):
+        if not syms:
+            raise ModelError("lex-leader needs at least one symmetry")
         self.scope = tuple(scope)
-        inv = sym.theta_inverse()
-        self.v_vars = tuple(self.scope[inv[j]] for j in range(len(scope)))
-        self.sig = sym.sigma.image
-        # values sigma fixes, and values sigma moves upwards
-        self.fixed = mask_of(v for v, w in enumerate(self.sig) if w == v)
-        self.rising = mask_of(v for v, w in enumerate(self.sig) if w > v)
-        self.watches = tuple(sorted(set(self.scope) | set(self.v_vars)))
-
-    def _forced_tie(self, domains, j: int) -> bool:
-        uv, vv = self.scope[j], self.v_vars[j]
-        if uv == vv:
-            return not domains[uv] & ~self.fixed
-        du, dv = domains[uv], domains[vv]
-        return (
-            not du & (du - 1)
-            and not dv & (dv - 1)
-            and du == 1 << self.sig[dv.bit_length() - 1]
-        )
+        elements = []
+        for sym in syms:
+            if len(sym.theta) != len(self.scope):
+                raise ModelError("lex-leader symmetry does not fit scope")
+            sig = sym.sigma.image
+            # values sigma fixes, and values sigma moves upwards
+            fixed = rising = 0
+            for v, w in enumerate(sig):
+                fixed |= (w == v) << v
+                rising |= (w > v) << v
+            v_vars = None
+            if not sym.theta_is_identity:
+                v_vars = tuple(self.scope[i] for i in sym.theta_inverse())
+            elements.append((v_vars, sig, fixed, rising))
+        # (V's variables, or None for a value-only element, sigma's image, fixed, rising)
+        self.elements = tuple(elements)
+        self.watches = tuple(sorted(set(self.scope)))
 
     def propagate(self, domains):
+        scope = self.scope
         changed = []
         while True:
-            failed, more = self._pass(domains)
-            changed += more
-            if failed or not more:
-                return failed, changed
+            moved = False
+            for v_vars, sig, fixed, rising in self.elements:
+                if v_vars is not None:
+                    while more := self._pass(domains, v_vars, sig, fixed, rising):
+                        changed += more
+                        moved = True
+                        if not domains[more[-1]]:
+                            return True, changed
+                    continue
+                for j, var in enumerate(scope):
+                    d = domains[var]
+                    if not d & ~fixed:
+                        continue
+                    if not d & ~rising:
+                        break  # U_j < V_j for every value: nothing to write
+                    keep = d & (rising | fixed)
+                    if keep & fixed:
+                        # strict when the next open position forces U > V there
+                        for k in range(j + 1, len(scope)):
+                            dk = domains[scope[k]]
+                            if dk & ~fixed:
+                                img, rest = 0, dk
+                                while rest:
+                                    low = rest & -rest
+                                    rest ^= low
+                                    img |= 1 << sig[low.bit_length() - 1]
+                                if not img >> ((dk & -dk).bit_length() - 1):
+                                    keep &= rising
+                                break
+                    if keep == d:
+                        break
+                    domains[var] = keep
+                    changed.append(var)
+                    moved = True
+                    if not keep:
+                        return True, changed
+                    if keep & ~fixed:
+                        break  # the next pass would stop here and write nothing
+                    # position j ties now, so the next pass starts after it
+            if not moved:
+                return False, changed
 
-    def _pass(self, domains):
-        L = len(self.scope)
-        sig = self.sig
-        j = 0
-        while j < L and self._forced_tie(domains, j):
-            j += 1
-        if j == L:
-            return False, []  # equality: constraint holds
-        alpha = j
+    def _pass(self, domains, v_vars, sig, fixed, rising):
+        """One pass of an element that moves positions: the variables it
+        narrowed, the last of them emptied if it failed."""
+        scope = self.scope
+        # the first two positions that are not forced ties
+        open_at = []
+        for j, (uv, vv) in enumerate(zip(scope, v_vars)):
+            du, dv = domains[uv], domains[vv]
+            if uv == vv:
+                tie = not du & ~fixed
+            else:
+                tie = not dv & (dv - 1) and du == 1 << sig[dv.bit_length() - 1]
+            if not tie:
+                open_at.append(j)
+                if len(open_at) == 2:
+                    break
+        if not open_at:
+            return []  # equality: constraint holds
+        alpha = open_at[0]
         # positions after a fully tied block that force U > V make alpha strict
-        k = alpha + 1
-        while k < L and self._forced_tie(domains, k):
-            k += 1
         strict = False
-        if k < L:
-            du = domains[self.scope[k]]
-            min_u = (du & -du).bit_length() - 1
-            max_v = max(sig[b] for b in values_of(domains[self.v_vars[k]]))
-            if min_u > max_v:
-                strict = True
+        if len(open_at) == 2:
+            du, dv = domains[scope[open_at[1]]], domains[v_vars[open_at[1]]]
+            strict = (du & -du).bit_length() - 1 > max(sig[b] for b in values_of(dv))
         changed = []
-        uv, vv = self.scope[alpha], self.v_vars[alpha]
+        uv, vv = scope[alpha], v_vars[alpha]
         if uv == vv:
             d = domains[uv]
-            keep = d & (self.rising if strict else self.rising | self.fixed)
+            keep = d & (rising if strict else rising | fixed)
             if keep != d:
                 domains[uv] = keep
                 changed.append(uv)
-                if not keep:
-                    return True, changed
         else:
             du, dv = domains[uv], domains[vv]
             max_v = max(sig[b] for b in values_of(dv))
@@ -445,7 +489,7 @@ class LexLeaderProp(Propagator):
                 du = domains[uv] = keep
                 changed.append(uv)
                 if not du:
-                    return True, changed
+                    return changed
             min_u = (du & -du).bit_length() - 1
             keep = 0
             for b in values_of(dv):
@@ -454,14 +498,15 @@ class LexLeaderProp(Propagator):
             if keep != dv:
                 domains[vv] = keep
                 changed.append(vv)
-                if not keep:
-                    return True, changed
-        return False, changed
+        return changed
 
     def check(self, values):
-        u = tuple(values[v] for v in self.scope)
-        w = tuple(self.sig[values[v]] for v in self.v_vars)
-        return u <= w
+        u = [values[v] for v in self.scope]
+        for v_vars, sig, _, _ in self.elements:
+            w = [sig[x] for x in u] if v_vars is None else [sig[values[v]] for v in v_vars]
+            if u > w:
+                return False
+        return True
 
 
 class FirstOccurrenceChannelProp(Propagator):

@@ -2,9 +2,10 @@
 
 Modes:
   none        plain DFS over the model's own constraints
-  static-lex  post one lex-leader constraint per non-identity group element;
-              a variable-only element under an all-different covering the
-              scope posts the ordering of its first moved position instead
+  static-lex  post one lex-leader propagator over the non-identity group
+              elements, filtered element by element; a variable-only element
+              under an all-different covering the scope posts the ordering of
+              its first moved position instead
   precedence  post one value-precedence constraint per interchangeable class
   channel     add first-occurrence position variables, channel them to the
               scope and order them by a strict chain
@@ -189,6 +190,7 @@ def _has_covering_alldiff(model: Model) -> bool:
 
 def _static_lex_propagators(model: Model) -> list:
     props = []
+    lex = []
     simplify = _has_covering_alldiff(model)
     scope = model.symmetry_scope
     for g in _closed_group(model.symmetry):
@@ -201,7 +203,9 @@ def _static_lex_propagators(model: Model) -> list:
             j0 = next(j for j in range(len(inv)) if inv[j] != j)
             props.append(OrderingChainProp((scope[j0], scope[inv[j0]])))
         else:
-            props.append(LexLeaderProp(scope, g))
+            lex.append(g)
+    if lex:
+        props.append(LexLeaderProp(scope, *lex))
     return props
 
 

@@ -113,6 +113,62 @@ def lex_leader_support(
     return brute_support(domains, lambda a: all(a <= g.apply(a) for g in symmetries))
 
 
+def lex_leader_propagate_one(
+    scope: Sequence[int], sym: VarValueSymmetry, domains: list[int]
+) -> tuple[bool, list[int]]:
+    """LexLeaderProp.propagate for one element as first written: every
+    position's tie is tested through theta^-1, with no value-only shortcut,
+    and each pass restarts from the first position. The reference for the
+    kernels of the merged propagator, which must match it in failure flag
+    and domains."""
+    L = len(scope)
+    inv = sym.theta_inverse()
+    v_vars = [scope[inv[j]] for j in range(L)]
+    sig = sym.sigma.image
+    fixed = sum(1 << v for v, w in enumerate(sig) if w == v)
+    rising = sum(1 << v for v, w in enumerate(sig) if w > v)
+
+    def forced_tie(j):
+        du, dv = domains[scope[j]], domains[v_vars[j]]
+        if scope[j] == v_vars[j]:
+            return not du & ~fixed
+        return du.bit_count() == dv.bit_count() == 1 and du == 1 << sig[dv.bit_length() - 1]
+
+    changed = []
+    while True:
+        open_at = [j for j in range(L) if not forced_tie(j)]
+        if not open_at:
+            return False, changed
+        alpha = open_at[0]
+        strict = len(open_at) > 1 and min(values_of(domains[scope[open_at[1]]])) > max(
+            sig[b] for b in values_of(domains[v_vars[open_at[1]]])
+        )
+        uv, vv = scope[alpha], v_vars[alpha]
+        du, dv = domains[uv], domains[vv]
+        if uv == vv:
+            writes = [(uv, du & (rising if strict else rising | fixed))]
+        else:
+            max_v = max(sig[b] for b in values_of(dv))
+            du &= (1 << (max_v if strict else max_v + 1)) - 1
+            min_u = min(values_of(du), default=-1)
+            writes = [(uv, du)]
+            if du:
+                writes.append((vv, sum(
+                    1 << b for b in values_of(dv)
+                    if sig[b] > min_u or (not strict and sig[b] == min_u)
+                )))
+        moved = False
+        for var, keep in writes:
+            if keep != domains[var]:
+                domains[var] = keep
+                changed.append(var)
+                moved = True
+                if not keep:
+                    return True, changed
+        if not moved:
+            return False, changed
+
+
 def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
     """FirstOccurrenceChannelProp.propagate as first written: one scan of the
     whole scope per class value and pass. The reference for the single-scan

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from oracles import brute_support
+from oracles import brute_support, lex_leader_propagate_one
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
+from valsym.errors import ModelError
 from valsym.problems import build_all_interval
 from valsym.propagators import LexLeaderProp, build_propagators
 from valsym.symmetry import (
@@ -167,3 +168,89 @@ def test_strict_enforcement_after_guaranteed_descent():
     assert set(values_of(doms[2])) == {0, 1, 2}
     want = brute_support(list(doms), prop.check)
     assert [set(values_of(d)) for d in doms] == want
+
+
+def _random_element(rng, n, u):
+    """A non-identity element; about half are value-only."""
+    while True:
+        theta = list(range(n))
+        if rng.random() < 0.5:
+            rng.shuffle(theta)
+        image = list(range(u))
+        rng.shuffle(image)
+        sym = VarValueSymmetry(tuple(theta), ValuePermutation(tuple(image)))
+        if not sym.is_identity:
+            return sym
+
+
+def _first_pass_shape(scope, domains, sym):
+    """Which branch one element's first pass takes on these domains:
+    "moves" for an element that moves positions, else "rises" when every
+    value at the first open position rises, "strict" when the position after
+    it forces U > V and a fixed value is at stake there, or None."""
+    if not sym.theta_is_identity:
+        return "moves"
+    sig = sym.sigma.image
+    fixed = mask_of(v for v, w in enumerate(sig) if w == v)
+    rising = mask_of(v for v, w in enumerate(sig) if w > v)
+    open_at = [j for j, v in enumerate(scope) if domains[v] & ~fixed]
+    if not open_at:
+        return None
+    d = domains[scope[open_at[0]]]
+    if not d & ~rising:
+        return "rises"
+    if d & fixed and len(open_at) > 1:
+        dk = domains[scope[open_at[1]]]
+        if max(sig[b] for b in values_of(dk)) < min(values_of(dk)):
+            return "strict"
+    return None
+
+
+def test_merged_leader_matches_one_propagator_per_element():
+    rng = random.Random(2026)
+    hits = {"moves": 0, "rises": 0, "strict": 0, None: 0}
+    failures = 0
+    for _ in range(10_000):
+        n, u = rng.randint(2, 6), rng.randint(2, 5)
+        syms = [_random_element(rng, n, u) for _ in range(rng.randint(1, 5))]
+        num_vars = n + 1  # one variable outside the scope
+        scope = tuple(rng.sample(range(num_vars), n))
+        doms = [
+            1 << rng.randrange(u) if rng.random() < 0.3 else rng.randrange(1, 1 << u)
+            for _ in range(num_vars)
+        ]
+        for sym in syms:
+            hits[_first_pass_shape(scope, doms, sym)] += 1
+        for sym in syms:
+            got, want = list(doms), list(doms)
+            failed, _ = LexLeaderProp(scope, sym).propagate(got)
+            assert (failed, got) == (lex_leader_propagate_one(scope, sym, want)[0], want)
+        merged = LexLeaderProp(scope, *syms)
+        got = list(doms)
+        failed, changed = merged.propagate(got)
+        want = list(doms)
+        out = propagate_to_fixpoint([LexLeaderProp(scope, s) for s in syms], want)
+        assert (failed, got) == (out.failed, want), (scope, syms, doms)
+        assert {v for v in range(num_vars) if got[v] != doms[v]} <= set(changed)
+        failures += failed
+        if not failed:
+            assert merged.propagate(list(got)) == (False, [])  # its own fixpoint
+        for _ in range(3):
+            vec = [rng.randrange(u) for _ in range(num_vars)]
+            ones = [LexLeaderProp(scope, s).check(vec) for s in syms]
+            assert merged.check(vec) == all(ones)
+            image_lead = [
+                [vec[v] for v in scope] <= list(s.apply([vec[v] for v in scope])) for s in syms
+            ]
+            assert ones == image_lead
+    assert failures > 500 and 10_000 - failures > 500
+    assert min(hits["moves"], hits["rises"], hits["strict"]) > 300, hits
+
+
+def test_leader_needs_an_element_that_fits_the_scope():
+    with pytest.raises(ModelError):
+        LexLeaderProp((0, 1, 2))
+    inversion = VarValueSymmetry.value_only(3, inversion_permutation(3))
+    wide = VarValueSymmetry.variable_only((3, 2, 1, 0), 3)
+    with pytest.raises(ModelError):
+        LexLeaderProp((0, 1, 2), inversion, wide)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -217,10 +218,10 @@ PINNED_GRAPH_40 = [
 # means the search tree or the propagation queue changed.
 PINNED_COUNTS = [
     ("all-interval-7", "none", (150, 149, 78, 32, 1878)),
-    ("all-interval-7", "static-lex", (46, 45, 27, 8, 789)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 703)),
     ("all-interval-7", "getree", (76, 75, 39, 16, 947)),
     ("graph-12", "none", (151, 150, 48, 48, 606)),
-    ("graph-12", "static-lex", (26, 25, 8, 8, 199)),
+    ("graph-12", "static-lex", (26, 25, 8, 8, 123)),
     ("graph-12", "precedence", (26, 25, 8, 8, 123)),
     ("graph-12", "channel", (26, 25, 8, 8, 145)),
     ("graph-12", "getree", (28, 27, 8, 8, 103)),
@@ -230,7 +231,9 @@ PINNED_COUNTS = [
     ("graph-40", "precedence", (53, 52, 15, 12, 236)),
     ("graph-40", "channel", (53, 52, 15, 12, 246)),
     ("all-interval-8", "none", (449, 448, 284, 40, 6043)),
-    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2514)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2251)),
+    ("k4-6", "static-lex", (1, 0, 0, 1, 6)),
+    ("path-5", "static-lex", (23, 22, 0, 15, 48)),
 ]
 
 _PINNED_MODELS = {
@@ -239,6 +242,9 @@ _PINNED_MODELS = {
     "graph-12": lambda: build_coloring(12, PINNED_GRAPH, 3),
     "graph-40": lambda: build_coloring(40, PINNED_GRAPH_40, 3),
     "pigeonhole-6": lambda: build_pigeonhole(6),
+    # one class of 6 and of 5 colours: 719 and 119 lex-leader elements
+    "k4-6": lambda: build_coloring(4, list(itertools.combinations(range(4), 2)), 6),
+    "path-5": lambda: build_coloring(5, [(i, i + 1) for i in range(4)], 5),
 }
 
 
@@ -255,12 +261,12 @@ def test_search_counters_are_pinned(model, mode, want):
 # getree breaks the value subgroup, which both groups share.
 ALL_INTERVAL_10_COUNTS = [
     ("full", "input", "none", (4369, 4368, 2858, 296, 70331)),
-    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 30224)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 27294)),
     ("full", "input", "getree", (2185, 2184, 1429, 148, 35171)),
     ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 39482)),
     ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35171)),
     ("full", "min-domain", "none", (26427, 26426, 15569, 296, 327977)),
-    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 50354)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 45702)),
     ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
     ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 39985)),
     ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
@@ -311,6 +317,39 @@ def test_a_static_lex_solve_leaves_nothing_behind_for_none(name):
     _, stats = solve(model, SearchConfig())
     _, fresh = solve(_CACHE_MODELS[name](), SearchConfig())
     assert stats.propagation_calls == fresh.propagation_calls
+
+
+# one model of each built-in family whose group closes
+_FAMILY_MODELS = {
+    "all-interval-6": lambda: build_all_interval(6),
+    "coloring": lambda: build_coloring(12, PINNED_GRAPH, 4),
+    "pigeonhole-4": lambda: build_pigeonhole(4),
+    "random": lambda: random_interchangeable_model(random.Random(3), 6, 4),
+}
+
+
+@pytest.mark.parametrize("name", _FAMILY_MODELS)
+def test_static_lex_posts_one_lex_leader_over_every_non_ordering_element(name):
+    model = _FAMILY_MODELS[name]()
+    own, _ = search._own_propagators(model)
+    _, props, _ = search._prepare(model, "static-lex")
+    extra = props[len(own):]
+    lex = [p for p in extra if p.kind == "lex-leader"]
+    orderings = [p for p in extra if p.kind == "ordering-chain"]
+    assert len(lex) == 1 and len(lex) + len(orderings) == len(extra)
+    group = search._closed_group(model.symmetry)
+    assert len(lex[0].elements) + len(orderings) == len(group) - 1
+
+
+def test_static_lex_posts_no_lex_leader_when_every_element_is_an_ordering():
+    # reversal alone, under the series all-different, posts first < last
+    model = build_all_interval(8)
+    reversal = model.symmetry.explicit[0]
+    assert reversal.sigma.is_identity
+    model = replace(model, symmetry=replace(model.symmetry, explicit=(reversal,)))
+    own, _ = search._own_propagators(model)
+    _, props, _ = search._prepare(model, "static-lex")
+    assert [p.kind for p in props[len(own):]] == ["ordering-chain"]
 
 
 def test_a_replaced_model_builds_its_own_propagators():

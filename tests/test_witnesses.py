@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from valsym.domains import values_of
+from valsym.domains import mask_of, values_of
+from valsym.engine import propagate_to_fixpoint
 from valsym.propagators import LexLeaderProp, PrecedenceProp
 from witnesses import (
     FROZEN_CHANNEL_WITNESS,
@@ -22,6 +23,17 @@ def test_frozen_decomposition_gap_is_nonempty():
     oracle = w.oracle_fixpoint()
     assert oracle is not None
     assert oracle[1] == {0, 1}
+
+
+def test_frozen_decomposition_gap_survives_merging_the_elements():
+    # one propagator over every element filters element by element, so it
+    # reaches the decomposition's fixpoint and keeps its gap
+    w = FROZEN_DECOMPOSITION_WITNESS
+    doms = [mask_of(d) for d in w.domains]
+    merged = LexLeaderProp(tuple(range(len(doms))), *w.symmetries())
+    out = propagate_to_fixpoint([merged], doms)
+    assert (out.failed, doms) == w.decomposition_fixpoint()
+    assert 2 in values_of(doms[1])
 
 
 def test_frozen_decomposition_gap_survives_perfect_per_symmetry_filtering():
