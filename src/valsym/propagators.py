@@ -364,19 +364,43 @@ class PrecedenceProp(Propagator):
         return True
 
 
+def _image(mask: int, sig: Sequence[int]) -> int:
+    """The mask of sigma's images of the values in `mask`."""
+    img = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        img |= 1 << sig[low.bit_length() - 1]
+    return img
+
+
+def _descends(domains, scope, v_vars, sig, fixed, j):
+    """Whether the first position from j on that is not a forced tie forces
+    U > V: its least U value is above every image V can take."""
+    for k in range(j, len(scope)):
+        u, v = scope[k], v_vars[k]
+        du, dv = domains[u], domains[v]
+        if (du & ~fixed) if u == v else (dv & (dv - 1) or du != 1 << sig[dv.bit_length() - 1]):
+            return not _image(dv, sig) >> ((du & -du).bit_length() - 1)
+    return False
+
+
 class LexLeaderProp(Propagator):
     """Assignment <=lex its image under each of some variable/value
     symmetries, filtered element by element.
 
     For one element, with U_j = X at scope position j and V_j = sigma(X at
     position theta^-1(j)), the image assignment reads V_0 V_1 ... and the
-    constraint is U <=lex V. A pass walks the forced-tie prefix and enforces
-    U <= V at the first open position (strict when the positions after it
-    force U > V); passes repeat until one changes nothing, and sweeps over
-    the elements until one changes nothing. That is the common fixpoint of
-    one propagator per element, not a filter of the conjunction. A
-    value-only element has V_j = sigma(U_j), so position j ties when sigma
-    fixes all of D_j; its pass is inlined. The leaf check is exact.
+    constraint is U <=lex V. One walk serves every element: it skips forced
+    ties and enforces U <= V at the first open position j, strictly when the
+    next open position forces U > V. If U_j and V_j read one variable, U_j
+    keeps the values sigma raises or fixes (raises, if strict), and the walk
+    goes on only if j now ties. Otherwise U_j keeps the values up to V_j's
+    largest image and V_j those whose image reaches U_j's least value (both
+    strictly, if strict), and after a write the walk redoes j: j may tie
+    now, or V's write may have narrowed a later position. Sweeps repeat until
+    one changes nothing: the common fixpoint of one propagator per element,
+    not a filter of the conjunction. The leaf check is exact.
     """
 
     kind = "lex-leader"
@@ -384,10 +408,10 @@ class LexLeaderProp(Propagator):
     def __init__(self, scope: Sequence[VarId], *syms: VarValueSymmetry):
         if not syms:
             raise ModelError("lex-leader needs at least one symmetry")
-        self.scope = tuple(scope)
+        scope = self.scope = tuple(scope)
         elements = []
         for sym in syms:
-            if len(sym.theta) != len(self.scope):
+            if len(sym.theta) != len(scope):
                 raise ModelError("lex-leader symmetry does not fit scope")
             sig = sym.sigma.image
             # values sigma fixes, and values sigma moves upwards
@@ -395,116 +419,74 @@ class LexLeaderProp(Propagator):
             for v, w in enumerate(sig):
                 fixed |= (w == v) << v
                 rising |= (w > v) << v
-            v_vars = None
-            if not sym.theta_is_identity:
-                v_vars = tuple(self.scope[i] for i in sym.theta_inverse())
+            # V's variables by position; a value-only element shares the scope
+            v_vars = scope if sym.theta_is_identity else tuple(scope[i] for i in sym.theta_inverse())
             elements.append((v_vars, sig, fixed, rising))
-        # (V's variables, or None for a value-only element, sigma's image, fixed, rising)
         self.elements = tuple(elements)
-        self.watches = tuple(sorted(set(self.scope)))
+        self.watches = tuple(sorted(set(scope)))
 
     def propagate(self, domains):
-        scope = self.scope
+        scope, n = self.scope, len(self.scope)
         changed = []
         while True:
             moved = False
             for v_vars, sig, fixed, rising in self.elements:
-                if v_vars is not None:
-                    while more := self._pass(domains, v_vars, sig, fixed, rising):
-                        changed += more
+                j = 0
+                while j < n:
+                    u, v = scope[j], v_vars[j]
+                    du = domains[u]
+                    if u == v:
+                        if not du & ~fixed:
+                            j += 1  # a forced tie
+                            continue
+                        if not du & ~rising:
+                            break  # U_j < V_j for every value: nothing to write
+                        keep = du & (rising | fixed)
+                        if keep & fixed and _descends(domains, scope, v_vars, sig, fixed, j + 1):
+                            keep &= rising
+                        if keep == du:
+                            break
+                        domains[u] = keep
+                        changed.append(u)
                         moved = True
-                        if not domains[more[-1]]:
+                        if not keep:
                             return True, changed
-                    continue
-                for j, var in enumerate(scope):
-                    d = domains[var]
-                    if not d & ~fixed:
+                        if keep & ~fixed:
+                            break  # a redo would stop here and write nothing
+                        j += 1  # position j ties now
                         continue
-                    if not d & ~rising:
-                        break  # U_j < V_j for every value: nothing to write
-                    keep = d & (rising | fixed)
-                    if keep & fixed:
-                        # strict when the next open position forces U > V there
-                        for k in range(j + 1, len(scope)):
-                            dk = domains[scope[k]]
-                            if dk & ~fixed:
-                                img, rest = 0, dk
-                                while rest:
-                                    low = rest & -rest
-                                    rest ^= low
-                                    img |= 1 << sig[low.bit_length() - 1]
-                                if not img >> ((dk & -dk).bit_length() - 1):
-                                    keep &= rising
-                                break
-                    if keep == d:
-                        break
-                    domains[var] = keep
-                    changed.append(var)
-                    moved = True
-                    if not keep:
-                        return True, changed
-                    if keep & ~fixed:
-                        break  # the next pass would stop here and write nothing
-                    # position j ties now, so the next pass starts after it
+                    dv = domains[v]
+                    if not dv & (dv - 1) and du == 1 << sig[dv.bit_length() - 1]:
+                        j += 1  # a forced tie
+                        continue
+                    strict = _descends(domains, scope, v_vars, sig, fixed, j + 1)
+                    before = len(changed)
+                    keep = du & ((1 << (_image(dv, sig).bit_length() - strict)) - 1)
+                    if keep != du:
+                        du = domains[u] = keep
+                        changed.append(u)
+                        if not du:
+                            return True, changed
+                    # V_j keeps the values whose image is at least min U_j (+1 if strict)
+                    floor = (du & -du).bit_length() - 1 + strict
+                    keep = 0
+                    for b in values_of(dv):
+                        keep |= (sig[b] >= floor) << b
+                    if keep != dv:
+                        domains[v] = keep
+                        changed.append(v)
+                        if not keep:
+                            return True, changed
+                    if len(changed) == before:
+                        break  # nothing to write
+                    moved = True  # redo position j
             if not moved:
                 return False, changed
-
-    def _pass(self, domains, v_vars, sig, fixed, rising):
-        """One pass of an element that moves positions: the variables it
-        narrowed, the last of them emptied if it failed."""
-        scope = self.scope
-        # the first two positions that are not forced ties
-        open_at = []
-        for j, (uv, vv) in enumerate(zip(scope, v_vars)):
-            du, dv = domains[uv], domains[vv]
-            if uv == vv:
-                tie = not du & ~fixed
-            else:
-                tie = not dv & (dv - 1) and du == 1 << sig[dv.bit_length() - 1]
-            if not tie:
-                open_at.append(j)
-                if len(open_at) == 2:
-                    break
-        if not open_at:
-            return []  # equality: constraint holds
-        alpha = open_at[0]
-        # positions after a fully tied block that force U > V make alpha strict
-        strict = False
-        if len(open_at) == 2:
-            du, dv = domains[scope[open_at[1]]], domains[v_vars[open_at[1]]]
-            strict = (du & -du).bit_length() - 1 > max(sig[b] for b in values_of(dv))
-        changed = []
-        uv, vv = scope[alpha], v_vars[alpha]
-        if uv == vv:
-            d = domains[uv]
-            keep = d & (rising if strict else rising | fixed)
-            if keep != d:
-                domains[uv] = keep
-                changed.append(uv)
-        else:
-            du, dv = domains[uv], domains[vv]
-            max_v = max(sig[b] for b in values_of(dv))
-            keep = du & ((1 << (max_v if strict else max_v + 1)) - 1)
-            if keep != du:
-                du = domains[uv] = keep
-                changed.append(uv)
-                if not du:
-                    return changed
-            min_u = (du & -du).bit_length() - 1
-            keep = 0
-            for b in values_of(dv):
-                if sig[b] > min_u or (not strict and sig[b] == min_u):
-                    keep |= 1 << b
-            if keep != dv:
-                domains[vv] = keep
-                changed.append(vv)
-        return changed
 
     def check(self, values):
         u = [values[v] for v in self.scope]
         for v_vars, sig, _, _ in self.elements:
-            w = [sig[x] for x in u] if v_vars is None else [sig[values[v]] for v in v_vars]
-            if u > w:
+            if u > [sig[values[v]] for v in v_vars]:
                 return False
         return True
 

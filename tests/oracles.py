@@ -114,13 +114,18 @@ def lex_leader_support(
 
 
 def lex_leader_propagate_one(
-    scope: Sequence[int], sym: VarValueSymmetry, domains: list[int]
+    scope: Sequence[int], sym: VarValueSymmetry, domains: list[int],
+    passes: Optional[list] = None,
 ) -> tuple[bool, list[int]]:
     """LexLeaderProp.propagate for one element as first written: every
-    position's tie is tested through theta^-1, with no value-only shortcut,
-    and each pass restarts from the first position. The reference for the
-    kernels of the merged propagator, which must match it in failure flag
-    and domains."""
+    position's tie is tested through theta^-1, and each pass restarts from
+    the first position. The reference for LexLeaderProp's one walk, which
+    must match it in failure flag and domains: the walk goes on past a
+    position that ties after its own write, and redoes a position where U
+    and V read different variables after a write, where this reference
+    starts a new pass. With a `passes` list, each pass appends its first
+    open position (None if every position ties) and whether U and V read
+    one variable there."""
     L = len(scope)
     inv = sym.theta_inverse()
     v_vars = [scope[inv[j]] for j in range(L)]
@@ -138,12 +143,16 @@ def lex_leader_propagate_one(
     while True:
         open_at = [j for j in range(L) if not forced_tie(j)]
         if not open_at:
+            if passes is not None:
+                passes.append((None, None))
             return False, changed
         alpha = open_at[0]
         strict = len(open_at) > 1 and min(values_of(domains[scope[open_at[1]]])) > max(
             sig[b] for b in values_of(domains[v_vars[open_at[1]]])
         )
         uv, vv = scope[alpha], v_vars[alpha]
+        if passes is not None:
+            passes.append((alpha, uv == vv))
         du, dv = domains[uv], domains[vv]
         if uv == vv:
             writes = [(uv, du & (rising if strict else rising | fixed))]

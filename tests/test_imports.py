@@ -1,8 +1,10 @@
 """Every name a library or test module imports is read somewhere in that
-module, every library module serves another one, and the package exports
+module, every library module serves another one, every library function,
+class and method is read outside its own definition, and the package exports
 exactly what it imports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import valsym
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "valsym"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -74,3 +77,54 @@ def test_exports_resolve_and_every_public_import_is_exported():
     }
     public = {name for name in imported if not name.startswith("_")}
     assert sorted(public - set(valsym.__all__)) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read, as a variable or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_definitions(library: dict, readers=(), exported=()) -> list[str]:
+    """The module-level functions and classes, and their methods, of the
+    `library` sources (file name -> text) whose name is read nowhere outside
+    its own definition, in the library or the `readers` sources, and is not
+    `exported`. Dunder names are exempt."""
+    trees = {name: ast.parse(source) for name, source in library.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    for source in readers:
+        read += _reads(ast.parse(source))
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            for owner, d in [("", node)] + [(node.name + ".", m) for m in methods]:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and d.name not in exported and read[d.name] <= _reads(d)[d.name]:
+                    unread.append(f"{name}: {owner}{d.name}")
+    return unread
+
+
+def test_checker_flags_an_unread_definition():
+    lib = {"m.py": (
+        "def used():\n    return 1\n\n"
+        "def _orphan(k):\n    return _orphan(k - 1)\n\n"
+        "class C:\n    def run(self):\n        return used()\n\n"
+        "    def _left(self):\n        self._left = 1\n\n"
+        "    def __repr__(self):\n        return ''\n"
+    )}
+    assert unread_definitions(lib, ["C().run()"]) == ["m.py: _orphan", "m.py: C._left"]
+    assert unread_definitions(lib, ["C().run()", "C()._left()"], ["_orphan"]) == []
+
+
+def test_every_library_definition_is_read_outside_itself():
+    # a helper that nothing reads any more, such as a kernel a refactor left
+    # behind, is dead code; tests do not count as readers
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    assert unread_definitions(library, readers, valsym.__all__) == []

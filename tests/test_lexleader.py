@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -206,9 +207,34 @@ def _first_pass_shape(scope, domains, sym):
     return None
 
 
+def _walk_shapes(passes, failed):
+    """The folded steps of one element's walk, from the reference's passes:
+    a position that ties after its own write, where U and V read one variable
+    ("same ties") or two ("moved ties"), and a two-variable position that
+    writes again when redone ("moved rewrites")."""
+    shapes = []
+    for i, ((a, same), (b, _)) in enumerate(zip(passes, passes[1:])):
+        # every pass but the last wrote, and the last did too if it failed
+        if b is None or b > a:
+            shapes.append("same ties" if same else "moved ties")
+        elif not same and (i + 2 < len(passes) or failed):
+            shapes.append("moved rewrites")
+    return shapes
+
+
+def _match_reference(scope, sym, doms, walks):
+    """One element's propagator matches the reference on a copy of `doms`;
+    count the folded steps the reference took."""
+    got, want, passes = list(doms), list(doms), []
+    failed, _ = LexLeaderProp(scope, sym).propagate(got)
+    assert (failed, got) == (lex_leader_propagate_one(scope, sym, want, passes)[0], want)
+    walks.update(_walk_shapes(passes, failed))
+
+
 def test_merged_leader_matches_one_propagator_per_element():
     rng = random.Random(2026)
     hits = {"moves": 0, "rises": 0, "strict": 0, None: 0}
+    walks = Counter()
     failures = 0
     for _ in range(10_000):
         n, u = rng.randint(2, 6), rng.randint(2, 5)
@@ -222,9 +248,7 @@ def test_merged_leader_matches_one_propagator_per_element():
         for sym in syms:
             hits[_first_pass_shape(scope, doms, sym)] += 1
         for sym in syms:
-            got, want = list(doms), list(doms)
-            failed, _ = LexLeaderProp(scope, sym).propagate(got)
-            assert (failed, got) == (lex_leader_propagate_one(scope, sym, want)[0], want)
+            _match_reference(scope, sym, doms, walks)
         merged = LexLeaderProp(scope, *syms)
         got = list(doms)
         failed, changed = merged.propagate(got)
@@ -245,6 +269,16 @@ def test_merged_leader_matches_one_propagator_per_element():
             assert ones == image_lead
     assert failures > 500 and 10_000 - failures > 500
     assert min(hits["moves"], hits["rises"], hits["strict"]) > 300, hits
+    # elements that only move positions redo a position most often
+    for _ in range(3_000):
+        n, u = rng.randint(3, 6), rng.randint(3, 5)
+        sym = VarValueSymmetry.variable_only(tuple(rng.sample(range(n), n)), u)
+        doms = [rng.randrange(1, 1 << u) for _ in range(n)]
+        _match_reference(tuple(rng.sample(range(n), n)), sym, doms, walks)
+    # the walk goes on past a position that ties after its write, and redoes
+    # a two-variable position, which may write again
+    assert walks["moved ties"] > 1_000 and walks["same ties"] > 500, walks
+    assert walks["moved rewrites"] > 30, walks
 
 
 def test_leader_needs_an_element_that_fits_the_scope():

@@ -469,10 +469,16 @@ def _random_order(rng, u):
 
 
 def _random_lex_leader_case(rng):
+    """1-4 elements over a shuffled scope, each moving values only,
+    positions only, or both."""
     n, u = rng.randint(2, 5), rng.randint(2, 4)
-    theta = rng.sample(range(n), n)
-    sym = VarValueSymmetry(tuple(theta), ValuePermutation(tuple(rng.sample(range(u), u))))
-    return LexLeaderProp(tuple(range(n)), sym), _random_masks(rng, n, u)
+    syms = []
+    for _ in range(rng.randint(1, 4)):
+        moves = rng.choice(("values", "positions", "both"))
+        theta = rng.sample(range(n), n) if moves != "values" else range(n)
+        image = rng.sample(range(u), u) if moves != "positions" else range(u)
+        syms.append(VarValueSymmetry(tuple(theta), ValuePermutation(tuple(image))))
+    return LexLeaderProp(rng.sample(range(n), n), *syms), _random_masks(rng, n, u)
 
 
 def _random_channel_case(rng):
