@@ -15,13 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    DimacsParseError,
-    GroupTooLarge,
-    ModelError,
-    UnsupportedModeError,
-)
+from .errors import BudgetExceeded, GroupTooLarge, ModelError
 from .model import Model
 from .problems import build_all_interval, build_coloring_from_dimacs, build_pigeonhole
 from .report import RunReport
@@ -224,7 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         partial = " ".join(f"{k}={v}" for k, v in counts if k != "elapsed")
         print(f"partial stats: {partial}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ModelError, DimacsParseError, UnsupportedModeError, GroupTooLarge, ValueError) as exc:
+    except (GroupTooLarge, ValueError) as exc:  # ModelError and the like are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -18,9 +18,10 @@ class UnsupportedModeError(ValueError):
 
 
 class GroupTooLarge(RuntimeError):
-    """An enumerated symmetry group would pass its element cap: raised by
-    `close_group` when a closure outgrows it, and by `SymmetrySpec.closed_group`,
-    before building anything, for a value class or class product past it."""
+    """A symmetry group's elements would pass their cap: raised by
+    `close_group` when a closure outgrows it and, before building anything,
+    by `SymmetrySpec.closed_group` for a value class or class product past
+    it and by static-lex for classes with too many value-map entries."""
 
     def __init__(self, size: int, cap: int, message: str | None = None):
         super().__init__(message or f"group closure exceeded cap ({size} > {cap})")

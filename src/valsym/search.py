@@ -3,9 +3,10 @@
 Modes:
   none        plain DFS over the model's own constraints
   static-lex  post one lex-leader propagator over the non-identity group
-              elements, filtered element by element; a variable-only element
-              under an all-different covering the scope posts the ordering of
-              its first moved position instead
+              elements (for classes alone, adjacent sorted class values'
+              transpositions), filtered element by element; a variable-only
+              element under an all-different covering the scope posts the
+              ordering of its first moved position instead
   precedence  post one value-precedence constraint per interchangeable class
   channel     add first-occurrence position variables, channel them to the
               scope and order them by a strict chain
@@ -28,6 +29,7 @@ extended copies of the shared watcher lists.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -46,7 +48,8 @@ from .propagators import (
     check_all,
     post_first_occurrence_channel,
 )
-from .symmetry import ClassProduct, Group, SymmetrySpec, VarValueSymmetry, orbit_partition
+from .symmetry import (_MAX_CLASS, GROUP_CAP, ClassProduct, Group, SymmetrySpec, ValuePermutation,
+                       VarValueSymmetry, orbit_partition)
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
 VAR_ORDERS = ("input", "min-domain")
@@ -188,15 +191,32 @@ def _has_covering_alldiff(model: Model) -> bool:
     )
 
 
+def _static_lex_elements(spec: SymmetrySpec) -> Sequence[VarValueSymmetry]:
+    """The non-identity elements static-lex posts lex-leaders over: the
+    closed group's, or for classes alone the swaps of adjacent values of
+    each sorted class, whose lex-leaders' conjunction is value precedence,
+    refused before any is built past the value-map entries of an accepted
+    group of GROUP_CAP elements over _MAX_CLASS values."""
+    if spec.explicit:
+        return _closed_group(spec)[1:]
+    classes = [sorted(cls) for cls in spec.interchangeable_classes]
+    entries = sum(len(c) - 1 for c in classes) * spec.universe_size
+    cap = GROUP_CAP * _MAX_CLASS
+    if entries > cap:
+        raise GroupTooLarge(entries, cap, f"static-lex on value classes holds one value map per "
+                            f"adjacent pair of class values, up to {cap} entries, got {entries}")
+    size = spec.universe_size
+    return [VarValueSymmetry.value_only(spec.scope_len, ValuePermutation.from_cycle(size, pair))
+            for c in classes for pair in itertools.pairwise(c)]
+
+
 def _static_lex_propagators(model: Model) -> list:
-    props = []
-    lex = []
-    simplify = _has_covering_alldiff(model)
+    props, lex = [], []
+    # only explicit elements can move variables alone
+    simplify = bool(model.symmetry.explicit) and _has_covering_alldiff(model)
     scope = model.symmetry_scope
-    for g in _closed_group(model.symmetry):
-        if g.is_identity:
-            continue
-        if g.sigma.is_identity and simplify:
+    for g in _static_lex_elements(model.symmetry):
+        if simplify and g.sigma.is_identity:
             # pure variable symmetry under an all-different scope: the first
             # moved position decides, and ties there are impossible
             inv = g.theta_inverse()
@@ -423,14 +443,13 @@ def verify_symmetry_breaking(
 
 def applicable_modes(model: Model) -> list[str]:
     """Symmetry-breaking modes (every mode but `none`) that this model's
-    declared symmetries support, less those that search with the enumerated
-    group when `SymmetrySpec.closed_group` refuses it as too large."""
+    declared symmetries support, less static-lex when its elements are
+    refused as too large, and then getree too if it searches with them."""
     spec = model.symmetry
     modes = [m for m in MODES if m != "none" and _unsupported(spec, m) is None]
     try:
-        _closed_group(spec)
+        _static_lex_elements(spec)
     except GroupTooLarge:
-        # static-lex, and getree over explicit elements, need the group's
-        # elements; precedence, channel and getree over classes do not
+        # precedence, channel and getree over classes need no element list
         modes = [m for m in modes if m != "static-lex" and not (m == "getree" and spec.explicit)]
     return modes

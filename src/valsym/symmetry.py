@@ -113,8 +113,8 @@ class VarValueSymmetry:
 
 def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
     """BFS closure of the generators under composition, identity included,
-    sorted with the identity first. `SymmetrySpec.closed_group` uses it for
-    specs with explicit elements.
+    sorted with the identity first. `SymmetrySpec.closed_group` builds every
+    enumerated group with it.
 
     Raises GroupTooLarge as soon as the closure would exceed `cap`.
     """
@@ -218,14 +218,11 @@ class SymmetrySpec:
         return ClassProduct(self.interchangeable_classes, self.universe_size)
 
     def closed_group(self) -> list[VarValueSymmetry]:
-        """The whole group the spec denotes; every enumerated group is built here.
-
-        A class or class product past GROUP_CAP is refused before anything is
-        built. Classes alone give every combination of per-class permutations
-        in declared class order, the order static-lex posts lex-leaders in.
-        Explicit elements are closed together with each class's generators:
-        the transposition of its first two values and the cycle over all.
-        """
+        """The whole group the spec denotes: `close_group` of the explicit
+        elements and each class's generators, the transposition of its first
+        two values and the cycle over all. Only specs with explicit elements
+        need it. A class or class product past GROUP_CAP is refused before
+        anything is built."""
         if self.is_trivial:
             return []
         classes = self.interchangeable_classes
@@ -233,28 +230,17 @@ class SymmetrySpec:
         if big is not None:
             raise GroupTooLarge(
                 math.factorial(len(big)), GROUP_CAP,
-                f"enumerating the whole symmetry group (for static-lex, or for orbit "
-                f"checks under explicit symmetries) takes a value class's permutations "
+                f"enumerating the whole symmetry group (for orbit checks, static-lex or "
+                f"getree under explicit symmetries) takes a value class's permutations "
                 f"only up to {_MAX_CLASS} values, got a class of {len(big)}",
             )
         order = math.prod(math.factorial(len(c)) for c in classes)
         if order > GROUP_CAP:
             raise GroupTooLarge(order, GROUP_CAP)
-        if self.explicit:
-            cycles = [c for cls in classes if len(cls) > 1 for c in (cls[:2], cls)]
-            return close_group(list(self.explicit) + [
-                VarValueSymmetry.value_only(
-                    self.scope_len, ValuePermutation.from_cycle(self.universe_size, c))
-                for c in cycles
-            ])
-        out = []
-        for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
-            img = list(range(self.universe_size))
-            for cls, perm in zip(classes, perms):
-                for src, dst in zip(cls, perm):
-                    img[src] = dst
-            out.append(VarValueSymmetry.value_only(self.scope_len, ValuePermutation(tuple(img))))
-        return out
+        return close_group(list(self.explicit) + [
+            VarValueSymmetry.value_only(self.scope_len, ValuePermutation.from_cycle(self.universe_size, c))
+            for cls in classes if len(cls) > 1 for c in (cls[:2], cls)
+        ]) or [VarValueSymmetry.identity(self.scope_len, self.universe_size)]
 
 
 Group = Sequence[VarValueSymmetry] | ClassProduct

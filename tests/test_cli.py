@@ -159,11 +159,12 @@ def test_verify_nine_colour_class_has_no_size_limit(capsys, tmp_path):
 
 
 def test_verify_default_modes_skip_a_group_past_the_cap(capsys, tmp_path):
-    # 8! colour permutations pass the group cap, so verify with no --mode
-    # checks the three modes that need no enumerated group
-    path = tmp_path / "path3.col"
-    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
-    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "8"]
+    # static-lex on 300 colours holds 299 value maps of 300 entries, past the
+    # 70 560 it may hold, so verify with no --mode checks the three modes that
+    # need no element list
+    path = tmp_path / "vertex.col"
+    path.write_text("p edge 1 0\n")
+    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "300"]
     code, payload = run_json(capsys, argv)
     assert code == 0
     modes = payload["verification"]["modes"]
@@ -256,22 +257,32 @@ def test_verify_coloring_all_modes(capsys, triangle_file):
          "--mode", "none", "--mode", "getree"],                    # two modes
         ["solve", "--model", "all-interval", "--n", "5", "--mode", "precedence"],
         ["compare", "--model", "all-interval", "--n", "5", "--mode", "none"],
-        ["solve", "--model", "pigeonhole", "--n", "8",
+        ["solve", "--model", "coloring", "--file", "EDGE_FILE", "--colors", "300",
          "--mode", "static-lex"],                                  # group too large
     ],
 )
-def test_usage_and_model_errors_exit_two(capsys, argv):
-    assert main(argv) == 2
+def test_usage_and_model_errors_exit_two(capsys, tmp_path, argv):
+    edge = tmp_path / "edge.col"
+    edge.write_text("p edge 2 1\ne 1 2\n")
+    assert main([str(edge) if a == "EDGE_FILE" else a for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_static_lex_class_cap_names_the_limit(capsys, n):
-    # 7! = 5 040 fits the 10 080-element group cap, 8! = 40 320 does not
-    argv = ["solve", "--model", "pigeonhole", "--n", str(n), "--mode", "static-lex"]
-    assert main(argv) == 2
+@pytest.mark.parametrize("colors", [266, 267, 300])
+def test_static_lex_class_cap_names_the_limit(capsys, tmp_path, colors):
+    # static-lex on c colours holds c - 1 value maps of c entries each: 266
+    # colours fit the 70 560 entries of 10 080 elements over 7 values, 267 not
+    path = tmp_path / "edge.col"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    argv = ["solve", "--model", "coloring", "--file", str(path), "--colors", str(colors),
+            "--mode", "static-lex"]
+    code = main(argv)
     err = capsys.readouterr().err
-    assert "static-lex" in err and "up to 7 values" in err and f"class of {n + 1}" in err
+    if colors == 266:
+        assert (code, err) == (0, "")
+        return
+    assert code == 2
+    assert "static-lex" in err and f"up to 70560 entries, got {(colors - 1) * colors}" in err
     assert "closure exceeded cap" not in err
 
 

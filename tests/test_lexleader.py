@@ -1,16 +1,19 @@
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from oracles import brute_support, lex_leader_propagate_one
+from oracles import brute_support, enumerated_group, lex_leader_propagate_one
+from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.problems import build_all_interval
-from valsym.propagators import LexLeaderProp, build_propagators
+from valsym.propagators import LexLeaderProp, PrecedenceProp, build_propagators
 from valsym.symmetry import (
+    SymmetrySpec,
     ValuePermutation,
     VarValueSymmetry,
     inversion_permutation,
@@ -288,3 +291,68 @@ def test_leader_needs_an_element_that_fits_the_scope():
     wide = VarValueSymmetry.variable_only((3, 2, 1, 0), 3)
     with pytest.raises(ModelError):
         LexLeaderProp((0, 1, 2), inversion, wide)
+
+
+def _random_class_case(rng):
+    """1-3 disjoint classes of 2-5 values in shuffled declared order, their
+    class product at most 144 elements, beside up to 2 values outside every
+    class; a scope of 2-6 of the variables, one more variable outside it, and
+    random domains."""
+    while True:
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(1, 3))]
+        if math.prod(math.factorial(k) for k in sizes) <= 144:
+            break
+    universe = sum(sizes) + rng.randint(0, 2)
+    values = rng.sample(range(universe), sum(sizes))
+    classes = tuple(tuple(values[sum(sizes[:i]):sum(sizes[:i + 1])]) for i in range(len(sizes)))
+    n = rng.randint(2, 6)
+    scope = tuple(rng.sample(range(n + 1), n))
+    doms = [
+        1 << rng.randrange(universe) if rng.random() < 0.2 else rng.randrange(1, 1 << universe)
+        for _ in range(n + 1)
+    ]
+    return SymmetrySpec(n, universe, interchangeable_classes=classes), scope, doms
+
+
+def test_adjacent_transpositions_lead_like_the_class_product():
+    # static-lex on classes alone posts the transpositions of adjacent values
+    # of each sorted class, not the whole class product. Their lex-leaders'
+    # conjunction is value precedence on the sorted classes, so the solutions
+    # are the same. Filtered element by element they are never stronger than
+    # the product, whose elements include them, and almost always as strong:
+    # the product can also prune a value whose every completion some product
+    # of transpositions, but no single one, maps below the assignment.
+    rng = random.Random(2104)
+    cases = agree = failures = enumerated = 0
+    for _ in range(10_000):
+        spec, scope, doms = _random_class_case(rng)
+        elements = search._static_lex_elements(spec)
+        assert len(elements) == sum(len(c) - 1 for c in spec.interchangeable_classes)
+        adjacent = LexLeaderProp(scope, *elements)
+        identity, *moves = enumerated_group(spec)
+        assert identity.is_identity
+        product = LexLeaderProp(scope, *moves)
+        got, want = list(doms), list(doms)
+        failed, _ = adjacent.propagate(got)
+        product_failed, _ = product.propagate(want)
+        cases += 1
+        failures += product_failed
+        if not failed and not product_failed:
+            assert all(w & ~g == 0 for g, w in zip(got, want)), (spec, scope, doms)
+            agree += got == want
+        else:
+            assert product_failed, (spec, scope, doms)
+            agree += failed
+        if math.prod(d.bit_count() for d in doms) > 500:
+            continue
+        # the solutions within the domains are precedence's on the sorted classes
+        enumerated += 1
+        precedences = [PrecedenceProp(scope, sorted(c)) for c in spec.interchangeable_classes]
+        for vec in itertools.product(*(tuple(values_of(d)) for d in doms)):
+            accepted = adjacent.check(vec)
+            assert accepted == all(p.check(vec) for p in precedences), (spec, scope, vec)
+            if accepted:  # propagation is sound
+                assert not failed and all((got[v] >> vec[v]) & 1 for v in scope)
+    assert cases == 10_000 and enumerated > 5_000
+    assert failures > 1_000 and cases - failures > 1_000
+    assert agree >= 0.995 * cases, agree

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import constraint_holds, model_solutions
-from valsym.errors import DimacsParseError, GroupTooLarge, ModelError
+from valsym.errors import DimacsParseError, ModelError
 from valsym.model import ConstraintKind
 from valsym.problems import (
     build_all_interval,
@@ -136,16 +136,13 @@ def test_pigeonhole_is_unsat_in_every_mode():
             assert sols == [], (n, mode)
 
 
-def test_pigeonhole_static_lex_group_grows_past_cap():
-    m = build_pigeonhole(8)  # 9 interchangeable values
-    with pytest.raises(GroupTooLarge):
-        solve(m, SearchConfig(symmetry_mode="static-lex"))
-
-
 def test_pigeonhole_precedence_fails_at_the_root():
-    for n in range(4, 13):
-        _, stats = solve(build_pigeonhole(n), SearchConfig(symmetry_mode="precedence"))
-        assert stats.nodes == 1 and stats.failures == 1, n
+    # static-lex posts the lex-leaders of the adjacent transpositions of the
+    # n + 1 holes, whose conjunction is precedence: both fail at the root
+    for n in range(4, 21):
+        for mode in ("precedence", "static-lex"):
+            _, stats = solve(build_pigeonhole(n), SearchConfig(symmetry_mode=mode))
+            assert stats.nodes == 1 and stats.failures == 1, (n, mode)
 
 
 def test_pigeonhole_getree_branch_counts_frozen():

@@ -337,8 +337,12 @@ def test_static_lex_posts_one_lex_leader_over_every_non_ordering_element(name):
     lex = [p for p in extra if p.kind == "lex-leader"]
     orderings = [p for p in extra if p.kind == "ordering-chain"]
     assert len(lex) == 1 and len(lex) + len(orderings) == len(extra)
-    group = search._closed_group(model.symmetry)
-    assert len(lex[0].elements) + len(orderings) == len(group) - 1
+    spec = model.symmetry
+    if spec.explicit:
+        want = len(search._closed_group(spec)) - 1
+    else:  # the transpositions of adjacent values of each class
+        want = sum(len(cls) - 1 for cls in spec.interchangeable_classes)
+    assert len(lex[0].elements) + len(orderings) == want
 
 
 def test_static_lex_posts_no_lex_leader_when_every_element_is_an_ordering():
@@ -560,9 +564,15 @@ def test_applicable_modes_by_symmetry_shape():
         "channel",
         "getree",
     ]
-    # a class of 8 values is past the enumerated group's cap: static-lex is
-    # left out, and getree over the class needs no enumerated group
-    assert applicable_modes(build_pigeonhole(7)) == ["precedence", "channel", "getree"]
+    # static-lex on a class of 8 values posts 7 transpositions, so it runs;
+    # on 300 colours their value maps are past the bound, and static-lex is
+    # left out, while getree over the class needs no element list
+    assert applicable_modes(build_pigeonhole(7)) == [
+        "static-lex", "precedence", "channel", "getree"
+    ]
+    assert applicable_modes(build_coloring(2, [(0, 1)], 300)) == [
+        "precedence", "channel", "getree"
+    ]
 
 
 def test_unsupported_modes_raise():
