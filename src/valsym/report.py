@@ -71,13 +71,14 @@ class RunReport:
         runs = []
         for r in self.results:
             sample = [list(s) for s in r.solutions[:SOLUTION_SAMPLE_CAP]]
+            # verify's mode-none run keeps its count but no solutions
             runs.append(
                 {
                     "mode": r.mode,
                     "stats": r.stats.as_dict(),
-                    "solution_count": len(r.solutions),
+                    "solution_count": r.stats.solutions,
                     "solutions": sample,
-                    "solutions_truncated": len(r.solutions) > SOLUTION_SAMPLE_CAP,
+                    "solutions_truncated": r.stats.solutions > len(sample),
                 }
             )
         verification = None

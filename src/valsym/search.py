@@ -17,7 +17,8 @@ Modes:
 Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
 re-checked against the exact constraint relations, so weak propagators cost
-time, never correctness.
+time, never correctness. Each open ancestor of the node has one search-stack
+frame: its domains, its branching variable, its values and how many it tried.
 
 A model's own propagators and their watchers are built on its first `solve`
 and kept in the model's `__dict__`, outside its fields, so `==`, `repr` and
@@ -48,7 +49,7 @@ from .propagators import (
     check_all,
     post_first_occurrence_channel,
 )
-from .symmetry import (_MAX_CLASS, GROUP_CAP, ClassProduct, Group, SymmetrySpec, ValuePermutation,
+from .symmetry import (VALUE_MAP_CAP, ClassProduct, Group, SymmetrySpec, ValuePermutation,
                        VarValueSymmetry, orbit_partition)
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
@@ -114,25 +115,16 @@ class ModeResult:
     stats: SearchStats
 
 
-def _unsupported(spec: SymmetrySpec, mode: str) -> Optional[str]:
-    """Why `mode` cannot run on a model declaring `spec`, or None if it can.
-
-    The one statement of each mode's precondition: `solve`, `break_group`
-    and `applicable_modes` all ask it.
-    """
-    if mode not in MODES:
-        return f"unknown mode {mode!r}"
-    if mode in ("precedence", "channel") and not spec.interchangeable_classes:
-        return f"{mode} needs interchangeable value classes"
-    if mode in ("static-lex", "getree") and spec.is_trivial:
-        return f"{mode} needs declared symmetries"
-    return None
-
-
 def _require_mode(spec: SymmetrySpec, mode: str) -> None:
-    reason = _unsupported(spec, mode)
-    if reason is not None:
-        raise UnsupportedModeError(reason)
+    """Raise UnsupportedModeError unless `mode` can run on a model declaring
+    `spec`: the one statement of each mode's precondition, which `solve` and
+    `break_group` both check."""
+    if mode not in MODES:
+        raise UnsupportedModeError(f"unknown mode {mode!r}")
+    if mode in ("precedence", "channel") and not spec.interchangeable_classes:
+        raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
+    if mode in ("static-lex", "getree") and spec.is_trivial:
+        raise UnsupportedModeError(f"{mode} needs declared symmetries")
 
 
 @lru_cache(maxsize=64)
@@ -195,16 +187,14 @@ def _static_lex_elements(spec: SymmetrySpec) -> Sequence[VarValueSymmetry]:
     """The non-identity elements static-lex posts lex-leaders over: the
     closed group's, or for classes alone the swaps of adjacent values of
     each sorted class, whose lex-leaders' conjunction is value precedence,
-    refused before any is built past the value-map entries of an accepted
-    group of GROUP_CAP elements over _MAX_CLASS values."""
+    refused before any is built past VALUE_MAP_CAP value-map entries."""
     if spec.explicit:
         return _closed_group(spec)[1:]
     classes = [sorted(cls) for cls in spec.interchangeable_classes]
     entries = sum(len(c) - 1 for c in classes) * spec.universe_size
-    cap = GROUP_CAP * _MAX_CLASS
-    if entries > cap:
-        raise GroupTooLarge(entries, cap, f"static-lex on value classes holds one value map per "
-                            f"adjacent pair of class values, up to {cap} entries, got {entries}")
+    if entries > VALUE_MAP_CAP:
+        raise GroupTooLarge(entries, VALUE_MAP_CAP, f"static-lex on value classes holds one value map per "
+                            f"adjacent pair of class values, up to {VALUE_MAP_CAP} entries, got {entries}")
     size = spec.universe_size
     return [VarValueSymmetry.value_only(spec.scope_len, ValuePermutation.from_cycle(size, pair))
             for c in classes for pair in itertools.pairwise(c)]
@@ -260,9 +250,10 @@ def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
 
 def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tuple[int, ...]], SearchStats]:
     """Depth-first enumeration over an explicit stack, so model depth is not
-    bounded by Python's recursion limit. Returns (solutions, stats);
-    solutions are full assignments over the model's variables (channel
-    position variables are stripped), deterministic for a given config."""
+    bounded by Python's recursion limit, and the only record of the path.
+    Returns (solutions, stats); solutions are full assignments over the
+    model's variables (channel position variables are stripped),
+    deterministic for a given config."""
     if config is None:
         config = SearchConfig()
     domains, props, watchers = _prepare(model, config.symmetry_mode)
@@ -276,7 +267,6 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     num_vars = len(domains)
     ascending = config.val_order == "ascending"
     min_dom = config.var_order == "min-domain"
-    partial: list[tuple[int, int]] = []  # decisions from the root to the node
     t0 = time.perf_counter()
 
     def pick_var(domains, start: int) -> int:
@@ -294,10 +284,9 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 return v
         return -1
 
-    # one (domains, var, values left) frame per open ancestor of the node
+    # one [domains, var, values, next] frame per open ancestor of the node: the
+    # child on the path took values[next - 1], and values[:next - 1] are done
     stack: list = []
-    trigger = None
-    start = 0
     while True:
         stats.nodes += 1
         if stats.nodes > budget:
@@ -305,10 +294,11 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             raise BudgetExceeded(budget, stats, config.symmetry_mode, solutions)
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
-        outcome = propagate_to_fixpoint(props, domains, trigger, watchers, stats)
+        var = stack[-1][1] if stack else -1  # the node's decision, -1 at the root
+        outcome = propagate_to_fixpoint(props, domains, (var,) if stack else None, watchers, stats)
         if outcome.failed:
             stats.failures += 1
-        elif (var := pick_var(domains, start)) < 0:
+        elif (var := pick_var(domains, var + 1)) < 0:
             values = tuple(d.bit_length() - 1 for d in domains)
             if check_all(props, values):
                 stats.solutions += 1
@@ -319,26 +309,24 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 stats.failures += 1
         else:
             if getree:
-                vals = getree_allowed_values(partial, var, group, domains, scope)
+                path = [(f[1], f[2][f[3] - 1]) for f in stack]
+                vals = getree_allowed_values(path, var, group, domains, scope)
             else:
                 vals = list(values_of(domains[var]))
-            stack.append((domains, var, iter(vals if ascending else vals[::-1])))
+            stack.append([domains, var, vals if ascending else vals[::-1], 0])
         # the next node is the next child of the deepest frame with one left
         while stack:
-            parent, var, left = stack[-1]
-            v = next(left, None)
-            if v is not None:
+            frame = stack[-1]
+            if frame[3] < len(frame[2]):
                 break
             stack.pop()
         else:
             break
+        parent, var, vals, nxt = frame
+        frame[3] = nxt + 1
         stats.branches += 1
         domains = copy_domains(parent)
-        domains[var] = 1 << v
-        del partial[len(stack) - 1:]
-        partial.append((var, v))
-        trigger = (var,)
-        start = var + 1
+        domains[var] = 1 << vals[nxt]
     stats.elapsed = time.perf_counter() - t0
     return solutions, stats
 
@@ -404,6 +392,8 @@ def verify_symmetry_breaking(
 ) -> tuple[bool, list[VerifyModeReport], SearchStats]:
     """Check one-solution-per-orbit for each mode against mode-none
     enumeration. Returns (all_passed, per-mode reports, none-run stats)."""
+    if len(set(modes)) != len(modes):
+        raise ValueError("duplicate mode listed")
     base = config if config is not None else SearchConfig()
     none_sols, none_stats = solve(model, replace(base, symmetry_mode="none", solution_limit=None))
     none_proj = [model.project_scope(s) for s in none_sols]
@@ -442,14 +432,16 @@ def verify_symmetry_breaking(
 
 
 def applicable_modes(model: Model) -> list[str]:
-    """Symmetry-breaking modes (every mode but `none`) that this model's
-    declared symmetries support, less static-lex when its elements are
-    refused as too large, and then getree too if it searches with them."""
-    spec = model.symmetry
-    modes = [m for m in MODES if m != "none" and _unsupported(spec, m) is None]
-    try:
-        _static_lex_elements(spec)
-    except GroupTooLarge:
-        # precedence, channel and getree over classes need no element list
-        modes = [m for m in modes if m != "static-lex" and not (m == "getree" and spec.explicit)]
+    """The modes `solve` runs on this model, less `none`: those for which
+    neither `break_group` nor, for static-lex, its element list raises
+    UnsupportedModeError or GroupTooLarge."""
+    modes = []
+    for mode in MODES[1:]:  # every mode but none
+        try:
+            break_group(model, mode)
+            if mode == "static-lex":
+                _static_lex_elements(model.symmetry)
+            modes.append(mode)
+        except (UnsupportedModeError, GroupTooLarge):
+            pass
     return modes

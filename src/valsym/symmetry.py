@@ -18,6 +18,8 @@ from .errors import GroupTooLarge, ModelError
 GROUP_CAP = 10_080
 # the most values a class may hold for its permutations to fit GROUP_CAP
 _MAX_CLASS = next(k for k in itertools.count() if math.factorial(k + 1) > GROUP_CAP)
+# the most value-map entries static-lex posts: GROUP_CAP maps over _MAX_CLASS values
+VALUE_MAP_CAP = GROUP_CAP * _MAX_CLASS
 
 
 @dataclass(frozen=True)

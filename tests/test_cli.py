@@ -108,6 +108,10 @@ def test_verify_passes_on_clean_model(capsys):
     assert payload["verification"]["verdict"] == "PASS"
     modes = {v["mode"] for v in payload["verification"]["modes"]}
     assert modes == {"static-lex", "getree"}
+    # the mode-none run lists no solutions but counts them all
+    (run,) = payload["runs"]
+    assert run["solution_count"] == run["stats"]["solutions"] == 8
+    assert run["solutions"] == [] and run["solutions_truncated"] is True
 
 
 def test_verify_fail_exits_one(capsys):
@@ -259,6 +263,8 @@ def test_verify_coloring_all_modes(capsys, triangle_file):
         ["compare", "--model", "all-interval", "--n", "5", "--mode", "none"],
         ["solve", "--model", "coloring", "--file", "EDGE_FILE", "--colors", "300",
          "--mode", "static-lex"],                                  # group too large
+        ["verify", "--model", "all-interval", "--n", "5",
+         "--mode", "getree", "--mode", "getree"],                  # repeated mode
     ],
 )
 def test_usage_and_model_errors_exit_two(capsys, tmp_path, argv):

@@ -1,7 +1,7 @@
 """Every name a library or test module imports is read somewhere in that
-module, every library module serves another one, every library function,
-class and method is read outside its own definition, and the package exports
-exactly what it imports."""
+module, no library module imports another one's private names, every library
+module serves another one, every library function, class and method is read
+outside its own definition, and the package exports exactly what it imports."""
 
 import ast
 from collections import Counter
@@ -65,6 +65,26 @@ def test_every_library_module_but_the_cli_is_imported_by_another():
         if name != "cli" and not any(name in imps for other, imps in imports.items() if other != name)
     ]
     assert unused == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_`-private names a source imports from a sibling module."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+def test_checker_flags_a_private_import():
+    assert private_imports("from .a import b, _c\nfrom a import _d\n") == ["line 1: _c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_library_module_imports_another_ones_private_names(path):
+    # what one module keeps private, another must not lean on
+    assert private_imports(path.read_text()) == []
 
 
 def test_exports_resolve_and_every_public_import_is_exported():

@@ -549,30 +549,52 @@ def test_verify_none_names_what_needs_the_whole_group():
 # --- mode applicability and compare_methods ----------------------------------
 
 
+def _declared_model(n, m, explicit=(), classes=()):
+    spec = SymmetrySpec(n, m, tuple(explicit), tuple(map(tuple, classes)))
+    return replace(_plain_model(n, m), symmetry=spec)
+
+
 def test_applicable_modes_by_symmetry_shape():
-    assert applicable_modes(_plain_model()) == []
-    assert applicable_modes(build_all_interval(5)) == ["static-lex", "getree"]
-    assert applicable_modes(build_coloring(3, TRIANGLE, 3)) == [
-        "static-lex",
-        "precedence",
-        "channel",
-        "getree",
-    ]
-    assert applicable_modes(_both_sources_model()) == [
-        "static-lex",
-        "precedence",
-        "channel",
-        "getree",
-    ]
-    # static-lex on a class of 8 values posts 7 transpositions, so it runs;
-    # on 300 colours their value maps are past the bound, and static-lex is
-    # left out, while getree over the class needs no element list
-    assert applicable_modes(build_pigeonhole(7)) == [
-        "static-lex", "precedence", "channel", "getree"
-    ]
-    assert applicable_modes(build_coloring(2, [(0, 1)], 300)) == [
-        "precedence", "channel", "getree"
-    ]
+    reversal = [VarValueSymmetry.variable_only((2, 1, 0), 11)]
+    shapes = {
+        "trivial": (_plain_model(), []),
+        "all-interval": (build_all_interval(5), ["static-lex", "getree"]),
+        "classes": (build_coloring(3, TRIANGLE, 3), ["static-lex", "precedence", "channel", "getree"]),
+        "both": (_both_sources_model(), ["static-lex", "precedence", "channel", "getree"]),
+        "reversal": (_declared_model(3, 11, reversal), ["static-lex", "getree"]),
+        # static-lex on a class of 8 values posts 7 transpositions, so it
+        # runs; on c colours it holds c - 1 value maps of c entries, and past
+        # 266 colours it is left out, while getree over the class needs no
+        # element list
+        "pigeonhole-7": (build_pigeonhole(7), ["static-lex", "precedence", "channel", "getree"]),
+        **{
+            f"edge-{c}": (build_coloring(2, [(0, 1)], c),
+                          (["static-lex"] if c == 266 else []) + ["precedence", "channel", "getree"])
+            for c in (266, 267, 300)
+        },
+        # a variable swap and an 8-cycle close to all 8! orders of 8 variables
+        "variable-swaps": (_declared_model(8, 2, [
+            VarValueSymmetry.variable_only((1, 0, 2, 3, 4, 5, 6, 7), 2),
+            VarValueSymmetry.variable_only((1, 2, 3, 4, 5, 6, 7, 0), 2),
+        ]), []),
+        # reversal beside classes: 2 * 4! * 5! elements fit GROUP_CAP, 2 * 8!
+        # do not, and neither do 2 * 6! * 5!
+        "mixed-below": (_declared_model(3, 11, reversal, [range(4), range(6, 11)]),
+                        ["static-lex", "precedence", "channel", "getree"]),
+        "mixed-past": (_declared_model(3, 11, reversal, [range(8)]), ["precedence", "channel"]),
+        "mixed-product-past": (_declared_model(3, 11, reversal, [range(6), range(6, 11)]),
+                               ["precedence", "channel"]),
+    }
+    for shape, (model, expected) in shapes.items():
+        assert applicable_modes(model) == expected, shape
+        # and they are exactly the modes solve runs
+        for mode in MODES[1:]:
+            config = SearchConfig(symmetry_mode=mode, solution_limit=1)
+            if mode in expected:
+                solve(model, config)
+            else:
+                with pytest.raises((UnsupportedModeError, GroupTooLarge)):
+                    solve(model, config)
 
 
 def test_unsupported_modes_raise():

@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerated_group, lex_leader_support
@@ -293,13 +293,14 @@ def test_class_product_rejects_overlapping_classes():
 
 @st.composite
 def class_specs(draw):
-    """Up to 3 disjoint classes of up to 6 values each, in shuffled order,
-    beside up to 3 values outside every class, plus a few assignments."""
+    """Up to 3 disjoint classes of up to 6 values each, whose product has at
+    most 6! elements, in shuffled order, beside up to 3 values outside every
+    class, plus a few assignments."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
     order = 1
     for k in sizes:
         order *= math.factorial(k)
-    assume(order <= GROUP_CAP)
+    assume(order <= 720)
     universe = sum(sizes) + draw(st.integers(0, 3))
     values = draw(st.permutations(range(universe)))
     classes, at = [], 0
@@ -313,7 +314,10 @@ def class_specs(draw):
 
 
 @given(class_specs())
-@settings(max_examples=150, deadline=None)
+# one product of 6! * 2! elements, past what the strategy draws
+@example((SymmetrySpec(4, 10, interchangeable_classes=((5, 0, 3, 9, 4, 2), (8, 6))),
+          [(0, 5, 7, 3), (1, 1, 6, 8), (7, 9, 9, 0), (2, 8, 4, 6)]))
+@settings(max_examples=100, deadline=None)
 def test_class_product_matches_enumerated_group(case):
     spec, points = case
     cp = spec.class_product()
