@@ -20,8 +20,9 @@ def build_all_interval(n: int) -> Model:
 
     Variables 0..n-1 are the series, n..2n-2 the absolute differences. The
     declared symmetries are reversal of the series and value inversion
-    v -> n-1-v; `static-lex` posts one constraint per non-identity element
-    of the group they generate.
+    v -> n-1-v; under the series' all-different, `static-lex` posts the
+    ordering X_0 < X_{n-1} for reversal and one lex-leader that holds
+    inversion and the composed element.
     """
     if not ALL_INTERVAL_MIN <= n <= ALL_INTERVAL_MAX:
         raise ModelError(f"all-interval n must be in [{ALL_INTERVAL_MIN}, {ALL_INTERVAL_MAX}]")

@@ -30,9 +30,9 @@ extended copies of the shared watcher lists.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Container, Optional, Sequence
@@ -49,8 +49,7 @@ from .propagators import (
     check_all,
     post_first_occurrence_channel,
 )
-from .symmetry import (VALUE_MAP_CAP, ClassProduct, Group, SymmetrySpec, ValuePermutation,
-                       VarValueSymmetry, orbit_partition)
+from .symmetry import VALUE_MAP_CAP, ClassProduct, Group, SymmetrySpec, VarValueSymmetry, orbit_partition
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
 VAR_ORDERS = ("input", "min-domain")
@@ -185,19 +184,15 @@ def _has_covering_alldiff(model: Model) -> bool:
 
 def _static_lex_elements(spec: SymmetrySpec) -> Sequence[VarValueSymmetry]:
     """The non-identity elements static-lex posts lex-leaders over: the
-    closed group's, or for classes alone the swaps of adjacent values of
-    each sorted class, whose lex-leaders' conjunction is value precedence,
-    refused before any is built past VALUE_MAP_CAP value-map entries."""
+    closed group's, or for classes alone `spec.class_swaps()`, refused
+    before any is built past VALUE_MAP_CAP value-map entries."""
     if spec.explicit:
         return _closed_group(spec)[1:]
-    classes = [sorted(cls) for cls in spec.interchangeable_classes]
-    entries = sum(len(c) - 1 for c in classes) * spec.universe_size
+    entries = sum(len(c) - 1 for c in spec.interchangeable_classes) * spec.universe_size
     if entries > VALUE_MAP_CAP:
         raise GroupTooLarge(entries, VALUE_MAP_CAP, f"static-lex on value classes holds one value map per "
                             f"adjacent pair of class values, up to {VALUE_MAP_CAP} entries, got {entries}")
-    size = spec.universe_size
-    return [VarValueSymmetry.value_only(spec.scope_len, ValuePermutation.from_cycle(size, pair))
-            for c in classes for pair in itertools.pairwise(c)]
+    return spec.class_swaps()
 
 
 def _static_lex_propagators(model: Model) -> list:
@@ -406,23 +401,13 @@ def verify_symmetry_breaking(
         else:
             sols, _ = solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
         proj = [model.project_scope(s) for s in sols]
-        member_orbit: dict[tuple[int, ...], int] = {}
-        for idx, orbit in enumerate(orbits):
-            for a in orbit:
-                member_orbit[a] = idx
-        counts = [0] * len(orbits)
-        stray = []
-        for p in proj:
-            if p in member_orbit:
-                counts[member_orbit[p]] += 1
-            else:
-                stray.append(p)  # solution outside mode-none set: impossible unless unsound
-        duplicates = [orbits[i] for i, c in enumerate(counts) if c > 1]
-        missed = [orbits[i] for i, c in enumerate(counts) if c == 0]
-        non_canonical = sorted(
-            p for p in set(proj) if p in member_orbit and p != orbits[member_orbit[p]][0]
-        )
-        passed = not duplicates and not missed and not stray
+        orbit_of = {a: idx for idx, orbit in enumerate(orbits) for a in orbit}
+        # a solution outside the mode-none set, which only an unsound mode finds, counts under None
+        counts = Counter(orbit_of.get(p) for p in proj)
+        duplicates = [orbit for idx, orbit in enumerate(orbits) if counts[idx] > 1]
+        missed = [orbit for idx, orbit in enumerate(orbits) if not counts[idx]]
+        non_canonical = sorted(p for p in set(proj) if p in orbit_of and p != orbits[orbit_of[p]][0])
+        passed = not duplicates and not missed and not counts[None]
         reports.append(
             VerifyModeReport(
                 mode, len(proj), len(orbits), duplicates, missed, non_canonical, passed

@@ -219,11 +219,18 @@ class SymmetrySpec:
         """The interchangeable classes' group in structural form."""
         return ClassProduct(self.interchangeable_classes, self.universe_size)
 
+    def class_swaps(self) -> list[VarValueSymmetry]:
+        """The transposition of each pair of adjacent values of each sorted
+        class: together they generate the class product, and the
+        conjunction of their lex-leaders is value precedence."""
+        size = self.universe_size
+        return [VarValueSymmetry.value_only(self.scope_len, ValuePermutation.from_cycle(size, pair))
+                for cls in self.interchangeable_classes for pair in itertools.pairwise(sorted(cls))]
+
     def closed_group(self) -> list[VarValueSymmetry]:
         """The whole group the spec denotes: `close_group` of the explicit
-        elements and each class's generators, the transposition of its first
-        two values and the cycle over all. Only specs with explicit elements
-        need it. A class or class product past GROUP_CAP is refused before
+        elements and the class swaps. Only specs with explicit elements need
+        it. A class or class product past GROUP_CAP is refused before
         anything is built."""
         if self.is_trivial:
             return []
@@ -239,10 +246,8 @@ class SymmetrySpec:
         order = math.prod(math.factorial(len(c)) for c in classes)
         if order > GROUP_CAP:
             raise GroupTooLarge(order, GROUP_CAP)
-        return close_group(list(self.explicit) + [
-            VarValueSymmetry.value_only(self.scope_len, ValuePermutation.from_cycle(self.universe_size, c))
-            for cls in classes if len(cls) > 1 for c in (cls[:2], cls)
-        ]) or [VarValueSymmetry.identity(self.scope_len, self.universe_size)]
+        return close_group(list(self.explicit) + self.class_swaps()) or [
+            VarValueSymmetry.identity(self.scope_len, self.universe_size)]
 
 
 Group = Sequence[VarValueSymmetry] | ClassProduct

@@ -87,6 +87,30 @@ def test_no_library_module_imports_another_ones_private_names(path):
     assert private_imports(path.read_text()) == []
 
 
+def value_map_uses(source: str) -> list[str]:
+    """The lines where a source imports or reads `ValuePermutation`."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "ValuePermutation" for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "ValuePermutation"
+    ]
+
+
+def test_checker_flags_a_value_map_use():
+    assert value_map_uses(
+        "from .symmetry import ValuePermutation\nfrom . import symmetry\n"
+        "symmetry.ValuePermutation((0,))\nfrom .symmetry import close_group\n"
+    ) == ["line 1", "line 3"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "symmetry.py"], ids=lambda p: p.name
+)
+def test_only_the_symmetry_module_builds_value_maps(path):
+    # value maps are built in one module; the package's re-export is exempt
+    assert value_map_uses(path.read_text()) == []
+
+
 def test_exports_resolve_and_every_public_import_is_exported():
     assert [name for name in valsym.__all__ if not hasattr(valsym, name)] == []
     tree = ast.parse((SRC / "__init__.py").read_text())

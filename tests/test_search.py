@@ -110,6 +110,26 @@ def test_mode_none_fails_one_per_orbit_check():
     assert reports[0].duplicate_orbits
 
 
+def test_verify_fails_a_mode_that_returns_a_solution_outside_the_none_set(monkeypatch):
+    m = build_all_interval(5)
+    stray = (0,) * m.num_vars  # a repeated series value: no solution
+    real_solve = search.solve
+
+    def unsound_solve(model, config=None):
+        sols, stats = real_solve(model, config)
+        if config is not None and config.symmetry_mode == "static-lex":
+            sols = sols + [stray]
+        return sols, stats
+
+    monkeypatch.setattr(search, "solve", unsound_solve)
+    passed, reports, _ = verify_symmetry_breaking(m, ["static-lex", "getree"])
+    by_mode = {r.mode: r for r in reports}
+    lex = by_mode["static-lex"]
+    assert not passed and not lex.passed and by_mode["getree"].passed
+    assert lex.solution_count == 3  # the two canonical solutions and the stray one
+    assert lex.duplicate_orbits == [] and lex.missed_orbits == [] and lex.non_canonical == []
+
+
 def test_sample_random_models_verify_across_all_modes():
     rng = random.Random(7)
     for _ in range(10):
