@@ -21,7 +21,8 @@ class GroupTooLarge(RuntimeError):
     """A symmetry group's elements would pass their cap: raised by
     `close_group` when a closure outgrows it and, before building anything,
     by `SymmetrySpec.closed_group` for a value class or class product past
-    it and by static-lex for classes with too many value-map entries."""
+    it and by the search's mode check (`solve` and `break_group` alike) for
+    static-lex on classes with too many value-map entries."""
 
     def __init__(self, size: int, cap: int, message: str | None = None):
         super().__init__(message or f"group closure exceeded cap ({size} > {cap})")

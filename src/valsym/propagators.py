@@ -286,6 +286,8 @@ class PrecedenceProp(Propagator):
         if len(set(order)) != len(order):
             raise ModelError("precedence order repeats a value")
         self.scope = tuple(scope)
+        if len(set(self.scope)) != len(self.scope):
+            raise ModelError(f"precedence scope repeats a variable: {self.scope}")
         self.order = tuple(order)
         self.rank = {v: r for r, v in enumerate(order)}
         self.class_mask = mask_of(order)
@@ -332,9 +334,7 @@ class PrecedenceProp(Propagator):
         for i in range(len(fwd) - 1, -1, -1):
             var = scope[i]
             dm = domains[var]
-            r = rank_of.get(dm)
-            if r is None:
-                r = rank_of[dm] = self._ranks(dm)
+            r = rank_of[dm]  # no variable repeats, so the forward sweep read dm as it is
             f = fwd[i]
             stay = f & bwd  # states that can stay and still reach an end
             step = f & (bwd >> 1)  # states whose step up reaches an end

@@ -116,14 +116,21 @@ class ModeResult:
 
 def _require_mode(spec: SymmetrySpec, mode: str) -> None:
     """Raise UnsupportedModeError unless `mode` can run on a model declaring
-    `spec`: the one statement of each mode's precondition, which `solve` and
-    `break_group` both check."""
+    `spec`, and GroupTooLarge when static-lex on value classes alone would
+    hold more than VALUE_MAP_CAP value-map entries: the one statement of each
+    mode's refusals, which `solve` and `break_group` both check. A closure past
+    `GROUP_CAP` is refused later, by `SymmetrySpec.closed_group`."""
     if mode not in MODES:
         raise UnsupportedModeError(f"unknown mode {mode!r}")
     if mode in ("precedence", "channel") and not spec.interchangeable_classes:
         raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
     if mode in ("static-lex", "getree") and spec.is_trivial:
         raise UnsupportedModeError(f"{mode} needs declared symmetries")
+    if mode == "static-lex" and not spec.explicit:
+        entries = sum(len(c) - 1 for c in spec.interchangeable_classes) * spec.universe_size
+        if entries > VALUE_MAP_CAP:
+            raise GroupTooLarge(entries, VALUE_MAP_CAP, f"static-lex on value classes holds one value map per "
+                                f"adjacent pair of class values, up to {VALUE_MAP_CAP} entries, got {entries}")
 
 
 @lru_cache(maxsize=64)
@@ -182,25 +189,13 @@ def _has_covering_alldiff(model: Model) -> bool:
     )
 
 
-def _static_lex_elements(spec: SymmetrySpec) -> Sequence[VarValueSymmetry]:
-    """The non-identity elements static-lex posts lex-leaders over: the
-    closed group's, or for classes alone `spec.class_swaps()`, refused
-    before any is built past VALUE_MAP_CAP value-map entries."""
-    if spec.explicit:
-        return _closed_group(spec)[1:]
-    entries = sum(len(c) - 1 for c in spec.interchangeable_classes) * spec.universe_size
-    if entries > VALUE_MAP_CAP:
-        raise GroupTooLarge(entries, VALUE_MAP_CAP, f"static-lex on value classes holds one value map per "
-                            f"adjacent pair of class values, up to {VALUE_MAP_CAP} entries, got {entries}")
-    return spec.class_swaps()
-
-
 def _static_lex_propagators(model: Model) -> list:
     props, lex = [], []
+    spec = model.symmetry
     # only explicit elements can move variables alone
-    simplify = bool(model.symmetry.explicit) and _has_covering_alldiff(model)
+    simplify = bool(spec.explicit) and _has_covering_alldiff(model)
     scope = model.symmetry_scope
-    for g in _static_lex_elements(model.symmetry):
+    for g in _closed_group(spec)[1:] if spec.explicit else spec.class_swaps():
         if simplify and g.sigma.is_identity:
             # pure variable symmetry under an all-different scope: the first
             # moved position decides, and ties there are impossible
@@ -359,8 +354,9 @@ def break_group(model: Model, mode: str) -> Group:
     permutations), and its search filters on the group returned here.
     Whenever that group is exactly the class product it is returned in
     structural form, which has no size limit; otherwise it is enumerated, up
-    to `GROUP_CAP` elements. Raises UnsupportedModeError for a mode the model
-    cannot run, as `solve` does.
+    to `GROUP_CAP` elements. Raises UnsupportedModeError or GroupTooLarge,
+    with the same message, for exactly the modes `solve` refuses, and for
+    `none` GroupTooLarge when the whole group is past that cap.
     """
     spec = model.symmetry
     _require_mode(spec, mode)
@@ -386,15 +382,16 @@ def verify_symmetry_breaking(
     model: Model, modes: Sequence[str], config: Optional[SearchConfig] = None
 ) -> tuple[bool, list[VerifyModeReport], SearchStats]:
     """Check one-solution-per-orbit for each mode against mode-none
-    enumeration. Returns (all_passed, per-mode reports, none-run stats)."""
+    enumeration. Returns (all_passed, per-mode reports, none-run stats).
+    A mode the model cannot run is refused before anything is enumerated."""
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode listed")
+    groups = [break_group(model, mode) for mode in modes]
     base = config if config is not None else SearchConfig()
     none_sols, none_stats = solve(model, replace(base, symmetry_mode="none", solution_limit=None))
     none_proj = [model.project_scope(s) for s in none_sols]
     reports = []
-    for mode in modes:
-        group = break_group(model, mode)
+    for mode, group in zip(modes, groups):
         orbits = orbit_partition(none_proj, group)
         if mode == "none":
             sols = none_sols
@@ -418,14 +415,11 @@ def verify_symmetry_breaking(
 
 def applicable_modes(model: Model) -> list[str]:
     """The modes `solve` runs on this model, less `none`: those for which
-    neither `break_group` nor, for static-lex, its element list raises
-    UnsupportedModeError or GroupTooLarge."""
+    `break_group` raises neither UnsupportedModeError nor GroupTooLarge."""
     modes = []
     for mode in MODES[1:]:  # every mode but none
         try:
             break_group(model, mode)
-            if mode == "static-lex":
-                _static_lex_elements(model.symmetry)
             modes.append(mode)
         except (UnsupportedModeError, GroupTooLarge):
             pass

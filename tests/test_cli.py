@@ -292,6 +292,20 @@ def test_static_lex_class_cap_names_the_limit(capsys, tmp_path, colors):
     assert "closure exceeded cap" not in err
 
 
+def test_verify_refuses_a_mode_before_it_enumerates(capsys, tmp_path):
+    # three isolated vertices with 300 colours have 27 000 000 mode-none
+    # solutions; static-lex on them is refused, and that must be the answer
+    # rather than a budget overrun of the mode-none run
+    path = tmp_path / "three.col"
+    path.write_text("p edge 3 0\n")
+    argv = ["verify", "--model", "coloring", "--file", str(path), "--colors", "300",
+            "--mode", "static-lex", "--budget", "1000"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "static-lex" in err and f"up to 70560 entries, got {299 * 300}" in err
+
+
 def test_deep_path_is_solved_in_precedence_mode(capsys, tmp_path):
     n = 1200
     path = tmp_path / "path.col"

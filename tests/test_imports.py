@@ -172,3 +172,36 @@ def test_every_library_definition_is_read_outside_itself():
     library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     assert unread_definitions(library, readers, valsym.__all__) == []
+
+
+def refusals_outside(source: str, function: str) -> list[str]:
+    """The lines where a source raises UnsupportedModeError or GroupTooLarge
+    anywhere but inside the module-level function `function`."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+    }
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and id(node) not in inside
+        and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id in ("UnsupportedModeError", "GroupTooLarge")
+    )]
+
+
+def test_checker_flags_a_refusal_outside_the_rule():
+    assert refusals_outside(
+        "def rule(m):\n    raise GroupTooLarge(1, 0)\n\n"
+        "def other(m):\n    if m:\n        raise UnsupportedModeError(m)\n"
+        "    raise ValueError(m)\n"
+        "raise GroupTooLarge(2, 1, 'top')\n",
+        "rule",
+    ) == ["line 6", "line 8"]
+
+
+def test_search_states_every_refusal_in_one_function():
+    # solve, break_group, applicable_modes and verify refuse the same modes
+    # only while every refusal the search module makes itself is stated once
+    assert refusals_outside((SRC / "search.py").read_text(), "_require_mode") == []

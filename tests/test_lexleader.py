@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from oracles import brute_support, enumerated_group, lex_leader_propagate_one
-from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
 from valsym.errors import ModelError
@@ -326,7 +325,7 @@ def test_adjacent_transpositions_lead_like_the_class_product():
     cases = agree = failures = enumerated = 0
     for _ in range(10_000):
         spec, scope, doms = _random_class_case(rng)
-        elements = search._static_lex_elements(spec)
+        elements = spec.class_swaps()
         assert len(elements) == sum(len(c) - 1 for c in spec.interchangeable_classes)
         adjacent = LexLeaderProp(scope, *elements)
         identity, *moves = enumerated_group(spec)

@@ -60,6 +60,13 @@ def test_repeated_order_value_rejected():
         PrecedenceProp((0, 1), (1, 1))
 
 
+def test_repeated_scope_variable_rejected():
+    # the backward sweep reads each domain as the forward sweep translated it,
+    # which holds only while no position shares another's variable
+    with pytest.raises(ModelError, match="precedence scope repeats a variable"):
+        PrecedenceProp((0, 1, 0), (0, 1))
+
+
 def _random_domains(rng, n, u):
     return [rng.randrange(1, 1 << u) for _ in range(n)]
 

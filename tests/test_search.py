@@ -15,7 +15,7 @@ from valsym.problems import (
     build_pigeonhole,
     random_interchangeable_model,
 )
-from valsym.propagators import build_propagators
+from valsym.propagators import NotEqualProp, build_propagators
 from valsym.search import (
     MODES,
     SearchConfig,
@@ -148,6 +148,19 @@ def test_solution_counts_equal_orbit_counts():
         sols, _ = solve(m, SearchConfig(symmetry_mode=mode))
         orbits = orbit_partition(proj, break_group(m, mode))
         assert len(sols) == len(orbits), mode
+
+
+def test_a_leaf_that_only_the_leaf_check_rejects_is_a_failure(monkeypatch):
+    # with not-equal pruning nothing, every one of the 27 full assignments of
+    # a triangle in 3 colours is a leaf; the exact leaf check keeps the 6
+    # proper colourings and each of the other 21 leaves counts as a failure
+    m = build_coloring(3, TRIANGLE, 3)
+    want, stats = solve(m)
+    assert (stats.nodes, stats.failures) == (10, 0)
+    monkeypatch.setattr(NotEqualProp, "propagate", lambda self, domains: (False, []))
+    got, stats = solve(m)
+    assert got == want and len(got) == 6
+    assert (stats.nodes, stats.failures, stats.solutions) == (40, 21, 6)
 
 
 def test_solution_limit_truncates():
@@ -607,14 +620,20 @@ def test_applicable_modes_by_symmetry_shape():
     }
     for shape, (model, expected) in shapes.items():
         assert applicable_modes(model) == expected, shape
-        # and they are exactly the modes solve runs
+        # they are exactly the modes solve runs, and break_group refuses the
+        # others as solve does: same type, same message
         for mode in MODES[1:]:
             config = SearchConfig(symmetry_mode=mode, solution_limit=1)
             if mode in expected:
                 solve(model, config)
-            else:
-                with pytest.raises((UnsupportedModeError, GroupTooLarge)):
-                    solve(model, config)
+                break_group(model, mode)
+                continue
+            with pytest.raises((UnsupportedModeError, GroupTooLarge)) as solved:
+                solve(model, config)
+            with pytest.raises((UnsupportedModeError, GroupTooLarge)) as broken:
+                break_group(model, mode)
+            assert (type(broken.value), str(broken.value)) == (type(solved.value), str(solved.value)), (
+                shape, mode)
 
 
 def test_unsupported_modes_raise():
@@ -672,6 +691,33 @@ def test_model_rejects_a_symmetry_scope_that_repeats_a_variable():
     spec = SymmetrySpec(scope_len=2, universe_size=2, interchangeable_classes=((0, 1),))
     with pytest.raises(ModelError, match="symmetry scope repeats a variable"):
         replace(m, symmetry=spec, symmetry_scope=(0, 0))
+
+
+BAD_MODEL_FIELDS = {
+    "constraint-var": ({"constraints": (Constraint(ConstraintKind.NOT_EQUAL, (0, 5)),)},
+                       "constraint not-equal names unknown var 5"),
+    "scope-var": ({"symmetry_scope": (0, 7)}, "symmetry scope names unknown var 7"),
+    "scope-length": ({"symmetry_scope": (0,)}, "symmetry scope length mismatch"),
+    "universe": ({"symmetry": SymmetrySpec(scope_len=2, universe_size=4)}, "symmetry universe mismatch"),
+    # swapping x0 in {0} with x1 in {0, 1, 2} does not map domains onto domains
+    "unpreserved-domains": (
+        {"domains": (0b001, 0b111),
+         "symmetry": SymmetrySpec(2, 3, (VarValueSymmetry.variable_only((1, 0), 3),))},
+        r"declared symmetry does not preserve domains \(var 0 -> var 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_FIELDS))
+def test_model_rejects_an_inconsistent_field(case):
+    fields, message = BAD_MODEL_FIELDS[case]
+    with pytest.raises(ModelError, match=message):
+        replace(_plain_model(2, 3), **fields)
+
+
+def test_an_unknown_mode_is_refused():
+    with pytest.raises(UnsupportedModeError, match="unknown mode 'bogus'"):
+        break_group(build_coloring(3, TRIANGLE, 3), "bogus")
 
 
 @pytest.mark.parametrize("bad", [{0, 1}, 0, -1, 1 << 3], ids=["set", "empty", "negative", "above"])
