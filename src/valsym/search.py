@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Container, Optional, Sequence
 
@@ -104,7 +104,8 @@ class SearchStats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every field is a number, so `dataclasses.asdict`'s recursive copy is not needed
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -383,22 +384,30 @@ def verify_symmetry_breaking(
 ) -> tuple[bool, list[VerifyModeReport], SearchStats]:
     """Check one-solution-per-orbit for each mode against mode-none
     enumeration. Returns (all_passed, per-mode reports, none-run stats).
-    A mode the model cannot run is refused before anything is enumerated."""
+    A mode the model cannot run is refused before anything is enumerated.
+    Modes that break the same group share one orbit partition of the
+    mode-none solutions: on value classes alone, every mode breaks the class
+    product."""
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode listed")
     groups = [break_group(model, mode) for mode in modes]
     base = config if config is not None else SearchConfig()
     none_sols, none_stats = solve(model, replace(base, symmetry_mode="none", solution_limit=None))
     none_proj = [model.project_scope(s) for s in none_sols]
+    partitions: list = []  # (group, orbits, orbit_of) per distinct group
     reports = []
     for mode, group in zip(modes, groups):
-        orbits = orbit_partition(none_proj, group)
+        shared = next((p for p in partitions if p[0] == group), None)
+        if shared is None:
+            orbits = orbit_partition(none_proj, group)
+            shared = (group, orbits, {a: idx for idx, orbit in enumerate(orbits) for a in orbit})
+            partitions.append(shared)
+        _, orbits, orbit_of = shared
         if mode == "none":
             sols = none_sols
         else:
             sols, _ = solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
         proj = [model.project_scope(s) for s in sols]
-        orbit_of = {a: idx for idx, orbit in enumerate(orbits) for a in orbit}
         # a solution outside the mode-none set, which only an unsound mode finds, counts under None
         counts = Counter(orbit_of.get(p) for p in proj)
         duplicates = [orbit for idx, orbit in enumerate(orbits) if counts[idx] > 1]

@@ -6,11 +6,14 @@ generate-and-test."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
+from valsym import search
 from valsym.domains import values_of
 from valsym.model import Constraint, ConstraintKind, Model
-from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, close_group
+from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, close_group, orbit_partition
 
 
 def constraint_holds(c: Constraint, values: Sequence[int]) -> bool:
@@ -359,3 +362,34 @@ def not_equal_forward_check(edges, domains: list[int]) -> bool:
                     if not domains[y]:
                         return True
     return False
+
+
+def verify_per_mode(
+    model: Model, modes: Sequence[str], config: Optional[search.SearchConfig] = None
+) -> list[search.VerifyModeReport]:
+    """verify_symmetry_breaking's reports as first written: one orbit
+    partition of the mode-none solutions per mode, even where several modes
+    break the same group. The reference for the version that partitions once
+    per distinct group; it reads `search.solve` through the module, so a test
+    that patches the solver patches both."""
+    base = config if config is not None else search.SearchConfig()
+    groups = [search.break_group(model, mode) for mode in modes]
+    none_sols, _ = search.solve(model, replace(base, symmetry_mode="none", solution_limit=None))
+    none_proj = [model.project_scope(s) for s in none_sols]
+    reports = []
+    for mode, group in zip(modes, groups):
+        orbits = orbit_partition(none_proj, group)
+        if mode == "none":
+            sols = none_sols
+        else:
+            sols, _ = search.solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
+        proj = [model.project_scope(s) for s in sols]
+        orbit_of = {a: idx for idx, orbit in enumerate(orbits) for a in orbit}
+        counts = Counter(orbit_of.get(p) for p in proj)
+        duplicates = [orbit for idx, orbit in enumerate(orbits) if counts[idx] > 1]
+        missed = [orbit for idx, orbit in enumerate(orbits) if not counts[idx]]
+        non_canonical = sorted(p for p in set(proj) if p in orbit_of and p != orbits[orbit_of[p]][0])
+        passed = not duplicates and not missed and not counts[None]
+        reports.append(search.VerifyModeReport(
+            mode, len(proj), len(orbits), duplicates, missed, non_canonical, passed))
+    return reports

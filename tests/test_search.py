@@ -1,10 +1,10 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
-from oracles import model_solutions, naive_all_interval
+from oracles import model_solutions, naive_all_interval, verify_per_mode
 from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError, UnsupportedModeError
@@ -19,6 +19,7 @@ from valsym.propagators import NotEqualProp, build_propagators
 from valsym.search import (
     MODES,
     SearchConfig,
+    SearchStats,
     applicable_modes,
     break_group,
     compare_methods,
@@ -128,6 +129,70 @@ def test_verify_fails_a_mode_that_returns_a_solution_outside_the_none_set(monkey
     assert not passed and not lex.passed and by_mode["getree"].passed
     assert lex.solution_count == 3  # the two canonical solutions and the stray one
     assert lex.duplicate_orbits == [] and lex.missed_orbits == [] and lex.non_canonical == []
+
+
+CLASS_MODES = ["static-lex", "precedence", "channel", "getree"]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_verify_matches_a_partition_per_mode_on_all_interval(n):
+    m = build_all_interval(n)
+    modes = ["none", "static-lex", "getree"]
+    passed, reports, _ = verify_symmetry_breaking(m, modes)
+    assert reports == verify_per_mode(m, modes)
+    assert passed == all(r.passed for r in reports)
+
+
+def test_verify_matches_a_partition_per_mode_on_random_models():
+    rng = random.Random(25)
+    for _ in range(12):
+        m = random_interchangeable_model(rng, max_vars=5, max_values=3)
+        modes = ["none", *CLASS_MODES]
+        for config in (None, SearchConfig(var_order="min-domain")):
+            _, reports, _ = verify_symmetry_breaking(m, modes, config)
+            assert reports == verify_per_mode(m, modes, config), m.describe()
+
+
+def test_an_unsound_mode_does_not_spoil_the_sibling_sharing_its_orbits(monkeypatch):
+    # precedence and channel break the same class product, so they read one
+    # orbit partition; only precedence returns a stray and a repeated orbit
+    m = build_coloring(4, [(0, 1), (1, 2), (2, 3)], 3)
+    stray = (0,) * m.num_vars  # adjacent vertices share a colour: no solution
+    real_solve = search.solve
+
+    def unsound_solve(model, config=None):
+        sols, stats = real_solve(model, config)
+        if config is not None and config.symmetry_mode == "precedence":
+            sols = sols + [stray, (1, 0, 1, 0)]
+        return sols, stats
+
+    monkeypatch.setattr(search, "solve", unsound_solve)
+    modes = ["precedence", "channel"]
+    passed, reports, _ = verify_symmetry_breaking(m, modes)
+    assert reports == verify_per_mode(m, modes)
+    prec, chan = reports
+    assert not passed and not prec.passed and chan.passed
+    assert prec.solution_count == chan.solution_count + 2 == prec.orbit_count + 2
+    # the two-colour orbit: precedence found its canonical member and the extra one
+    assert prec.duplicate_orbits == [[(0, 1, 0, 1), (0, 2, 0, 2), (1, 0, 1, 0),
+                                      (1, 2, 1, 2), (2, 0, 2, 0), (2, 1, 2, 1)]]
+    assert prec.non_canonical == [(1, 0, 1, 0)] and prec.missed_orbits == []
+    assert chan.solution_count == chan.orbit_count
+    assert chan.duplicate_orbits == [] and chan.missed_orbits == [] and chan.non_canonical == []
+
+
+def test_verify_partitions_each_distinct_group_once(monkeypatch):
+    # bench/tracer.py times orbit work by patching search.orbit_partition
+    calls = []
+    real = search.orbit_partition
+    monkeypatch.setattr(search, "orbit_partition", lambda *args: calls.append(1) or real(*args))
+    # static-lex breaks the whole group of 4 elements, getree its value subgroup
+    verify_symmetry_breaking(build_all_interval(6), ["static-lex", "getree"])
+    assert len(calls) == 2
+    calls.clear()
+    # every class mode breaks the one class product
+    verify_symmetry_breaking(build_coloring(4, [(0, 1), (1, 2), (2, 3)], 3), CLASS_MODES)
+    assert len(calls) == 1
 
 
 def test_sample_random_models_verify_across_all_modes():
@@ -634,6 +699,12 @@ def test_applicable_modes_by_symmetry_shape():
                 break_group(model, mode)
             assert (type(broken.value), str(broken.value)) == (type(solved.value), str(solved.value)), (
                 shape, mode)
+
+
+def test_stats_as_dict_matches_dataclasses_asdict():
+    stats = SearchStats(**{f.name: i + 1 for i, f in enumerate(fields(SearchStats))})
+    stats.elapsed = 0.25
+    assert list(stats.as_dict().items()) == list(asdict(stats).items())
 
 
 def test_unsupported_modes_raise():
