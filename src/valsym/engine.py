@@ -84,12 +84,10 @@ def build_watchers(
         base = ([], [])
     pad = [()] * (num_vars - len(base[0]))
     lists = (base[0] + pad, base[1] + pad)
-    added: dict[tuple[bool, VarId], list[int]] = {}
     for idx, p in enumerate(propagators, first):
+        woken = lists[p.fix_only]
         for v in p.wakes:
-            added.setdefault((p.fix_only, v), []).append(idx)
-    for (fix_only, v), idxs in added.items():
-        lists[fix_only][v] += tuple(idxs)
+            woken[v] += (idx,)
     return lists
 
 

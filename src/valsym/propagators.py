@@ -278,6 +278,8 @@ class PrecedenceProp(Propagator):
     Once the state set is exactly {len(order)}, every path has introduced the
     whole class: the states stay there and no later value can be pruned, so
     both sweeps stop at that position and the rest of the scope is not read.
+    When every position the forward sweep read is fixed, there is one path
+    and the backward sweep is skipped.
     """
 
     kind = "precedence"
@@ -314,11 +316,13 @@ class PrecedenceProp(Propagator):
         rank_of = {}
         fwd = []  # fwd[i]: the states before scope position i
         states = 1
+        loose = 0  # nonzero once the sweep has read an open domain
         for var in scope:
             if states == full:
                 break
             fwd.append(states)
             dm = domains[var]
+            loose |= dm & (dm - 1)
             r = rank_of.get(dm)
             if r is None:
                 r = rank_of[dm] = self._ranks(dm)
@@ -329,6 +333,9 @@ class PrecedenceProp(Propagator):
                 states = (states & -((r & -r) << 1)) | ((states & r) << 1)
             if not states:
                 return True, []
+        if not loose:
+            # one path through singletons: the backward sweep keeps every value
+            return False, []
         changed = []
         bwd = states
         for i in range(len(fwd) - 1, -1, -1):
@@ -413,11 +420,10 @@ class LexLeaderProp(Propagator):
         for sym in syms:
             if len(sym.theta) != len(scope):
                 raise ModelError("lex-leader symmetry does not fit scope")
-            sig = sym.sigma.image
-            # values sigma fixes, and values sigma moves upwards
-            fixed = rising = 0
+            sig, fixed = sym.sigma.image, sym.sigma.fixed_mask
+            # values sigma moves upwards
+            rising = 0
             for v, w in enumerate(sig):
-                fixed |= (w == v) << v
                 rising |= (w > v) << v
             # V's variables by position; a value-only element shares the scope
             v_vars = scope if sym.theta_is_identity else tuple(scope[i] for i in sym.theta_inverse())
@@ -504,15 +510,16 @@ class FirstOccurrenceChannelProp(Propagator):
       - a fixed z forces its position's variable;
       - a value absent from every scope domain forces the sentinel.
 
-    A pass reads the scope once: the union of all its domains, and the mask
-    of fixed positions and the positions fixed to each value (bit i stands
-    for position i) up to the last position any z still holds, or the whole
-    scope while some z still holds its sentinel; a later position lies above
-    every z and cannot move one. Each z is then narrowed with word operations
-    on those masks. The rules run in the same order and reach the same
-    domains, on failure too, as one scan of the whole scope per class value:
-    the scan is redone before the next value whenever a rule narrowed a scope
-    variable.
+    A pass reads the scope once: the mask of fixed positions and the
+    positions fixed to each value (bit i stands for position i) up to the
+    last position any z still holds, or the whole scope while some z still
+    holds its sentinel; a later position lies above every z and cannot move
+    one. Only a class value fixed at none of those positions needs the union
+    of all the scope domains, which is then taken once for the scan. Each z
+    is narrowed with word operations on those masks. The rules run in the
+    same order and reach the same domains, on failure too, as one scan of the
+    whole scope per class value: the scan is redone before the next value
+    whenever a rule narrowed a scope variable.
     """
 
     kind = "first-occurrence-channel"
@@ -532,10 +539,9 @@ class FirstOccurrenceChannelProp(Propagator):
         """Initial domain of z_k: positions 1..len(scope) plus its sentinel."""
         return ((1 << (len(self.x_scope) + 1)) - 2) | (1 << self.sentinel(k))
 
-    def _scan(self, domains, last: int) -> tuple[int, int, dict[int, int]]:
-        """(union of the scope domains, fixed positions up to `last`,
-        singleton domain -> positions up to `last` fixed to it)."""
-        union = reduce(or_, map(domains.__getitem__, self.x_scope), 0)
+    def _scan(self, domains, last: int) -> tuple[int, dict[int, int]]:
+        """(fixed positions up to `last`, singleton domain -> positions up to
+        `last` fixed to it)."""
         fixed = 0
         at: dict[int, int] = {}
         pos = 2  # position 1
@@ -545,7 +551,7 @@ class FirstOccurrenceChannelProp(Propagator):
                 fixed |= pos
                 at[dx] = at.get(dx, 0) | pos
             pos <<= 1
-        return union, fixed, at
+        return fixed, at
 
     def propagate(self, domains):
         x_scope = self.x_scope
@@ -560,7 +566,8 @@ class FirstOccurrenceChannelProp(Propagator):
             last = n if live >> (n + 1) else live.bit_length() - 1
             for k, val in enumerate(self.order):
                 if stale:
-                    union, fixed, at = self._scan(domains, last)
+                    fixed, at = self._scan(domains, last)
+                    union = None  # ORed on first need, once per scan
                     stale = False
                 z = self.z_vars[k]
                 dz = domains[z]
@@ -569,8 +576,13 @@ class FirstOccurrenceChannelProp(Propagator):
                 keep = dz & ~(fixed ^ hits)  # not at a position fixed to another value
                 if hits:
                     keep &= ((hits & -hits) << 1) - 1  # z <= the first position fixed to val
-                if not union & bit:
-                    keep &= 1 << self.sentinel(k)
+                else:
+                    # a position fixed to val puts val in the union, so only
+                    # a value without one needs the union of the scope
+                    if union is None:
+                        union = reduce(or_, map(domains.__getitem__, x_scope), 0)
+                    if not union & bit:
+                        keep &= 1 << self.sentinel(k)
                 if keep != dz:
                     dz = domains[z] = keep
                     changed.add(z)

@@ -18,7 +18,9 @@ Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
 re-checked against the exact constraint relations, so weak propagators cost
 time, never correctness. Each open ancestor of the node has one search-stack
-frame: its domains, its branching variable, its values and how many it tried.
+frame: its domains, its branching variable, its values, how many it tried and
+the mask of the values decided on scope variables above it, so getree reads
+the decided values as one mask instead of walking the path.
 
 A model's own propagators and their watchers are built on its first `solve`
 and kept in the model's `__dict__`, outside its fields, so `==`, `repr` and
@@ -140,7 +142,7 @@ def _closed_group(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
 
 
 def getree_allowed_values(
-    partial: Sequence[tuple[int, int]],
+    decided: int,
     next_var: int,
     group: Group,
     domains: Sequence[int],
@@ -148,37 +150,32 @@ def getree_allowed_values(
 ) -> list[int]:
     """Values worth branching on at this node, in ascending order.
 
-    partial is the sequence of (var, value) decisions made so far, group the
-    value group `break_group(model, "getree")` returns and scope the set of
-    variables it acts on. Only one value per orbit of the stabilizer of the
-    decided scope values survives: the least one still in the domain mask.
-    Variables outside the scope are not filtered.
+    decided is the mask of the values the decisions so far gave scope
+    variables, group the value group `break_group(model, "getree")` returns
+    and scope the set of variables it acts on. Only one value per orbit of the
+    stabilizer of the decided values survives: the least one still in the
+    domain mask. Variables outside the scope are not filtered.
     """
     dom = domains[next_var]
     if next_var not in scope:
         return list(values_of(dom))
-    decided = {val for var, val in partial if var in scope}
-    allowed = []
     if isinstance(group, ClassProduct):
-        class_of = group.class_of
-        fresh_done = set()
-        for v in values_of(dom):
-            idx = class_of.get(v)
-            if idx is None or v in decided:
-                allowed.append(v)
-            elif idx not in fresh_done:
-                # v is the least unused value of its class still in the domain
-                allowed.append(v)
-                fresh_done.add(idx)
-        return allowed
-    stab = [g.sigma for g in group if all(g.sigma(v) == v for v in decided)]
+        # decided and non-class values stay, plus each class's least unused value
+        keep = dom & (decided | ~group.class_union)
+        for cls in group.class_masks:
+            fresh = dom & cls & ~decided
+            keep |= fresh & -fresh
+        return list(values_of(keep))
+    # an element stabilizes the decided values iff it fixes each of them
+    stab = [g.sigma.image for g in group if not decided & ~g.sigma.fixed_mask]
     # the stabilizer is a group, so a value's orbit is its images under it
+    allowed = []
     seen = 0
     for v in values_of(dom):
         if not (seen >> v) & 1:
             allowed.append(v)
-            for s in stab:
-                seen |= 1 << s(v)
+            for image in stab:
+                seen |= 1 << image[v]
     return allowed
 
 
@@ -249,6 +246,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         config = SearchConfig()
     domains, props, watchers = _prepare(model, config.symmetry_mode)
     getree = config.symmetry_mode == "getree"
+    group, scope = None, set()  # the variables whose decided values getree reads
     if getree:
         group, scope = break_group(model, "getree"), set(model.symmetry_scope)
     budget = config.enumeration_budget if config.enumeration_budget is not None else default_budget()
@@ -275,9 +273,12 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 return v
         return -1
 
-    # one [domains, var, values, next] frame per open ancestor of the node: the
-    # child on the path took values[next - 1], and values[:next - 1] are done
+    # one [domains, var, values, next, decided] frame per open ancestor of the
+    # node: the child on the path took values[next - 1], values[:next - 1] are
+    # done, and decided masks the values the decisions above the frame's node
+    # gave scope variables; `decided` is the same mask at the node itself
     stack: list = []
+    decided = 0
     while True:
         stats.nodes += 1
         if stats.nodes > budget:
@@ -300,11 +301,10 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 stats.failures += 1
         else:
             if getree:
-                path = [(f[1], f[2][f[3] - 1]) for f in stack]
-                vals = getree_allowed_values(path, var, group, domains, scope)
+                vals = getree_allowed_values(decided, var, group, domains, scope)
             else:
                 vals = list(values_of(domains[var]))
-            stack.append([domains, var, vals if ascending else vals[::-1], 0])
+            stack.append([domains, var, vals if ascending else vals[::-1], 0, decided])
         # the next node is the next child of the deepest frame with one left
         while stack:
             frame = stack[-1]
@@ -313,11 +313,13 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             stack.pop()
         else:
             break
-        parent, var, vals, nxt = frame
+        parent, var, vals, nxt, decided = frame
         frame[3] = nxt + 1
         stats.branches += 1
         domains = copy_domains(parent)
-        domains[var] = 1 << vals[nxt]
+        bit = domains[var] = 1 << vals[nxt]
+        if var in scope:
+            decided |= bit
     stats.elapsed = time.perf_counter() - t0
     return solutions, stats
 

@@ -24,13 +24,19 @@ VALUE_MAP_CAP = GROUP_CAP * _MAX_CLASS
 
 @dataclass(frozen=True)
 class ValuePermutation:
-    """Bijection on the value universe, stored as an image tuple."""
+    """Bijection on the value universe, stored as an image tuple.
+    `fixed_mask` has bit v set iff the permutation fixes v."""
 
     image: tuple[int, ...]
+    fixed_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.image) != list(range(len(self.image))):
             raise ModelError(f"not a permutation image: {self.image}")
+        fixed = 0
+        for v, w in enumerate(self.image):
+            fixed |= (v == w) << v
+        object.__setattr__(self, "fixed_mask", fixed)
 
     @classmethod
     def identity(cls, size: int) -> "ValuePermutation":
@@ -158,13 +164,16 @@ class ClassProduct:
     fixed. Each step takes the least value not yet used as an image, which is
     the greedy choice that minimises the image position by position, on an
     assignment of any length. `class_of` maps each class value to the index
-    of its class.
+    of its class, `class_masks` holds each class as a value mask and
+    `class_union` their union.
     """
 
     classes: tuple[tuple[int, ...], ...]
     universe_size: int
     _ascending: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     class_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    class_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_union: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         class_of: dict[int, int] = {}
@@ -175,8 +184,11 @@ class ClassProduct:
                 if not 0 <= v < self.universe_size:
                     raise ModelError(f"class value {v} outside universe")
                 class_of[v] = idx
+        masks = tuple(sum(1 << v for v in cls) for cls in self.classes)
         object.__setattr__(self, "_ascending", tuple(tuple(sorted(cls)) for cls in self.classes))
         object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "class_masks", masks)
+        object.__setattr__(self, "class_union", sum(masks))
 
     def canonical(self, assignment: Sequence[int]) -> tuple[int, ...]:
         """Lex-least image of the assignment, in one pass over it."""

@@ -8,12 +8,20 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 from valsym import search
 from valsym.domains import values_of
 from valsym.model import Constraint, ConstraintKind, Model
-from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, close_group, orbit_partition
+from valsym.symmetry import (
+    ClassProduct,
+    Group,
+    SymmetrySpec,
+    ValuePermutation,
+    VarValueSymmetry,
+    close_group,
+    orbit_partition,
+)
 
 
 def constraint_holds(c: Constraint, values: Sequence[int]) -> bool:
@@ -393,3 +401,41 @@ def verify_per_mode(
         reports.append(search.VerifyModeReport(
             mode, len(proj), len(orbits), duplicates, missed, non_canonical, passed))
     return reports
+
+
+def getree_allowed_values_by_path(
+    partial: Sequence[tuple[int, int]],
+    next_var: int,
+    group: Group,
+    domains: Sequence[int],
+    scope: Container[int],
+) -> list[int]:
+    """getree_allowed_values as first written: it reads the (var, value)
+    decisions on the path and tests each value and group element one by one.
+    The reference for the version that takes the decided scope values as one
+    mask and filters with word operations."""
+    dom = domains[next_var]
+    if next_var not in scope:
+        return list(values_of(dom))
+    decided = {val for var, val in partial if var in scope}
+    allowed = []
+    if isinstance(group, ClassProduct):
+        class_of = group.class_of
+        fresh_done = set()
+        for v in values_of(dom):
+            idx = class_of.get(v)
+            if idx is None or v in decided:
+                allowed.append(v)
+            elif idx not in fresh_done:
+                # v is the least unused value of its class still in the domain
+                allowed.append(v)
+                fresh_done.add(idx)
+        return allowed
+    stab = [g.sigma for g in group if all(g.sigma(v) == v for v in decided)]
+    seen = 0
+    for v in values_of(dom):
+        if not (seen >> v) & 1:
+            allowed.append(v)
+            for s in stab:
+                seen |= 1 << s(v)
+    return allowed

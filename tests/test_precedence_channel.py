@@ -126,6 +126,52 @@ def test_propagator_is_exactly_gac_on_random_configs():
             assert [set(values_of(d)) for d in doms] == want
 
 
+def _fixed_prefix_configs(rng, count):
+    # fixed prefixes: one introducing the whole class in order, then open
+    # positions the forward sweep never reads; one whose first occurrences
+    # break the order, then open positions; a scope fixed throughout,
+    # accepted or not; and, as a near miss, one introducing part of the class
+    # in order, then open positions the sweep reads and may prune
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        u = rng.randint(m, m + 2)
+        order = tuple(rng.sample(range(u), m))
+        others = [v for v in range(u) if v not in order]
+        kind = rng.randrange(4)
+        if kind in (0, 3):
+            prefix = []
+            for k, v in enumerate(order[: m if kind == 0 else rng.randrange(m)]):
+                pool = list(order[:k]) + others
+                prefix += [rng.choice(pool) for _ in range(rng.randint(0, 2) if pool else 0)]
+                prefix.append(v)
+        elif kind == 1 and m > 1:
+            prefix = [rng.randrange(u) for _ in range(rng.randint(2, 6))]
+            while precedence_accepts(prefix, order):
+                prefix = [rng.randrange(u) for _ in range(len(prefix))]
+        else:
+            yield [1 << rng.randrange(u) for _ in range(rng.randint(1, 6))], order
+            continue
+        tail = _random_domains(rng, rng.randint(0 if kind < 3 else 1, 3), u)
+        yield [1 << v for v in prefix] + tail, order
+
+
+def test_precedence_is_exactly_gac_after_fixed_prefixes():
+    rng = random.Random(2696)
+    outcomes = Counter()
+    for doms, order in _fixed_prefix_configs(rng, 1000):
+        n = len(doms)
+        before = list(doms)
+        want = brute_support(before, lambda c: precedence_accepts(c, order))
+        failed, changed = PrecedenceProp(tuple(range(n)), order).propagate(doms)
+        assert failed == (want is None), (before, order)
+        if not failed:
+            assert [set(values_of(d)) for d in doms] == want, (before, order)
+            assert set(changed) == {v for v in range(n) if doms[v] != before[v]}
+        outcomes[failed, bool(changed)] += 1
+    # failures, fixpoints reached without a write and prunings all occur often
+    assert min(outcomes[True, False], outcomes[False, False], outcomes[False, True]) > 40, outcomes
+
+
 def test_precedence_equals_full_lex_leader_conjunction():
     # exhaustive: acceptance coincides with all m! value-permutation
     # lex-leader comparisons
@@ -242,8 +288,17 @@ def _random_channel_case(rng):
 def test_channel_single_scan_matches_per_value_scans():
     rng = random.Random(4242)
     outcomes = Counter()
+    unfixed = Counter()  # draws with a class value fixed nowhere, by where it is
     for _ in range(4000):
         prop, doms = _random_channel_case(rng)
+        scope_doms = [doms[x] for x in prop.x_scope]
+        union = 0
+        for d in scope_doms:
+            union |= d
+        # such a value makes the single scan take the union of the scope
+        for where in {"absent" if not union >> v & 1 else "present"
+                      for v in prop.order if 1 << v not in scope_doms}:
+            unfixed[where] += 1
         want_doms = list(doms)
         want_failed, want_changed = channel_propagate_per_value(prop, want_doms)
         failed, changed = prop.propagate(doms)
@@ -251,5 +306,7 @@ def test_channel_single_scan_matches_per_value_scans():
         assert doms == want_doms
         assert set(changed) == set(want_changed)
         outcomes[failed, bool(changed)] += 1
-    # failures, narrowings and fixpoints all occur often
+    # failures, narrowings and fixpoints all occur often, and so do class
+    # values with no fixed occurrence, absent from every scope domain or not
     assert min(outcomes[o] for o in ((True, True), (False, True), (False, False))) > 100
+    assert min(unfixed["absent"], unfixed["present"]) > 300, unfixed

@@ -1,10 +1,12 @@
+import inspect
 import itertools
 import random
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 import pytest
 
-from oracles import model_solutions, naive_all_interval, verify_per_mode
+from oracles import getree_allowed_values_by_path, model_solutions, naive_all_interval, verify_per_mode
 from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.errors import BudgetExceeded, GroupTooLarge, ModelError, UnsupportedModeError
@@ -29,9 +31,11 @@ from valsym.search import (
     verify_symmetry_breaking,
 )
 from valsym.symmetry import (
+    ClassProduct,
     SymmetrySpec,
     ValuePermutation,
     VarValueSymmetry,
+    close_group,
     orbit_partition,
 )
 
@@ -514,12 +518,12 @@ def test_descending_reverses_pure_enumeration():
 
 
 def test_getree_explicit_filters_inverted_pairs():
-    # all-interval symmetries: the value subgroup is {id, v -> 10 - v}, so an
-    # empty partial allows only the lower half (plus the fixed point 5)
+    # all-interval symmetries: the value subgroup is {id, v -> 10 - v}, so
+    # with nothing decided getree allows only the lower half (plus the fixed point 5)
     m = build_all_interval(11)
     doms = m.initial_domains()
     group, scope = break_group(m, "getree"), set(m.symmetry_scope)
-    assert getree_allowed_values([], 0, group, doms, scope) == [0, 1, 2, 3, 4, 5]
+    assert getree_allowed_values(0, 0, group, doms, scope) == [0, 1, 2, 3, 4, 5]
 
 
 def test_getree_explicit_stabilizer_relaxes_after_moving_value():
@@ -527,9 +531,9 @@ def test_getree_explicit_stabilizer_relaxes_after_moving_value():
     doms = m.initial_domains()
     group, scope = break_group(m, "getree"), set(m.symmetry_scope)
     # deciding 4 kills the inversion (4 is not fixed by v -> 10 - v)
-    assert getree_allowed_values([(0, 4)], 1, group, doms, scope) == list(range(11))
+    assert getree_allowed_values(mask_of([4]), 1, group, doms, scope) == list(range(11))
     # deciding the fixed point 5 keeps the inversion in the stabilizer
-    assert getree_allowed_values([(0, 5)], 1, group, doms, scope) == [0, 1, 2, 3, 4, 5]
+    assert getree_allowed_values(mask_of([5]), 1, group, doms, scope) == [0, 1, 2, 3, 4, 5]
 
 
 def test_getree_classes_allow_used_plus_one_fresh():
@@ -538,11 +542,11 @@ def test_getree_classes_allow_used_plus_one_fresh():
     )
     group, scope = spec.class_product(), set(range(4))
     doms = [mask_of(range(4)) for _ in range(4)]
-    assert getree_allowed_values([], 0, group, doms, scope) == [0]
-    assert getree_allowed_values([(0, 0), (1, 1)], 2, group, doms, scope) == [0, 1, 2]
+    assert getree_allowed_values(0, 0, group, doms, scope) == [0]
+    assert getree_allowed_values(mask_of([0, 1]), 2, group, doms, scope) == [0, 1, 2]
     # a hole in the domain shifts the fresh representative
     doms[3] = mask_of([1, 3])
-    assert getree_allowed_values([(0, 0)], 3, group, doms, scope) == [1]
+    assert getree_allowed_values(mask_of([0]), 3, group, doms, scope) == [1]
 
 
 def test_getree_classes_pass_through_non_class_values():
@@ -550,7 +554,7 @@ def test_getree_classes_pass_through_non_class_values():
         scope_len=2, universe_size=4, interchangeable_classes=((1, 2),)
     )
     doms = [mask_of(range(4)), mask_of(range(4))]
-    assert getree_allowed_values([], 0, spec.class_product(), doms, {0, 1}) == [0, 1, 3]
+    assert getree_allowed_values(0, 0, spec.class_product(), doms, {0, 1}) == [0, 1, 3]
 
 
 def test_getree_ignores_vars_outside_scope():
@@ -558,8 +562,70 @@ def test_getree_ignores_vars_outside_scope():
     doms = m.initial_domains()
     diff_var = 11  # first difference variable
     group, scope = break_group(m, "getree"), set(m.symmetry_scope)
-    vals = getree_allowed_values([], diff_var, group, doms, scope)
+    vals = getree_allowed_values(0, diff_var, group, doms, scope)
     assert vals == list(values_of(doms[diff_var]))
+
+
+def _random_class_product(rng):
+    # one to three disjoint classes, with values outside every class
+    u = rng.randint(2, 10)
+    values = list(range(u))
+    rng.shuffle(values)
+    classes, rest = [], values
+    for _ in range(rng.randint(1, 3)):
+        if len(rest) < 2:
+            break
+        k = rng.randint(2, min(4, len(rest)))
+        classes.append(tuple(rest[:k]))
+        rest = rest[k:]
+    return ClassProduct(tuple(classes), u), u
+
+
+def _random_value_group(rng):
+    # the closure of one or two random value permutations
+    n, u = rng.randint(1, 5), rng.randint(2, 6)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        image = list(range(u))
+        rng.shuffle(image)
+        gens.append(VarValueSymmetry.value_only(n, ValuePermutation(tuple(image))))
+    return close_group(gens), u
+
+
+def _random_getree_nodes(rng, u, count):
+    """(partial, next_var, domains, scope) draws: decisions on scope variables
+    and on others, and domains with holes."""
+    num_vars = rng.randint(2, 8)
+    scope = set(rng.sample(range(num_vars), rng.randint(1, num_vars)))
+    for _ in range(count):
+        partial = [(rng.randrange(num_vars), rng.randrange(u)) for _ in range(rng.randint(0, 4))]
+        domains = [rng.randrange(1, 1 << u) for _ in range(num_vars)]
+        yield partial, rng.randrange(num_vars), domains, scope
+
+
+def test_getree_mask_filter_matches_the_path_filter():
+    rng = random.Random(2626)
+    groups = [_random_class_product(rng) for _ in range(60)]
+    groups += [_random_value_group(rng) for _ in range(60)]
+    for n in range(3, 9):
+        m = build_all_interval(n)
+        groups.append((break_group(m, "getree"), m.universe_size))
+    for _ in range(20):
+        m = _value_permutation_beside_a_class(rng)
+        groups.append((break_group(m, "getree"), m.universe_size))
+    pruned = Counter()
+    for group, u in groups:
+        for partial, var, domains, scope in _random_getree_nodes(rng, u, 25):
+            decided = 0
+            for v, val in partial:
+                if v in scope:
+                    decided |= 1 << val
+            want = getree_allowed_values_by_path(partial, var, group, domains, scope)
+            assert getree_allowed_values(decided, var, group, domains, scope) == want, (
+                group, partial, var, domains, scope)
+            pruned[type(group) is ClassProduct, want != list(values_of(domains[var]))] += 1
+    # both kinds of group prune often, and often keep the whole domain
+    assert len(pruned) == 4 and min(pruned.values()) > 100, pruned
 
 
 def _value_permutation_beside_a_class(rng):
@@ -866,6 +932,25 @@ TRACED_ENTRY_POINTS = (
     "check_all",
     "orbit_partition",
 )
+
+
+def test_getree_arguments_sit_where_the_tracer_reads_them(monkeypatch):
+    # bench/tracer.py reads next_var as the 2nd and domains as the 4th
+    # positional argument of getree_allowed_values
+    params = list(inspect.signature(getree_allowed_values).parameters)
+    assert params[1] == "next_var" and params[3] == "domains"
+    seen = []
+
+    def recording(*args, _fn=search.getree_allowed_values):
+        allowed = _fn(*args)
+        seen.append((args[3][args[1]], allowed))
+        return allowed
+
+    monkeypatch.setattr(search, "getree_allowed_values", recording)
+    solve(build_all_interval(6), SearchConfig(symmetry_mode="getree"))
+    assert seen
+    for dom, allowed in seen:
+        assert dom & (dom - 1) and allowed and mask_of(allowed) & ~dom == 0
 
 
 def test_search_calls_the_traced_entry_points_through_the_module(monkeypatch):
