@@ -22,7 +22,8 @@ class GroupTooLarge(RuntimeError):
     `close_group` when a closure outgrows it and, before building anything,
     by `SymmetrySpec.closed_group` for a value class or class product past
     it and by the search's mode check (`solve` and `break_group` alike) for
-    static-lex on classes with too many value-map entries."""
+    static-lex on classes with too many value-map entries. Only static-lex
+    and getree close a group, so `verify` raises it for no other mode."""
 
     def __init__(self, size: int, cap: int, message: str | None = None):
         super().__init__(message or f"group closure exceeded cap ({size} > {cap})")

@@ -352,14 +352,14 @@ def break_group(model: Model, mode: str) -> Group:
     """The symmetry group a mode actually breaks; orbit checks use this.
 
     static-lex (and `none`, for checking a model's own posted constraints)
-    break the full closed group; precedence/channel break the class product;
-    getree breaks the value-only subgroup (it cannot see variable
-    permutations), and its search filters on the group returned here.
-    Whenever that group is exactly the class product it is returned in
-    structural form, which has no size limit; otherwise it is enumerated, up
-    to `GROUP_CAP` elements. Raises UnsupportedModeError or GroupTooLarge,
-    with the same message, for exactly the modes `solve` refuses, and for
-    `none` GroupTooLarge when the whole group is past that cap.
+    break the whole declared group, returned as its generating set: the
+    explicit elements and the class swaps. precedence/channel break the class
+    product; getree breaks the value-only subgroup (it cannot see variable
+    permutations), enumerated up to `GROUP_CAP` elements, and its search
+    filters on the group returned here. Whenever the group is exactly the
+    class product it is returned in structural form, which has no size
+    limit. Raises UnsupportedModeError or GroupTooLarge, with the same
+    message, for exactly the modes `solve` refuses; `none` is never refused.
     """
     spec = model.symmetry
     _require_mode(spec, mode)
@@ -367,7 +367,9 @@ def break_group(model: Model, mode: str) -> Group:
         return spec.class_product()
     if mode == "getree":
         return [g for g in _closed_group(spec) if g.theta_is_identity]
-    return list(_closed_group(spec))
+    if mode == "static-lex":
+        _closed_group(spec)  # refused exactly as `solve` refuses it
+    return [*spec.explicit, *spec.class_swaps()]
 
 
 @dataclass
@@ -388,8 +390,10 @@ def verify_symmetry_breaking(
     enumeration. Returns (all_passed, per-mode reports, none-run stats).
     A mode the model cannot run is refused before anything is enumerated.
     Modes that break the same group share one orbit partition of the
-    mode-none solutions: on value classes alone, every mode breaks the class
-    product."""
+    mode-none solutions: none and static-lex share the declared generators,
+    and on value classes alone every mode breaks the class product. A
+    declared element that maps a solution outside the mode-none set is no
+    symmetry of the model, and `orbit_partition` raises ModelError for it."""
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode listed")
     groups = [break_group(model, mode) for mode in modes]

@@ -241,9 +241,9 @@ class SymmetrySpec:
 
     def closed_group(self) -> list[VarValueSymmetry]:
         """The whole group the spec denotes: `close_group` of the explicit
-        elements and the class swaps. Only specs with explicit elements need
-        it. A class or class product past GROUP_CAP is refused before
-        anything is built."""
+        elements and the class swaps. Only static-lex and getree on specs
+        with explicit elements need it. A class or class product past
+        GROUP_CAP is refused before anything is built."""
         if self.is_trivial:
             return []
         classes = self.interchangeable_classes
@@ -251,9 +251,9 @@ class SymmetrySpec:
         if big is not None:
             raise GroupTooLarge(
                 math.factorial(len(big)), GROUP_CAP,
-                f"enumerating the whole symmetry group (for orbit checks, static-lex or "
-                f"getree under explicit symmetries) takes a value class's permutations "
-                f"only up to {_MAX_CLASS} values, got a class of {len(big)}",
+                f"enumerating the whole symmetry group (for static-lex or getree under "
+                f"explicit symmetries) takes a value class's permutations only up to "
+                f"{_MAX_CLASS} values, got a class of {len(big)}",
             )
         order = math.prod(math.factorial(len(c)) for c in classes)
         if order > GROUP_CAP:
@@ -270,28 +270,49 @@ def orbit_partition(
 ) -> list[list[tuple[int, ...]]]:
     """Partition assignments into orbits under the group.
 
-    Two assignments share an orbit iff some group element maps one to the
-    other; membership is computed by canonical (lex-least image) forms, so the
-    input need not be closed under the group. Orbits are returned sorted, each
-    orbit internally sorted, so the first element of each orbit is its
-    canonical representative among the *inputs*.
+    A ClassProduct buckets each assignment by its canonical form, in one pass.
+    A list of elements, the whole group or only its generators, joins each
+    assignment to its image under each element (union-find: the orbit
+    algorithm), so the input must be closed under every listed element, as a
+    solution set is under a genuine symmetry; an image outside the input
+    raises ModelError naming the element, the assignment and the image.
+    Orbits are returned each sorted and in order of their least members.
     """
-    # a ClassProduct holds no element list, so it never goes through
-    # canonical_form, which bench/tracer.py sizes with len(group) per call
+    points = [tuple(a) for a in assignments]
     if isinstance(group, ClassProduct):
-        canon = group.canonical
+        key = group.canonical
     else:
-        def canon(t):
-            return canonical_form(t, group)
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for a in assignments:
-        t = tuple(a)
-        buckets.setdefault(canon(t), []).append(t)
-    return [sorted(orbit) for _, orbit in sorted(buckets.items())]
+        index: dict[tuple[int, ...], int] = {}
+        for t in points:
+            index.setdefault(t, len(index))
+        parent = list(range(len(index)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for g in group:
+            for t, i in index.items():
+                image = g.apply(t)
+                j = index.get(image)
+                if j is None:
+                    raise ModelError(f"symmetry element {g} maps {t} to {image}, which is not among "
+                                     f"the assignments: the element is not a symmetry of them")
+                parent[find(i)] = find(j)
+
+        def key(t):
+            return find(index[t])
+    buckets: dict = {}
+    for t in points:
+        buckets.setdefault(key(t), []).append(t)
+    return sorted(sorted(orbit) for orbit in buckets.values())
 
 
 def canonical_form(assignment: Sequence[int], group: Group) -> tuple[int, ...]:
-    """Lex-least image of the assignment over all group elements."""
+    """Lex-least image of the assignment over all group elements. Unlike
+    `orbit_partition` on a list of elements, it needs the whole group but
+    no set of assignments closed under it."""
     t = tuple(assignment)
     if isinstance(group, ClassProduct):
         return group.canonical(t)

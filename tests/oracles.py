@@ -19,8 +19,8 @@ from valsym.symmetry import (
     SymmetrySpec,
     ValuePermutation,
     VarValueSymmetry,
+    canonical_form,
     close_group,
-    orbit_partition,
 )
 
 
@@ -372,21 +372,37 @@ def not_equal_forward_check(edges, domains: list[int]) -> bool:
     return False
 
 
+def canonical_partition(points: Sequence[tuple[int, ...]], group: Group) -> list[list[tuple[int, ...]]]:
+    """The points bucketed by canonical form, each orbit sorted and in order
+    of canonical form: the orbits under the group for any points, closed
+    under it or not."""
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for p in points:
+        buckets.setdefault(canonical_form(p, group), []).append(tuple(p))
+    return [sorted(orbit) for _, orbit in sorted(buckets.items())]
+
+
 def verify_per_mode(
     model: Model, modes: Sequence[str], config: Optional[search.SearchConfig] = None
 ) -> list[search.VerifyModeReport]:
-    """verify_symmetry_breaking's reports as first written: one orbit
-    partition of the mode-none solutions per mode, even where several modes
-    break the same group. The reference for the version that partitions once
-    per distinct group; it reads `search.solve` through the module, so a test
-    that patches the solver patches both."""
+    """verify_symmetry_breaking's reports, with one orbit partition of the
+    mode-none solutions per mode, each by canonical (lex-least image) form:
+    `ClassProduct.canonical` for the class product, otherwise `canonical_form`
+    over `enumerated_group` or its value-only elements for getree. The
+    reference for the version that partitions once per distinct group, from
+    the group's generators; it reads `search.solve` through the module, so a
+    test that patches the solver patches both."""
     base = config if config is not None else search.SearchConfig()
-    groups = [search.break_group(model, mode) for mode in modes]
+    spec = model.symmetry
     none_sols, _ = search.solve(model, replace(base, symmetry_mode="none", solution_limit=None))
     none_proj = [model.project_scope(s) for s in none_sols]
     reports = []
-    for mode, group in zip(modes, groups):
-        orbits = orbit_partition(none_proj, group)
+    for mode in modes:
+        if mode in ("precedence", "channel") or not spec.explicit:
+            group = spec.class_product()
+        else:
+            group = [g for g in enumerated_group(spec) if mode != "getree" or g.theta_is_identity]
+        orbits = canonical_partition(none_proj, group)
         if mode == "none":
             sols = none_sols
         else:

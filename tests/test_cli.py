@@ -6,9 +6,10 @@ import pytest
 
 from valsym import cli
 from valsym.cli import main
-from valsym.problems import build_all_interval, build_pigeonhole
+from valsym.problems import build_all_interval, build_coloring, build_pigeonhole
 from valsym.report import SOLUTION_SAMPLE_CAP, RunReport, load_schema
 from valsym.search import SearchConfig, VerifyModeReport, solve
+from valsym.symmetry import VarValueSymmetry
 
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -345,6 +346,19 @@ def test_internal_error_exits_four_without_traceback(capsys, monkeypatch, error)
     assert "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith(f"internal error: {type(error).__name__}: ")
+
+
+def test_verify_exits_two_on_a_declared_element_that_is_no_symmetry(capsys, monkeypatch, triangle_file):
+    # swapping vertices 0 and 3 of edges 0-1, 1-2, 2-3, 0-2 maps a colouring
+    # to an assignment that is none
+    swap = VarValueSymmetry.variable_only((3, 1, 2, 0), 3)
+    bogus = build_coloring(4, [(0, 1), (1, 2), (2, 3), (0, 2)], 3)
+    bogus = replace(bogus, symmetry=replace(bogus.symmetry, explicit=(swap,)))
+    monkeypatch.setattr(cli, "build_coloring_from_dimacs", lambda text, colors: bogus)
+    code = main(["verify", "--model", "coloring", "--file", triangle_file, "--colors", "3"])
+    assert code == cli.EXIT_USAGE == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: symmetry element ") and repr(swap) in line
 
 
 def test_budget_exhaustion_exits_three(capsys):

@@ -194,6 +194,10 @@ def test_verify_partitions_each_distinct_group_once(monkeypatch):
     verify_symmetry_breaking(build_all_interval(6), ["static-lex", "getree"])
     assert len(calls) == 2
     calls.clear()
+    # none and static-lex both break the whole group, given by its generators
+    verify_symmetry_breaking(build_all_interval(6), ["none", "static-lex"])
+    assert len(calls) == 1
+    calls.clear()
     # every class mode breaks the one class product
     verify_symmetry_breaking(build_coloring(4, [(0, 1), (1, 2), (2, 3)], 3), CLASS_MODES)
     assert len(calls) == 1
@@ -674,9 +678,11 @@ def test_break_group_is_structural_exactly_for_the_class_product():
         assert break_group(classes_only, mode) == classes_only.symmetry.class_product(), mode
     mixed = _both_sources_model()
     assert break_group(mixed, "precedence") == mixed.symmetry.class_product()
-    assert break_group(mixed, "static-lex") == list(mixed.symmetry.closed_group())
+    # none and static-lex break the whole group, returned as its generating set
+    spec = mixed.symmetry
+    assert break_group(mixed, "static-lex") == [*spec.explicit, *spec.class_swaps()]
     explicit_only = build_all_interval(5)
-    assert break_group(explicit_only, "none") == list(explicit_only.symmetry.closed_group())
+    assert break_group(explicit_only, "none") == list(explicit_only.symmetry.explicit)
     assert break_group(explicit_only, "getree") == [
         g for g in explicit_only.symmetry.closed_group() if g.theta_is_identity
     ]
@@ -686,8 +692,9 @@ def test_break_group_is_structural_exactly_for_the_class_product():
 
 
 def test_verify_none_names_what_needs_the_whole_group():
-    # an explicit swap beside a class of 8 values: orbit checks of mode none
-    # enumerate the whole group, whose class part is past the cap
+    # an explicit swap beside a class of 8 values: mode none's orbits come
+    # from the generators, while static-lex and getree enumerate the whole
+    # group, whose class part is past the cap
     swap = VarValueSymmetry.value_only(2, ValuePermutation(tuple(range(8)) + (9, 8)))
     model = Model(
         name="swap-and-class",
@@ -702,12 +709,75 @@ def test_verify_none_names_what_needs_the_whole_group():
         ),
         symmetry_scope=(0, 1),
     )
-    with pytest.raises(GroupTooLarge) as exc:
+    passed, (report,), _ = verify_symmetry_breaking(model, ["none"])
+    # class-class equal or not, class-swapped, swapped-class, swapped-swapped equal or not
+    assert (report.solution_count, report.orbit_count) == (100, 6)
+    assert not passed and len(report.duplicate_orbits) == 6
+    for mode in ("static-lex", "getree"):
+        with pytest.raises(GroupTooLarge) as exc:
+            verify_symmetry_breaking(model, [mode])
+        msg = str(exc.value)
+        assert "whole symmetry group" in msg and "orbit checks" not in msg, mode
+        assert "up to 7 values" in msg and "class of 8" in msg, mode
+
+
+def test_verify_none_closes_no_group(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("closed_group called")
+
+    search._closed_group.cache_clear()  # a cached closure would hide the call
+    monkeypatch.setattr(SymmetrySpec, "closed_group", refuse)
+    passed, (report,), _ = verify_symmetry_breaking(build_all_interval(8), ["none"])
+    # 40 solutions in 10 orbits of the group of 4
+    assert (report.solution_count, report.orbit_count) == (40, 10) and not passed
+    with pytest.raises(AssertionError, match="closed_group called"):
+        verify_symmetry_breaking(build_all_interval(8), ["getree"])
+
+
+def _latin_square(n):
+    """Order-n Latin squares: row and column all-different over n * n cells,
+    declaring the adjacent row and column swaps and one class of all values."""
+    cells = [[r * n + c for c in range(n)] for r in range(n)]
+    lines = cells + [list(col) for col in zip(*cells)]
+
+    def swap(a, b, rows):
+        theta = list(range(n * n))
+        for k in range(n):
+            i, j = (cells[a][k], cells[b][k]) if rows else (cells[k][a], cells[k][b])
+            theta[i], theta[j] = j, i
+        return VarValueSymmetry.variable_only(theta, n)
+
+    swaps = [swap(a, a + 1, rows) for rows in (True, False) for a in range(n - 1)]
+    return Model(
+        name=f"latin-{n}",
+        universe_size=n,
+        domains=((1 << n) - 1,) * (n * n),
+        constraints=tuple(Constraint(ConstraintKind.ALL_DIFFERENT, tuple(line)) for line in lines),
+        symmetry=SymmetrySpec(n * n, n, tuple(swaps), (tuple(range(n)),)),
+        symmetry_scope=tuple(range(n * n)),
+    )
+
+
+@pytest.mark.parametrize("n, squares, orbits", [(3, 12, 1), (4, 576, 2)])
+def test_latin_squares_fall_into_their_isotopy_classes(n, squares, orbits):
+    # isotopy classes of Latin squares (OEIS A040082): 1 of order 3, 2 of
+    # order 4; at order 4 the group of 4!^3 elements is past GROUP_CAP
+    passed, (report,), _ = verify_symmetry_breaking(_latin_square(n), ["none"])
+    assert (report.solution_count, report.orbit_count) == (squares, orbits)
+    assert not passed
+
+
+def test_verify_raises_on_a_declared_element_that_is_no_symmetry():
+    # swapping vertices 0 and 3 is not an automorphism of edges 0-1, 1-2,
+    # 2-3, 0-2: it maps the colouring (0, 1, 2, 1) to (1, 1, 2, 0), where
+    # vertices 0 and 1 share a colour
+    swap = VarValueSymmetry.variable_only((3, 1, 2, 0), 3)
+    model = build_coloring(4, [(0, 1), (1, 2), (2, 3), (0, 2)], 3)
+    model = replace(model, symmetry=replace(model.symmetry, explicit=(swap,)))
+    with pytest.raises(ModelError) as exc:
         verify_symmetry_breaking(model, ["none"])
     msg = str(exc.value)
-    assert "whole symmetry group" in msg and "orbit checks" in msg
-    assert "up to 7 values" in msg and "class of 8" in msg
-    assert not msg.startswith("static-lex")
+    assert repr(swap) in msg and "(0, 1, 2, 1) to (1, 1, 2, 0)" in msg, msg
 
 
 # --- mode applicability and compare_methods ----------------------------------

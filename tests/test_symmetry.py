@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerated_group, lex_leader_support
+from oracles import canonical_partition, enumerated_group, lex_leader_support
 from valsym.domains import mask_of
 from valsym.errors import GroupTooLarge, ModelError
 from valsym.model import Model
@@ -326,7 +326,14 @@ def test_class_product_matches_enumerated_group(case):
     assert set(spec.closed_group()) == set(group)
     for p in points:
         assert cp.canonical(p) == canonical_form(p, group) == canonical_form(p, cp)
-    assert orbit_partition(points, cp) == orbit_partition(points, group)
+    # the orbits of the points, which a list of elements partitions only
+    # when closed under each of them, as the class swaps are here
+    orbits: dict = {}
+    for p in points:
+        orbits.setdefault(canonical_form(p, group), set()).update(g.apply(p) for g in group)
+    closed = sorted(set().union(*orbits.values()))
+    want = sorted(sorted(orbit) for orbit in orbits.values())
+    assert orbit_partition(closed, cp) == orbit_partition(closed, spec.class_swaps()) == want
 
 
 @st.composite
@@ -357,3 +364,25 @@ def mixed_specs(draw):
 @settings(max_examples=80, deadline=None)
 def test_mixed_group_matches_the_reference_in_order(spec):
     assert spec.closed_group() == enumerated_group(spec)
+
+
+@given(mixed_specs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_generators_give_the_canonical_form_orbits(spec, data):
+    group = enumerated_group(spec)
+    point = st.tuples(*[st.integers(0, spec.universe_size - 1)] * spec.scope_len)
+    points = data.draw(st.lists(point, min_size=1, max_size=4))
+    closed = sorted({g.apply(p) for p in points for g in group})
+    want = canonical_partition(closed, group)
+    assert orbit_partition(closed, [*spec.explicit, *spec.class_swaps()]) == want
+    assert orbit_partition(closed, group) == want
+
+
+def test_orbit_partition_names_an_image_outside_the_points():
+    rev = _rev(3)
+    with pytest.raises(ModelError) as exc:
+        orbit_partition([(0, 0, 0), (0, 1, 2)], [rev])
+    assert f"{rev!r} maps (0, 1, 2) to (2, 1, 0), which is not among" in str(exc.value)
+    # a repeated point stays in its one orbit, with no element or with one
+    for group in ([], [rev]):
+        assert orbit_partition([(0, 1, 0), (1, 1, 1), (0, 1, 0)], group) == [[(0, 1, 0), (0, 1, 0)], [(1, 1, 1)]]
