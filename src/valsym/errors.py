@@ -18,12 +18,11 @@ class UnsupportedModeError(ValueError):
 
 
 class GroupTooLarge(RuntimeError):
-    """A symmetry group's elements would pass their cap: raised by
-    `close_group` when a closure outgrows it and, before building anything,
-    by `SymmetrySpec.closed_group` for a value class or class product past
-    it and by the search's mode check (`solve` and `break_group` alike) for
-    static-lex on classes with too many value-map entries. Only static-lex
-    and getree close a group, so `verify` raises it for no other mode."""
+    """A list of symmetry group elements would pass its size limit; raised
+    only by `symmetry.require_enumerable`, with `size` and `cap` counting
+    elements past GROUP_CAP or value-map entries past VALUE_MAP_CAP.
+    Static-lex and getree build such lists, so `verify` raises it for them,
+    and for `none` only when its generators alone pass the limit."""
 
     def __init__(self, size: int, cap: int, message: str | None = None):
         super().__init__(message or f"group closure exceeded cap ({size} > {cap})")

@@ -51,7 +51,7 @@ from .propagators import (
     check_all,
     post_first_occurrence_channel,
 )
-from .symmetry import VALUE_MAP_CAP, ClassProduct, Group, SymmetrySpec, VarValueSymmetry, orbit_partition
+from .symmetry import ClassProduct, Group, SymmetrySpec, VarValueSymmetry, orbit_partition
 
 MODES = ("none", "static-lex", "precedence", "channel", "getree")
 VAR_ORDERS = ("input", "min-domain")
@@ -119,21 +119,15 @@ class ModeResult:
 
 def _require_mode(spec: SymmetrySpec, mode: str) -> None:
     """Raise UnsupportedModeError unless `mode` can run on a model declaring
-    `spec`, and GroupTooLarge when static-lex on value classes alone would
-    hold more than VALUE_MAP_CAP value-map entries: the one statement of each
-    mode's refusals, which `solve` and `break_group` both check. A closure past
-    `GROUP_CAP` is refused later, by `SymmetrySpec.closed_group`."""
+    `spec`: the one statement of each mode's preconditions, which `solve` and
+    `break_group` both check. Size is refused by the builders of element
+    lists, through `symmetry.require_enumerable`."""
     if mode not in MODES:
         raise UnsupportedModeError(f"unknown mode {mode!r}")
     if mode in ("precedence", "channel") and not spec.interchangeable_classes:
         raise UnsupportedModeError(f"{mode} needs interchangeable value classes")
     if mode in ("static-lex", "getree") and spec.is_trivial:
         raise UnsupportedModeError(f"{mode} needs declared symmetries")
-    if mode == "static-lex" and not spec.explicit:
-        entries = sum(len(c) - 1 for c in spec.interchangeable_classes) * spec.universe_size
-        if entries > VALUE_MAP_CAP:
-            raise GroupTooLarge(entries, VALUE_MAP_CAP, f"static-lex on value classes holds one value map per "
-                                f"adjacent pair of class values, up to {VALUE_MAP_CAP} entries, got {entries}")
 
 
 @lru_cache(maxsize=64)
@@ -355,20 +349,22 @@ def break_group(model: Model, mode: str) -> Group:
     break the whole declared group, returned as its generating set: the
     explicit elements and the class swaps. precedence/channel break the class
     product; getree breaks the value-only subgroup (it cannot see variable
-    permutations), enumerated up to `GROUP_CAP` elements, and its search
-    filters on the group returned here. Whenever the group is exactly the
-    class product it is returned in structural form, which has no size
-    limit. Raises UnsupportedModeError or GroupTooLarge, with the same
-    message, for exactly the modes `solve` refuses; `none` is never refused.
+    permutations), enumerated from the closed group, and its search filters
+    on the group returned here. Whenever the group is exactly the class
+    product it is returned in structural form, which has no size limit.
+    Raises UnsupportedModeError or GroupTooLarge, with the same message, for
+    exactly the modes `solve` refuses: static-lex asks the builder it posts
+    from. `none` is refused only when its generators alone pass
+    `require_enumerable`.
     """
     spec = model.symmetry
     _require_mode(spec, mode)
+    if mode == "static-lex":  # refused by the builder it posts from, as `solve` refuses it
+        _closed_group(spec) if spec.explicit else spec.class_swaps()
     if mode in ("precedence", "channel") or (spec.interchangeable_classes and not spec.explicit):
         return spec.class_product()
     if mode == "getree":
         return [g for g in _closed_group(spec) if g.theta_is_identity]
-    if mode == "static-lex":
-        _closed_group(spec)  # refused exactly as `solve` refuses it
     return [*spec.explicit, *spec.class_swaps()]
 
 

@@ -9,17 +9,27 @@ theta(i). Pure value symmetries have theta = identity.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GroupTooLarge, ModelError
 
 GROUP_CAP = 10_080
-# the most values a class may hold for its permutations to fit GROUP_CAP
-_MAX_CLASS = next(k for k in itertools.count() if math.factorial(k + 1) > GROUP_CAP)
-# the most value-map entries static-lex posts: GROUP_CAP maps over _MAX_CLASS values
-VALUE_MAP_CAP = GROUP_CAP * _MAX_CLASS
+# GROUP_CAP maps over 7 values, the largest class whose permutations fit GROUP_CAP
+VALUE_MAP_CAP = 70_560
+
+
+def require_enumerable(elements: int, universe_size: int, what: str) -> None:
+    """The one size limit on a list of group elements: raise GroupTooLarge
+    when `elements` value maps over `universe_size` values pass GROUP_CAP
+    elements or VALUE_MAP_CAP value-map entries (elements times universe
+    size). Every builder of such a list calls it before it grows the list."""
+    entries = elements * universe_size
+    if entries > VALUE_MAP_CAP:
+        raise GroupTooLarge(entries, VALUE_MAP_CAP, f"{what} holds one map of {universe_size} values per "
+                            f"element, up to {VALUE_MAP_CAP} entries, got {entries}")
+    if elements > GROUP_CAP:
+        raise GroupTooLarge(elements, GROUP_CAP, f"{what} holds up to {GROUP_CAP} elements, got {elements}")
 
 
 @dataclass(frozen=True)
@@ -119,31 +129,25 @@ class VarValueSymmetry:
         return VarValueSymmetry(theta, then.sigma.after(self.sigma))
 
 
-def close_group(generators: Iterable[VarValueSymmetry], cap: int = GROUP_CAP) -> list[VarValueSymmetry]:
+def close_group(generators: Iterable[VarValueSymmetry]) -> list[VarValueSymmetry]:
     """BFS closure of the generators under composition, identity included,
     sorted with the identity first. `SymmetrySpec.closed_group` builds every
-    enumerated group with it.
-
-    Raises GroupTooLarge as soon as the closure would exceed `cap`.
-    """
-    gens = [g for g in generators]
+    enumerated group with it. Each new element passes `require_enumerable`
+    before it is kept."""
+    gens = list(generators)
     if not gens:
         return []
-    ident = VarValueSymmetry.identity(len(gens[0].theta), len(gens[0].sigma.image))
+    universe = len(gens[0].sigma.image)
+    ident = VarValueSymmetry.identity(len(gens[0].theta), universe)
     seen = {ident}
     frontier = [ident]
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
                 c = a.compose(g)
                 if c not in seen:
-                    if len(seen) + 1 > cap:
-                        raise GroupTooLarge(len(seen) + 1, cap)
+                    require_enumerable(len(seen) + 1, universe, "the group closure")
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
@@ -234,30 +238,29 @@ class SymmetrySpec:
     def class_swaps(self) -> list[VarValueSymmetry]:
         """The transposition of each pair of adjacent values of each sorted
         class: together they generate the class product, and the
-        conjunction of their lex-leaders is value precedence."""
+        conjunction of their lex-leaders is value precedence. Refused by
+        `require_enumerable` before any is built."""
         size = self.universe_size
+        count = sum(len(cls) - 1 for cls in self.interchangeable_classes)
+        require_enumerable(count, size, "the list of adjacent class transpositions (static-lex's "
+                           "elements, verify's orbit generators)")
         return [VarValueSymmetry.value_only(self.scope_len, ValuePermutation.from_cycle(size, pair))
                 for cls in self.interchangeable_classes for pair in itertools.pairwise(sorted(cls))]
 
     def closed_group(self) -> list[VarValueSymmetry]:
         """The whole group the spec denotes: `close_group` of the explicit
         elements and the class swaps. Only static-lex and getree on specs
-        with explicit elements need it. A class or class product past
-        GROUP_CAP is refused before anything is built."""
+        with explicit elements need it. The class product is a subgroup, so
+        its order, taken as a running product of the class factorials,
+        passes `require_enumerable` before anything is built."""
         if self.is_trivial:
             return []
-        classes = self.interchangeable_classes
-        big = next((c for c in classes if len(c) > _MAX_CLASS), None)
-        if big is not None:
-            raise GroupTooLarge(
-                math.factorial(len(big)), GROUP_CAP,
-                f"enumerating the whole symmetry group (for static-lex or getree under "
-                f"explicit symmetries) takes a value class's permutations only up to "
-                f"{_MAX_CLASS} values, got a class of {len(big)}",
-            )
-        order = math.prod(math.factorial(len(c)) for c in classes)
-        if order > GROUP_CAP:
-            raise GroupTooLarge(order, GROUP_CAP)
+        order = 1
+        for cls in self.interchangeable_classes:
+            for k in range(2, len(cls) + 1):
+                order *= k
+                require_enumerable(order, self.universe_size, "the whole symmetry group (enumerated for "
+                                   "static-lex or getree under explicit symmetries)")
         return close_group(list(self.explicit) + self.class_swaps()) or [
             VarValueSymmetry.identity(self.scope_len, self.universe_size)]
 

@@ -20,7 +20,6 @@ from valsym.symmetry import (
     ValuePermutation,
     VarValueSymmetry,
     canonical_form,
-    close_group,
 )
 
 
@@ -91,14 +90,27 @@ def enumerated_group(spec: SymmetrySpec) -> list[VarValueSymmetry]:
     version that builds the group in one method: each class's permutations
     combined by direct product in declared class order, and, when the spec
     has explicit elements, the closure of those elements with every element
-    of that product. No size cap."""
+    of that product, identity first and the rest sorted. No size limit: the
+    closure is a plain breadth-first search, sharing no code with the
+    library's `close_group`."""
     product: list[VarValueSymmetry] = []
     for cls in spec.interchangeable_classes:
         perms = class_permutations(cls, spec.scope_len, spec.universe_size)
         product = [a.compose(b) for a in product for b in perms] if product else perms
     if not spec.explicit:
         return product
-    return close_group(list(spec.explicit) + product, cap=10**9)
+    gens = list(spec.explicit) + product
+    identity = VarValueSymmetry.identity(spec.scope_len, spec.universe_size)
+    found = {identity}
+    queue = [identity]
+    for a in queue:  # the queue grows while it is read
+        for g in gens:
+            c = a.compose(g)
+            if c not in found:
+                found.add(c)
+                queue.append(c)
+    rest = sorted(found - {identity}, key=lambda g: (g.theta, g.sigma.image))
+    return [identity, *rest]
 
 
 def brute_support(

@@ -205,3 +205,9 @@ def test_search_states_every_refusal_in_one_function():
     # solve, break_group, applicable_modes and verify refuse the same modes
     # only while every refusal the search module makes itself is stated once
     assert refusals_outside((SRC / "search.py").read_text(), "_require_mode") == []
+
+
+def test_symmetry_states_the_size_limit_in_one_function():
+    # every builder of a list of group elements is refused by the same rule
+    # only while that rule is the one place the module raises GroupTooLarge
+    assert refusals_outside((SRC / "symmetry.py").read_text(), "require_enumerable") == []

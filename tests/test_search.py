@@ -31,6 +31,7 @@ from valsym.search import (
     verify_symmetry_breaking,
 )
 from valsym.symmetry import (
+    VALUE_MAP_CAP,
     ClassProduct,
     SymmetrySpec,
     ValuePermutation,
@@ -718,7 +719,33 @@ def test_verify_none_names_what_needs_the_whole_group():
             verify_symmetry_breaking(model, [mode])
         msg = str(exc.value)
         assert "whole symmetry group" in msg and "orbit checks" not in msg, mode
-        assert "up to 7 values" in msg and "class of 8" in msg, mode
+        assert f"up to {VALUE_MAP_CAP} entries, got {40_320 * 10}" in msg, mode
+
+
+def test_verify_none_refuses_wide_class_swaps_before_building_a_value_map(monkeypatch):
+    # a variable swap beside a class of 1 000 values: mode none's generators
+    # are the swap and 999 class transpositions of 1 000 entries each
+    size = 1_000
+    swap = VarValueSymmetry.variable_only((1, 0), size)
+    model = Model(
+        name="swap-beside-a-wide-class",
+        universe_size=size,
+        domains=((1 << size) - 1,) * 2,
+        constraints=(),
+        symmetry=SymmetrySpec(2, size, (swap,), (tuple(range(size)),)),
+        symmetry_scope=(0, 1),
+    )
+
+    def refuse(self):
+        raise AssertionError("a value map was built")
+
+    monkeypatch.setattr(ValuePermutation, "__post_init__", refuse)
+    for check in (lambda: break_group(model, "none"), lambda: verify_symmetry_breaking(model, ["none"])):
+        with pytest.raises(GroupTooLarge) as exc:
+            check()
+        assert (exc.value.size, exc.value.cap) == (999 * size, VALUE_MAP_CAP)
+        assert f"up to {VALUE_MAP_CAP} entries, got {999 * size}" in str(exc.value)
+    assert applicable_modes(model) == ["precedence", "channel"]
 
 
 def test_verify_none_closes_no_group(monkeypatch):

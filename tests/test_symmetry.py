@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_partition, enumerated_group, lex_leader_support
+from valsym import symmetry
 from valsym.domains import mask_of
 from valsym.errors import GroupTooLarge, ModelError
 from valsym.model import Model
@@ -14,6 +15,7 @@ from valsym.problems import build_all_interval
 from valsym.search import SearchConfig, applicable_modes, break_group, solve
 from valsym.symmetry import (
     GROUP_CAP,
+    VALUE_MAP_CAP,
     ClassProduct,
     SymmetrySpec,
     ValuePermutation,
@@ -90,13 +92,20 @@ def test_close_group_transpositions_generate_symmetric_group():
 
 
 def test_close_group_respects_cap():
-    swaps = [
-        VarValueSymmetry.value_only(4, ValuePermutation.from_cycle(6, (i, i + 1)))
-        for i in range(5)
-    ]
-    with pytest.raises(GroupTooLarge):
-        close_group(swaps, cap=100)
-    assert len(close_group(swaps, cap=GROUP_CAP)) == 720
+    def value_swaps(size):
+        return [VarValueSymmetry.value_only(4, ValuePermutation.from_cycle(size, (i, i + 1)))
+                for i in range(size - 1)]
+
+    assert len(close_group(value_swaps(6))) == 720
+    # 8! maps over 8 values: refused at the first element past VALUE_MAP_CAP entries
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group(value_swaps(8))
+    assert (exc.value.size, exc.value.cap) == (8_821 * 8, VALUE_MAP_CAP)
+    # 8! orders of 8 variables over 2 values: refused at the first element past GROUP_CAP
+    swap, cycle = (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group([VarValueSymmetry.variable_only(theta, 2) for theta in (swap, cycle)])
+    assert (exc.value.size, exc.value.cap) == (GROUP_CAP + 1, GROUP_CAP)
 
 
 def _classes(scope_len, universe_size, *classes, explicit=()):
@@ -107,7 +116,7 @@ def test_class_group_sizes():
     assert len(_classes(4, 5, (0, 1, 2)).closed_group()) == 6
     assert len(_classes(3, 5, (2, 4)).closed_group()) == 2
     for size in (8, 9):  # 8! = 40 320 is past GROUP_CAP
-        with pytest.raises(GroupTooLarge, match=f"up to 7 values, got a class of {size}"):
+        with pytest.raises(GroupTooLarge, match=f"up to {VALUE_MAP_CAP} entries, got {40_320 * size}"):
             _classes(3, size, tuple(range(size))).closed_group()
 
 
@@ -122,13 +131,31 @@ def test_a_huge_class_is_refused_at_once():
         symmetry_scope=(0, 1),
     )
     t0 = time.perf_counter()
-    with pytest.raises(GroupTooLarge, match=f"up to 7 values, got a class of {size}"):
+    # 3! maps of 20 000 entries are past VALUE_MAP_CAP
+    with pytest.raises(GroupTooLarge, match=f"up to {VALUE_MAP_CAP} entries, got {6 * size}"):
         model.symmetry.closed_group()
     # its 19 999 transpositions would hold a value map of 20 000 entries each
     with pytest.raises(GroupTooLarge, match=f"got {(size - 1) * size}"):
         solve(model, SearchConfig(symmetry_mode="static-lex"))
     assert applicable_modes(model) == ["precedence", "channel", "getree"]
     assert time.perf_counter() - t0 < 5.0
+
+
+def _value_shift(size):
+    shift = ValuePermutation(tuple(range(1, size)) + (0,))
+    return SymmetrySpec(1, size, (VarValueSymmetry.value_only(1, shift),))
+
+
+def test_a_wide_cyclic_shift_is_refused_by_its_map_entries():
+    # its 2 000 elements would hold 4 000 000 map entries; the closure stops
+    # at the 36th, whose 72 000 entries are the first past VALUE_MAP_CAP
+    with pytest.raises(GroupTooLarge) as exc:
+        _value_shift(2_000).closed_group()
+    assert (exc.value.size, exc.value.cap) == (36 * 2_000, VALUE_MAP_CAP)
+    t0 = time.perf_counter()
+    with pytest.raises(GroupTooLarge, match=f"up to {VALUE_MAP_CAP} entries, got {4 * 20_000}"):
+        _value_shift(20_000).closed_group()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_class_group_only_moves_class_values():
@@ -145,16 +172,20 @@ def test_class_groups_combine_as_a_direct_product():
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["classes", "mixed"])
-def test_class_product_past_the_cap_is_refused_before_building(mixed):
+def test_class_product_past_the_cap_is_refused_before_building(mixed, monkeypatch):
+    def refuse(generators):
+        raise AssertionError("close_group called")
+
+    monkeypatch.setattr(symmetry, "close_group", refuse)
     swap = (VarValueSymmetry.variable_only((1, 0, 2), 10),) if mixed else ()
-    # 7! * 3! = 30 240: each class fits the cap, their product does not
+    # 7! * 3! = 30 240: each class fits the cap, their product does not; the
+    # running product is refused at 7! * 2 maps over 10 values
     spec = _classes(3, 10, tuple(range(7)), (7, 8, 9), explicit=swap)
     with pytest.raises(GroupTooLarge) as exc:
         spec.closed_group()
-    assert (exc.value.size, exc.value.cap) == (30_240, GROUP_CAP)
-    # a class past the cap is named, not the product it belongs to
+    assert (exc.value.size, exc.value.cap) == (100_800, VALUE_MAP_CAP)
     spec = _classes(3, 10, (8, 9), tuple(range(8)), explicit=swap)
-    with pytest.raises(GroupTooLarge, match="got a class of 8"):
+    with pytest.raises(GroupTooLarge, match=f"up to {VALUE_MAP_CAP} entries, got 100800"):
         spec.closed_group()
 
 
@@ -259,7 +290,7 @@ def test_closure_is_composition_closed(images, vec):
     gens = [
         VarValueSymmetry.value_only(3, ValuePermutation(img)) for img in images
     ]
-    group = close_group(gens, cap=GROUP_CAP)
+    group = close_group(gens)
     keyed = {(g.theta, g.sigma.image) for g in group}
     for a in group:
         for b in group:
@@ -386,3 +417,23 @@ def test_orbit_partition_names_an_image_outside_the_points():
     # a repeated point stays in its one orbit, with no element or with one
     for group in ([], [rev]):
         assert orbit_partition([(0, 1, 0), (1, 1, 1), (0, 1, 0)], group) == [[(0, 1, 0), (0, 1, 0)], [(1, 1, 1)]]
+
+
+@given(mixed_specs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_closed_group_is_refused_exactly_past_the_limit(spec, data):
+    # caps drawn at the reference closure's size, just below it or at the
+    # library's own: closed_group raises iff the closure passes one of them
+    group = enumerated_group(spec)
+    assume(len(group) > 1)  # the identity alone is no list to limit
+    elements, entries = len(group), len(group) * spec.universe_size
+    group_cap = data.draw(st.sampled_from([elements - 1, elements, GROUP_CAP]))
+    map_cap = data.draw(st.sampled_from([entries - 1, entries, VALUE_MAP_CAP]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetry, "GROUP_CAP", group_cap)
+        patch.setattr(symmetry, "VALUE_MAP_CAP", map_cap)
+        if elements > group_cap or entries > map_cap:
+            with pytest.raises(GroupTooLarge):
+                spec.closed_group()
+        else:
+            assert spec.closed_group() == group
