@@ -20,6 +20,7 @@ from .model import Model
 from .problems import build_all_interval, build_coloring_from_dimacs, build_pigeonhole
 from .report import RunReport
 from .search import (
+    DEFAULT_BUDGET,
     MODES,
     VAL_ORDERS,
     VAR_ORDERS,
@@ -27,7 +28,6 @@ from .search import (
     SearchConfig,
     applicable_modes,
     compare_methods,
-    default_budget,
     solve,
     verify_symmetry_breaking,
 )
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--val-order", choices=VAL_ORDERS, default="ascending", help="branching value order"
         )
-        p.add_argument("--budget", type=int, help="search node budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
         p.add_argument("--format", choices=["table", "json"], default="table")
         p.add_argument("--seed", type=int, help="echoed into the report")
 
@@ -126,7 +126,7 @@ def _report(args, model: Model, modes: list[str], **fields) -> RunReport:
         modes=modes,
         var_order=args.var_order,
         val_order=args.val_order,
-        budget=args.budget if args.budget is not None else default_budget(),
+        budget=args.budget,
         seed=args.seed,
         **fields,
     )

@@ -22,22 +22,22 @@ frame: its domains, its branching variable, its values, how many it tried and
 the mask of the values decided on scope variables above it, so getree reads
 the decided values as one mask instead of walking the path.
 
-A model's own propagators and their watchers are built on its first `solve`
-and kept in the model's `__dict__`, outside its fields, so `==`, `repr` and
-`dataclasses.replace` do not see them; every later solve, in any mode, shares
-them. A propagator keeps no state after `__init__`, so sharing one is safe.
-Each solve builds only its mode's extra propagators and watches them through
+A model keeps three builds, each made on first use in the model's `__dict__`,
+outside its fields, so `==`, `repr` and `dataclasses.replace` do not see them:
+its own propagators and their watchers, its closed group and the propagators
+static-lex posts. Every later solve, in any mode, shares them, and a search
+reads nothing but its model and its config. A propagator keeps no state after
+`__init__`, so sharing one is safe. Each solve builds precedence's and
+channel's propagators afresh and watches a mode's extra propagators through
 extended copies of the shared watcher lists.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Container, Optional, Sequence
+from typing import Callable, Container, Optional, Sequence, TypeVar
 
 from .domains import copy_domains, values_of
 from .engine import Watchers, build_watchers, propagate_to_fixpoint
@@ -58,20 +58,6 @@ VAR_ORDERS = ("input", "min-domain")
 VAL_ORDERS = ("ascending", "descending")
 
 DEFAULT_BUDGET = 5_000_000
-BUDGET_ENV_VAR = "VALSYM_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class SearchConfig:
     val_order: str = "ascending"
     symmetry_mode: str = "none"
     solution_limit: Optional[int] = None
-    enumeration_budget: Optional[int] = None
+    enumeration_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.var_order not in VAR_ORDERS:
@@ -91,8 +77,8 @@ class SearchConfig:
             raise ValueError(f"symmetry_mode must be one of {MODES}")
         if self.solution_limit is not None and self.solution_limit <= 0:
             raise ValueError("solution_limit must be positive or None")
-        if self.enumeration_budget is not None and self.enumeration_budget <= 0:
-            raise ValueError("enumeration_budget must be positive or None")
+        if self.enumeration_budget <= 0:
+            raise ValueError("enumeration_budget must be positive")
 
 
 @dataclass
@@ -130,9 +116,20 @@ def _require_mode(spec: SymmetrySpec, mode: str) -> None:
         raise UnsupportedModeError(f"{mode} needs declared symmetries")
 
 
-@lru_cache(maxsize=64)
-def _closed_group(spec: SymmetrySpec) -> tuple[VarValueSymmetry, ...]:
-    return tuple(spec.closed_group())
+T = TypeVar("T")
+
+
+def _kept(model: Model, build: Callable[[Model], T]) -> T:
+    """`build(model)`, made on first use and kept in the model's `__dict__`
+    under the build's name; a build that raises keeps nothing."""
+    memo = model.__dict__
+    if build.__name__ not in memo:
+        memo[build.__name__] = build(model)
+    return memo[build.__name__]
+
+
+def _closed_group(model: Model) -> tuple[VarValueSymmetry, ...]:
+    return tuple(model.symmetry.closed_group())
 
 
 def getree_allowed_values(
@@ -181,13 +178,13 @@ def _has_covering_alldiff(model: Model) -> bool:
     )
 
 
-def _static_lex_propagators(model: Model) -> list:
+def _static_lex_propagators(model: Model) -> tuple:
     props, lex = [], []
     spec = model.symmetry
     # only explicit elements can move variables alone
     simplify = bool(spec.explicit) and _has_covering_alldiff(model)
     scope = model.symmetry_scope
-    for g in _closed_group(spec)[1:] if spec.explicit else spec.class_swaps():
+    for g in _kept(model, _closed_group)[1:] if spec.explicit else spec.class_swaps():
         if simplify and g.sigma.is_identity:
             # pure variable symmetry under an all-different scope: the first
             # moved position decides, and ties there are impossible
@@ -198,16 +195,12 @@ def _static_lex_propagators(model: Model) -> list:
             lex.append(g)
     if lex:
         props.append(LexLeaderProp(scope, *lex))
-    return props
+    return tuple(props)
 
 
 def _own_propagators(model: Model) -> tuple[tuple, Watchers]:
-    """The model's own propagators and their watchers, built on first use."""
-    own = model.__dict__.get("_own_propagators")
-    if own is None:
-        props = tuple(build_propagators(model))
-        own = model.__dict__["_own_propagators"] = (props, build_watchers(props, model.num_vars))
-    return own
+    props = tuple(build_propagators(model))
+    return props, build_watchers(props, model.num_vars)
 
 
 def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
@@ -216,10 +209,10 @@ def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
     _require_mode(model.symmetry, mode)
     classes = model.symmetry.interchangeable_classes
     domains = model.initial_domains()
-    own, watchers = _own_propagators(model)
+    own, watchers = _kept(model, _own_propagators)
     extra = []
     if mode == "static-lex":
-        extra = _static_lex_propagators(model)
+        extra = _kept(model, _static_lex_propagators)
     elif mode == "precedence":
         extra = [PrecedenceProp(model.symmetry_scope, cls) for cls in classes]
     elif mode == "channel":
@@ -243,7 +236,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     group, scope = None, set()  # the variables whose decided values getree reads
     if getree:
         group, scope = break_group(model, "getree"), set(model.symmetry_scope)
-    budget = config.enumeration_budget if config.enumeration_budget is not None else default_budget()
+    budget = config.enumeration_budget
     limit = config.solution_limit
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
@@ -353,18 +346,19 @@ def break_group(model: Model, mode: str) -> Group:
     on the group returned here. Whenever the group is exactly the class
     product it is returned in structural form, which has no size limit.
     Raises UnsupportedModeError or GroupTooLarge, with the same message, for
-    exactly the modes `solve` refuses: static-lex asks the builder it posts
-    from. `none` is refused only when its generators alone pass
-    `require_enumerable`.
+    exactly the modes `solve` refuses: static-lex builds the propagators its
+    solves post, which the model keeps, and getree the closed group, which
+    the model keeps too. `none` is refused only when its generators alone
+    pass `require_enumerable`.
     """
     spec = model.symmetry
     _require_mode(spec, mode)
-    if mode == "static-lex":  # refused by the builder it posts from, as `solve` refuses it
-        _closed_group(spec) if spec.explicit else spec.class_swaps()
+    if mode == "static-lex":  # refused by the very build its solves post
+        _kept(model, _static_lex_propagators)
     if mode in ("precedence", "channel") or (spec.interchangeable_classes and not spec.explicit):
         return spec.class_product()
     if mode == "getree":
-        return [g for g in _closed_group(spec) if g.theta_is_identity]
+        return [g for g in _kept(model, _closed_group) if g.theta_is_identity]
     return [*spec.explicit, *spec.class_swaps()]
 
 

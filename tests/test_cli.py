@@ -445,24 +445,6 @@ def test_orderings_are_applied_and_echoed(capsys, command):
     ]
 
 
-def test_budget_env_var_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("VALSYM_BUDGET", "10")
-    code = main(["solve", "--model", "all-interval", "--n", "8", "--all"])
-    assert code == 3
-    capsys.readouterr()
-    # an explicit flag overrides the environment
-    code = main(
-        ["solve", "--model", "all-interval", "--n", "8", "--all", "--budget", "1000000"]
-    )
-    assert code == 0
-
-
-def test_invalid_budget_env_var_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("VALSYM_BUDGET", "lots")
-    assert main(["solve", "--model", "all-interval", "--n", "5"]) == 2
-    assert "VALSYM_BUDGET" in capsys.readouterr().err
-
-
 def test_reported_budget_reflects_flag(capsys):
     code, payload = run_json(
         capsys,

@@ -1,7 +1,8 @@
 """Every name a library or test module imports is read somewhere in that
 module, no library module imports another one's private names, every library
 module serves another one, every library function, class and method is read
-outside its own definition, and the package exports exactly what it imports."""
+outside its own definition, no library module reads the environment or keeps
+a process-wide cache, and the package exports exactly what it imports."""
 
 import ast
 from collections import Counter
@@ -109,6 +110,44 @@ def test_checker_flags_a_value_map_use():
 def test_only_the_symmetry_module_builds_value_maps(path):
     # value maps are built in one module; the package's re-export is exempt
     assert value_map_uses(path.read_text()) == []
+
+
+def process_state_uses(source: str) -> list[str]:
+    """The lines where a source reads the environment (`os.environ`,
+    `os.getenv`) or decorates a function with `functools.lru_cache` or
+    `functools.cache`, by module attribute or by imported name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines |= {node.lineno for a in node.names if a.name in ("environ", "getenv")}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in ("environ", "getenv"):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                name = d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", "")
+                if name in ("lru_cache", "cache"):
+                    lines.add(d.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_flags_process_state():
+    assert process_state_uses(
+        "import os\nimport functools\nfrom functools import lru_cache\n"
+        "budget = os.environ.get('B')\n"
+        "@lru_cache(maxsize=8)\ndef f(x):\n    return os.getenv('X')\n\n"
+        "@functools.cache\ndef g():\n    from os import environ\n\n"
+        "@property\ndef h():\n    return cache, os.getcwd()\n"
+    ) == ["line 4", "line 5", "line 7", "line 9", "line 11"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_library_module_reads_the_environment_or_caches_across_models(path):
+    # a solve is a function of its model and its config: a setting its
+    # caller never passed, or a cache shared by every model, would make it
+    # depend on something else; what a model reuses it keeps itself
+    assert process_state_uses(path.read_text()) == []
 
 
 def test_exports_resolve_and_every_public_import_is_exported():

@@ -25,7 +25,6 @@ from valsym.search import (
     applicable_modes,
     break_group,
     compare_methods,
-    default_budget,
     getree_allowed_values,
     solve,
     verify_symmetry_breaking,
@@ -255,19 +254,6 @@ def test_budget_exhaustion_carries_partial_stats():
     assert exc.value.stats.elapsed > 0
 
 
-def test_budget_env_var_fallback(monkeypatch):
-    monkeypatch.setenv("VALSYM_BUDGET", "17")
-    assert default_budget() == 17
-    monkeypatch.setenv("VALSYM_BUDGET", "zero")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.setenv("VALSYM_BUDGET", "-2")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.delenv("VALSYM_BUDGET")
-    assert default_budget() == 5_000_000
-
-
 def test_search_is_deterministic():
     m = build_all_interval(6)
     a_sols, a_stats = solve(m, SearchConfig(symmetry_mode="static-lex"))
@@ -446,7 +432,7 @@ def test_static_lex_posts_one_lex_leader_over_every_non_ordering_element(name):
     assert len(lex) == 1 and len(lex) + len(orderings) == len(extra)
     spec = model.symmetry
     if spec.explicit:
-        want = len(search._closed_group(spec)) - 1
+        want = len(spec.closed_group()) - 1
     else:  # the transpositions of adjacent values of each class
         want = sum(len(cls) - 1 for cls in spec.interchangeable_classes)
     assert len(lex[0].elements) + len(orderings) == want
@@ -471,6 +457,39 @@ def test_a_replaced_model_builds_its_own_propagators():
     fresh_twin = replace(_CACHE_MODELS["graph-12"](), constraints=fewer)
     assert _run(solved_twin, "none") == _run(fresh_twin, "none")
     assert _run(solved_twin, "none")[0] != _run(model, "none")[0]
+    # nor its parent's closed group or static-lex propagators
+    interval = build_all_interval(8)
+    for mode in ("static-lex", "getree"):
+        solve(interval, SearchConfig(symmetry_mode=mode))
+    reversal = interval.symmetry.explicit[0]
+    reversed_only = replace(interval, symmetry=replace(interval.symmetry, explicit=(reversal,)))
+    assert len(search._kept(interval, search._closed_group)) == 4
+    assert len(search._kept(reversed_only, search._closed_group)) == 2
+    own, _ = search._kept(reversed_only, search._own_propagators)
+    _, props, _ = search._prepare(reversed_only, "static-lex")
+    assert [p.kind for p in props[len(own):]] == ["ordering-chain"]
+    fresh = replace(build_all_interval(8), symmetry=reversed_only.symmetry)
+    for mode in ("static-lex", "getree"):
+        assert _run(reversed_only, mode) == _run(fresh, mode), mode
+
+
+@pytest.mark.parametrize("name", ["graph-12", "all-interval-8"])
+def test_break_group_keeps_the_static_lex_build_its_solves_post(name, monkeypatch):
+    want = _run(_CACHE_MODELS[name](), "static-lex")
+    model = _CACHE_MODELS[name]()
+    break_group(model, "static-lex")
+
+    def refuse(spec):
+        raise AssertionError("a group was built again")
+
+    monkeypatch.setattr(SymmetrySpec, "class_swaps", refuse)
+    monkeypatch.setattr(SymmetrySpec, "closed_group", refuse)
+    leaders = []
+    for _ in range(2):
+        assert _run(model, "static-lex") == want
+        _, props, _ = search._prepare(model, "static-lex")
+        leaders += [p for p in props if p.kind == "lex-leader"]
+    assert len(leaders) == 2 and leaders[0] is leaders[1]
 
 
 def test_repeated_not_equals_solve_as_their_deduplicated_twin():
@@ -752,7 +771,6 @@ def test_verify_none_closes_no_group(monkeypatch):
     def refuse(spec):
         raise AssertionError("closed_group called")
 
-    search._closed_group.cache_clear()  # a cached closure would hide the call
     monkeypatch.setattr(SymmetrySpec, "closed_group", refuse)
     passed, (report,), _ = verify_symmetry_breaking(build_all_interval(8), ["none"])
     # 40 solutions in 10 orbits of the group of 4
@@ -987,7 +1005,7 @@ def test_config_rejects_a_non_positive_budget(budget):
     with pytest.raises(ValueError, match="enumeration_budget must be positive"):
         SearchConfig(enumeration_budget=budget)
     assert SearchConfig(enumeration_budget=1).enumeration_budget == 1
-    assert SearchConfig().enumeration_budget is None
+    assert SearchConfig().enumeration_budget == search.DEFAULT_BUDGET == 5_000_000
 
 
 def test_compare_methods_hands_up_the_completed_modes_with_the_budget_error():

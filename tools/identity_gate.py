@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Digest every benchmark job's search, to check that a change keeps the
+same search trees.
+
+    python3 tools/identity_gate.py 501 502
+    python3 tools/identity_gate.py --smoke 501
+
+For each seed, workload of bench/workloads.py and variable order (`input`,
+then `min-domain`) it runs every job once, on models built once per
+workload as the benchmark builds them, and prints one line: the sha256 over
+each job's name, its solution list (for `verify`, its per-mode reports)
+and its SearchStats less `elapsed`; a job past its node budget counts its
+partial solutions and stats. Run it on two commits and compare the lines.
+valsym comes from ./src, the workloads from ./bench, which it only imports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from valsym import BudgetExceeded, problems, search  # noqa: E402
+from workloads import BUDGET, WORKLOADS, build_model, make_workload  # noqa: E402
+
+VAR_ORDERS = ("input", "min-domain")
+
+
+def job_record(job, model, var_order: str) -> str:
+    """The job's name, its solution list (per-mode reports for `verify`, and
+    the solutions found so far past the budget) and its stats less `elapsed`."""
+    config = search.SearchConfig(var_order=var_order, enumeration_budget=BUDGET)
+    try:
+        if job.command == "solve":
+            config = replace(config, symmetry_mode=job.modes[0], solution_limit=job.limit)
+            outcome, stats = search.solve(model, config)
+        else:
+            _, outcome, stats = search.verify_symmetry_breaking(model, job.modes, config)
+    except BudgetExceeded as exc:
+        outcome, stats = ("budget-exceeded", exc.solutions), exc.stats
+    return repr((job.name, outcome, replace(stats, elapsed=0.0)))
+
+
+def digests(seeds, smoke: bool = False) -> list[str]:
+    lines = []
+    for seed in seeds:
+        for name in WORKLOADS:
+            workload = make_workload(name, seed, smoke)
+            models = {key: build_model(problems, spec) for key, spec in workload.specs.items()}
+            for var_order in VAR_ORDERS:
+                digest = hashlib.sha256()
+                for job in workload.jobs:
+                    digest.update(job_record(job, models[job.model], var_order).encode())
+                lines.append(f"seed={seed} workload={name} order={var_order} "
+                             f"jobs={len(workload.jobs)} sha256={digest.hexdigest()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
+    parser.add_argument("--smoke", action="store_true", help="the benchmark's smoke-sized workloads")
+    args = parser.parse_args(argv)
+    for line in digests(args.seeds, args.smoke):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
