@@ -9,6 +9,13 @@ runs all the others in index order, and a fix-only one through a waking
 variable fixed already or if it has none. A propagator returns at its own
 fixpoint, so the engine does not wake it for the changes it made itself.
 
+A propagator's pending flag is set while it is queued or running. One that
+reports itself entailed keeps its flag set, so nothing wakes it again: it is
+retired. The caller may pass the pending list to start from and read it back
+after a successful fixpoint, when only the retired flags are set; search
+starts each child from a copy of its parent's, so a retirement lasts for the
+rest of the node's subtree and never reaches a sibling.
+
 Watchers are two per-variable lists, (on_change, on_fix), of tuples of
 propagator indices; a variable nothing wakes holds the shared `()`. Search
 builds a model's own watchers once and extends copies of them with a mode's
@@ -41,6 +48,12 @@ class Propagator:
     on its output changes nothing. The engine relies on this and does not wake
     a propagator for its own changes; one that breaks the contract still
     prunes soundly, but reaches a weaker fixpoint.
+    failed is None, which is falsy, when the propagator is entailed at its
+    fixpoint: no narrowing of its output that leaves every domain non-empty
+    can make it prune or fail. The engine then never runs it again in this
+    fixpoint, and search never below this node: it stays retired for the
+    node's whole subtree. Reporting False instead is always sound; reporting
+    None early loses pruning.
     wakes names the watched variables whose changes wake it, all of them unless
     a subclass narrows it. fix_only declares that it prunes nothing while none
     of those is a singleton; the engine then wakes it only when one is fixed.
@@ -59,7 +72,7 @@ class Propagator:
     def wakes(self) -> tuple[VarId, ...]:
         return self.watches
 
-    def propagate(self, domains: list[int]) -> tuple[bool, list[int]]:
+    def propagate(self, domains: list[int]) -> tuple[Optional[bool], list[int]]:
         raise NotImplementedError
 
     def check(self, values: Sequence[int]) -> bool:
@@ -97,29 +110,33 @@ def propagate_to_fixpoint(
     trigger_vars: Optional[Sequence[int]] = None,
     watchers: Optional[Watchers] = None,
     stats=None,
+    pending: Optional[list[bool]] = None,
 ) -> PropagationOutcome:
     """Run propagators to their common fixpoint.
 
     trigger_vars=None seeds the root call (see the module docstring);
     otherwise only the watchers of the given variables run initially, the
-    rest are woken by domain changes.
+    rest are woken by domain changes. pending, one flag per propagator and a
+    spare, marks the retired propagators (see the module docstring) and is
+    updated in place.
     """
     if watchers is None:
         watchers = build_watchers(propagators, len(domains))
-    pending = [False] * (len(propagators) + 1)
+    if pending is None:
+        pending = [False] * (len(propagators) + 1)
     first: deque[int] = deque()  # fix-only propagators, run before `queue`
     queue: deque[int] = deque()
     if trigger_vars is None:
         # fix-only propagators with a waking variable wake through fixed ones
         for idx, p in enumerate(propagators):
-            if not p.fix_only or not p.wakes:
+            if not pending[idx] and (not p.fix_only or not p.wakes):
                 pending[idx] = True
                 (first if p.fix_only else queue).append(idx)
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
     else:
         changed = trigger_vars
     on_change, on_fix = watchers
-    idx = len(propagators)  # the spare pending slot: no propagator ran yet
+    spare = idx = len(propagators)  # the spare pending slot: no propagator ran yet
     calls = 0
     while True:
         # enqueueing is inlined: it runs once per watcher of every change
@@ -144,10 +161,12 @@ def propagate_to_fixpoint(
             break
         calls += 1
         failed, changed = propagators[idx].propagate(domains)
-        if failed:
-            if stats is not None:
-                stats.propagation_calls += calls
-            return PropagationOutcome(True)
+        if failed is not False:
+            if failed:
+                if stats is not None:
+                    stats.propagation_calls += calls
+                return PropagationOutcome(True)
+            idx = spare  # entailed: its flag stays set, so nothing wakes it again
     if stats is not None:
         stats.propagation_calls += calls
     return PropagationOutcome(False)

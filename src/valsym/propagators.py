@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .domains import VarId, mask_of, values_of
 from .engine import Propagator
@@ -24,16 +24,23 @@ _NOT_EQUAL = ConstraintKind.NOT_EQUAL  # bound once: enum member lookup is slow
 
 class NotEqualProp(Propagator):
     """x differs from each of `others`. The star wakes only when x becomes
-    fixed and drops x's value from every neighbour in one loop; see
-    `build_propagators`, which puts each edge into the stars of both ends."""
+    fixed and drops x's value from every neighbour in one loop. check() tests
+    x against `checked`, all of `others` unless given.
 
-    __slots__ = ("x", "others")  # a model holds one star per variable
+    `build_propagators` puts each edge into the stars of both its ends, so
+    that either end's fix prunes the other, and checks it at a leaf only in
+    the star of its lower-numbered end: each star is given the neighbours
+    above its centre as `checked`, and a model's stars test every edge once.
+    """
+
+    __slots__ = ("x", "others", "checked")  # a model holds one star per variable
     kind = "not-equal"
     fix_only = True
 
-    def __init__(self, x: VarId, others: Sequence[VarId]):
+    def __init__(self, x: VarId, others: Sequence[VarId], checked: Optional[Sequence[VarId]] = None):
         self.x = x
         self.others = tuple(others)
+        self.checked = self.others if checked is None else tuple(checked)
 
     @property
     def watches(self):
@@ -61,7 +68,7 @@ class NotEqualProp(Propagator):
     def check(self, values):
         # a plain loop: a generator per leaf costs more than the comparisons
         v = values[self.x]
-        for y in self.others:
+        for y in self.checked:
             if values[y] == v:
                 return False
         return True
@@ -225,7 +232,8 @@ class LazyAllDifferentProp(AllDifferentProp):
 
 
 class OrderingChainProp(Propagator):
-    """v0 < v1 < ..., kept bounds consistent."""
+    """v0 < v1 < ..., kept bounds consistent; entailed once each variable's
+    maximum is below the next one's minimum."""
 
     kind = "ordering-chain"
 
@@ -247,15 +255,19 @@ class OrderingChainProp(Propagator):
                 changed.add(chain[k])
                 if not d:
                     return True, list(changed)
+        entailed = None
         for k in range(len(chain) - 2, -1, -1):
-            below = (1 << (domains[chain[k + 1]].bit_length() - 1)) - 1
+            nxt = domains[chain[k + 1]]
+            below = (1 << (nxt.bit_length() - 1)) - 1
             d = domains[chain[k]]
             if d & below != d:
                 d = domains[chain[k]] = d & below
                 changed.add(chain[k])
                 if not d:
                     return True, list(changed)
-        return False, list(changed)
+            if d >= nxt & -nxt:  # the largest value reaches the next one's least
+                entailed = False
+        return entailed, list(changed)
 
     def check(self, values):
         seq = [values[v] for v in self.chain]
@@ -279,7 +291,8 @@ class PrecedenceProp(Propagator):
     whole class: the states stay there and no later value can be pruned, so
     both sweeps stop at that position and the rest of the scope is not read.
     When every position the forward sweep read is fixed, there is one path
-    and the backward sweep is skipped.
+    and the backward sweep is skipped; the propagator is then entailed, since
+    no narrowing can change those positions and the scope after them is free.
     """
 
     kind = "precedence"
@@ -335,7 +348,7 @@ class PrecedenceProp(Propagator):
                 return True, []
         if not loose:
             # one path through singletons: the backward sweep keeps every value
-            return False, []
+            return None, []
         changed = []
         bwd = states
         for i in range(len(fwd) - 1, -1, -1):
@@ -408,6 +421,12 @@ class LexLeaderProp(Propagator):
     now, or V's write may have narrowed a later position. Sweeps repeat until
     one changes nothing: the common fixpoint of one propagator per element,
     not a filter of the conjunction. The leaf check is exact.
+
+    Forced ties stay forced under any narrowing, so an element is entailed
+    when its walk crosses only forced ties to the end of the scope, or
+    crosses forced ties to a one-variable position where sigma raises every
+    value of U_j. The propagator is entailed when, in its last sweep, every
+    element's walk ends in one of these two ways.
     """
 
     kind = "lex-leader"
@@ -436,6 +455,7 @@ class LexLeaderProp(Propagator):
         changed = []
         while True:
             moved = False
+            entailed = None  # until an element's walk stops where it could prune
             for v_vars, sig, fixed, rising in self.elements:
                 j = 0
                 while j < n:
@@ -451,6 +471,7 @@ class LexLeaderProp(Propagator):
                         if keep & fixed and _descends(domains, scope, v_vars, sig, fixed, j + 1):
                             keep &= rising
                         if keep == du:
+                            entailed = False
                             break
                         domains[u] = keep
                         changed.append(u)
@@ -484,10 +505,11 @@ class LexLeaderProp(Propagator):
                         if not keep:
                             return True, changed
                     if len(changed) == before:
+                        entailed = False
                         break  # nothing to write
                     moved = True  # redo position j
             if not moved:
-                return False, changed
+                return entailed, changed
 
     def check(self, values):
         u = [values[v] for v in self.scope]
@@ -520,6 +542,11 @@ class FirstOccurrenceChannelProp(Propagator):
     same order and reach the same domains, on failure too, as one scan of the
     whole scope per class value: the scan is redone before the next value
     whenever a rule narrowed a scope variable.
+
+    Once every z is fixed the channel is entailed: at its fixpoint a z fixed
+    to a position has that position's variable fixed to its value and no
+    earlier position holding it, and a z fixed to its sentinel has no scope
+    domain holding it, which no narrowing can undo.
     """
 
     kind = "first-occurrence-channel"
@@ -616,7 +643,11 @@ class FirstOccurrenceChannelProp(Propagator):
                             if not dx:
                                 return True, list(changed)
             if not moved:
-                return False, list(changed)
+                for z in self.z_vars:
+                    dz = domains[z]
+                    if dz & (dz - 1):
+                        return False, list(changed)
+                return None, list(changed)  # every z is fixed: entailed
 
     def check(self, values):
         for k, val in enumerate(self.order):
@@ -684,7 +715,9 @@ def build_propagator(c: Constraint) -> Propagator:
 
 def build_propagators(model: Model) -> list[Propagator]:
     """One propagator per constraint, except that the not-equals become one
-    star per variable over its distinct neighbours, placed first."""
+    star per variable over its distinct neighbours, placed first, each
+    checking at a leaf only its neighbours above its centre (see
+    `NotEqualProp`)."""
     neighbours: dict[VarId, dict[VarId, None]] = {}
     props = []
     for c in model.constraints:
@@ -694,7 +727,9 @@ def build_propagators(model: Model) -> list[Propagator]:
             neighbours.setdefault(y, {})[x] = None
         else:
             props.append(build_propagator(c))
-    return [NotEqualProp(x, others) for x, others in neighbours.items()] + props
+    return [
+        NotEqualProp(x, others, [y for y in others if y > x]) for x, others in neighbours.items()
+    ] + props
 
 
 def check_all(propagators: Sequence[Propagator], values: Sequence[int]) -> bool:

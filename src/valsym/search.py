@@ -18,9 +18,13 @@ Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
 re-checked against the exact constraint relations, so weak propagators cost
 time, never correctness. Each open ancestor of the node has one search-stack
-frame: its domains, its branching variable, its values, how many it tried and
+frame: its domains, its branching variable, its values, how many it tried,
 the mask of the values decided on scope variables above it, so getree reads
-the decided values as one mask instead of walking the path.
+the decided values as one mask instead of walking the path, and its pending
+list after its fixpoint, which marks the propagators retired as entailed at
+it or above it. Each child starts its fixpoint from a copy of that list, so a
+retirement holds for the node's whole subtree and never reaches a sibling;
+the leaf check still runs every propagator.
 
 A model keeps three builds, each made on first use in the model's `__dict__`,
 outside its fields, so `==`, `repr` and `dataclasses.replace` do not see them:
@@ -260,12 +264,14 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 return v
         return -1
 
-    # one [domains, var, values, next, decided] frame per open ancestor of the
-    # node: the child on the path took values[next - 1], values[:next - 1] are
-    # done, and decided masks the values the decisions above the frame's node
-    # gave scope variables; `decided` is the same mask at the node itself
+    # one [domains, var, values, next, decided, pending] frame per open
+    # ancestor of the node: the child on the path took values[next - 1],
+    # values[:next - 1] are done, decided masks the values the decisions above
+    # the frame's node gave scope variables and pending marks the propagators
+    # retired at or above it; `decided` and `pending` are the same at the node
     stack: list = []
     decided = 0
+    pending = [False] * (len(props) + 1)
     while True:
         stats.nodes += 1
         if stats.nodes > budget:
@@ -274,7 +280,9 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
         var = stack[-1][1] if stack else -1  # the node's decision, -1 at the root
-        outcome = propagate_to_fixpoint(props, domains, (var,) if stack else None, watchers, stats)
+        outcome = propagate_to_fixpoint(
+            props, domains, (var,) if stack else None, watchers, stats, pending
+        )
         if outcome.failed:
             stats.failures += 1
         elif (var := pick_var(domains, var + 1)) < 0:
@@ -291,7 +299,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
                 vals = getree_allowed_values(decided, var, group, domains, scope)
             else:
                 vals = list(values_of(domains[var]))
-            stack.append([domains, var, vals if ascending else vals[::-1], 0, decided])
+            stack.append([domains, var, vals if ascending else vals[::-1], 0, decided, pending])
         # the next node is the next child of the deepest frame with one left
         while stack:
             frame = stack[-1]
@@ -300,10 +308,11 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             stack.pop()
         else:
             break
-        parent, var, vals, nxt, decided = frame
+        parent, var, vals, nxt, decided, pending = frame
         frame[3] = nxt + 1
         stats.branches += 1
         domains = copy_domains(parent)
+        pending = pending.copy()
         bit = domains[var] = 1 << vals[nxt]
         if var in scope:
             decided |= bit

@@ -4,10 +4,10 @@ import pytest
 
 from oracles import naive_fixpoint
 from test_propagators import IDEMPOTENCE_CASES
-from valsym import propagators
+from valsym import propagators, search
 from valsym.domains import mask_of, values_of
 from valsym.engine import Propagator, build_watchers, propagate_to_fixpoint
-from valsym.model import Constraint, ConstraintKind
+from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import build_all_interval, build_pigeonhole
 from valsym.search import MODES, SearchConfig, SearchStats, solve
 from valsym.propagators import (
@@ -19,7 +19,7 @@ from valsym.propagators import (
     PrecedenceProp,
     build_propagators,
 )
-from valsym.symmetry import ValuePermutation, VarValueSymmetry, inversion_permutation
+from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, inversion_permutation
 
 
 def _edge(x, y):
@@ -331,3 +331,59 @@ def test_pigeonhole_2_fails_at_its_root(mode):
     # watches nothing, so only the root can run it
     _, stats = solve(build_pigeonhole(2), SearchConfig(symmetry_mode=mode))
     assert (stats.nodes, stats.failures, stats.solutions) == (1, 1, 0)
+
+
+class _Retiring(Propagator):
+    """Watches every variable, prunes nothing, logs the domains of each call
+    and reports itself entailed once x0 is fixed to `at`."""
+
+    kind = "retiring"
+
+    def __init__(self, num_vars, at, log):
+        self.watches = tuple(range(num_vars))
+        self.at, self.log = at, log
+
+    def propagate(self, domains):
+        self.log.append(tuple(domains))
+        return (None if domains[0] == 1 << self.at else False), []
+
+    def check(self, values):
+        return True
+
+
+def test_a_retired_propagator_stays_retired_below_its_node_only(monkeypatch):
+    # three binary variables and no constraint: the full tree of 15 nodes.
+    # The propagator retires at x0 = 0, so it runs there once and never
+    # below, but runs at x0 = 1 and at each of that node's children
+    log = []
+    monkeypatch.setattr(search, "build_propagators", lambda model: [_Retiring(3, 0, log)])
+    model = Model("free", 2, (0b11,) * 3, (), SymmetrySpec(scope_len=3, universe_size=2), (0, 1, 2))
+    sols, stats = solve(model)
+    assert len(sols) == 8 and stats.nodes == 15
+    below_retired = [doms for doms in log if doms[0] == 0b01]
+    sibling = [doms for doms in log if doms[0] == 0b10]
+    assert below_retired == [(0b01, 0b11, 0b11)]
+    # x0 = 1, then x1 = 0 and x1 = 1 and below them x2 (leaves wake it too)
+    assert len(sibling) == 1 + 2 + 4
+    assert stats.propagation_calls == len(log) == 1 + 1 + len(sibling)
+
+
+def test_root_seeding_skips_a_propagator_the_pending_list_marks():
+    log = []
+    props = [_Recorder("skipped", (0,), False, log), _Recorder("runs", (0,), False, log)]
+    pending = [True, False, False]
+    assert not propagate_to_fixpoint(props, [mask_of([0, 1])], pending=pending).failed
+    assert log == ["runs"]
+    assert pending == [True, False, False]
+    # a change to a watched variable does not wake it either
+    assert not propagate_to_fixpoint(props, [mask_of([1])], trigger_vars=[0], pending=pending).failed
+    assert log == ["runs", "runs"]
+
+
+def test_after_a_fixpoint_the_pending_list_marks_exactly_the_retired():
+    log = []
+    # x0 = 1 retires the first _Retiring, not the second
+    props = [_Recorder("p", (0,), False, log), _Retiring(1, 1, []), _Retiring(1, 0, [])]
+    pending = [False] * 4
+    assert not propagate_to_fixpoint(props, [mask_of([1])], pending=pending).failed
+    assert pending == [False, True, False, False]

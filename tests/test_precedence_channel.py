@@ -163,6 +163,7 @@ def test_precedence_is_exactly_gac_after_fixed_prefixes():
         before = list(doms)
         want = brute_support(before, lambda c: precedence_accepts(c, order))
         failed, changed = PrecedenceProp(tuple(range(n)), order).propagate(doms)
+        failed = failed is True  # None reports entailment, not failure
         assert failed == (want is None), (before, order)
         if not failed:
             assert [set(values_of(d)) for d in doms] == want, (before, order)
@@ -302,6 +303,7 @@ def test_channel_single_scan_matches_per_value_scans():
         want_doms = list(doms)
         want_failed, want_changed = channel_propagate_per_value(prop, want_doms)
         failed, changed = prop.propagate(doms)
+        failed = failed is True  # None reports entailment, not failure
         assert failed == want_failed
         assert doms == want_doms
         assert set(changed) == set(want_changed)

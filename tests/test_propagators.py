@@ -372,6 +372,26 @@ def test_not_equal_stars_match_pairwise_forward_checking():
     assert min(outcomes.values()) > 200, outcomes
 
 
+def test_a_leaf_checks_each_not_equal_edge_once_either_way_round():
+    # the stars of a model check every distinct edge once between them, and
+    # reject a leaf that breaks one edge alone whichever way it was declared
+    rng = random.Random(3131)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 2 * n))}
+        for a, b in edges:
+            for declared in ((a, b), (b, a)):
+                listed = [e for e in edges if e != (a, b)] + [declared]
+                rng.shuffle(listed)
+                model = _graph_model(n, n, [Constraint(ConstraintKind.NOT_EQUAL, e) for e in listed])
+                stars = build_propagators(model)
+                assert sorted((p.x, y) for p in stars for y in p.checked) == sorted(edges)
+                values = list(range(n))
+                assert check_all(stars, values)
+                values[b] = a  # only a and b now share a value
+                assert not check_all(stars, values), (listed, declared)
+
+
 def test_equality_disjunction_waits_for_full_fix():
     p = EqualityDisjunctionProp(((0, 1),))
     doms = [mask_of([0, 1]), mask_of([2])]
@@ -539,23 +559,61 @@ def test_idempotence_cases_cover_every_propagator_kind():
 @pytest.mark.parametrize("kind", list(IDEMPOTENCE_CASES))
 def test_propagate_returns_at_its_own_fixpoint(kind):
     # the engine does not wake a propagator for its own changes, so a second
-    # run on the first one's output must change nothing
+    # run on the first one's output must change nothing; either run may
+    # report entailment (None) instead of False
     rng = random.Random(5151)
     outcomes = Counter()
     for _ in range(4_000):
         prop, doms = IDEMPOTENCE_CASES[kind](rng)
         assert prop.kind == kind
         first = list(doms)
-        if prop.propagate(first)[0]:
+        if prop.propagate(first)[0] is True:
             outcomes["failed"] += 1
             continue
         second = list(first)
-        assert prop.propagate(second) == (False, [])
+        failed, changed = prop.propagate(second)
+        assert failed is not True and changed == []
         assert second == first
         outcomes["narrowed" if first != doms else "unchanged"] += 1
     # most cases do not fail, and every kind that can narrow does so often
     assert outcomes["narrowed"] + outcomes["unchanged"] > 1_000
     assert (outcomes["narrowed"] > 300) == (kind != "equality-disjunction")
+
+
+def _random_narrowing(rng, domains):
+    """A random non-empty subset of each domain."""
+    out = []
+    for d in domains:
+        sub = d & rng.getrandbits(d.bit_length())
+        out.append(sub or 1 << rng.choice(list(values_of(d))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ordering-chain", "precedence", "lex-leader", "first-occurrence-channel"])
+def test_an_entailed_propagator_accepts_every_narrowing_of_its_output(kind):
+    # a propagator that reports None is retired for the rest of the subtree,
+    # so no narrowing of its output may let it prune or fail: every full
+    # assignment inside the output passes check(), and on every full
+    # assignment and on random narrowings it writes nothing, does not fail
+    # and reports None again
+    rng = random.Random(7272)
+    retired = 0
+    for _ in range(3_000):
+        prop, doms = IDEMPOTENCE_CASES[kind](rng)
+        if prop.propagate(doms)[0] is not None:
+            continue
+        retired += 1
+        for combo in product(*(tuple(values_of(d)) for d in doms)):
+            assert prop.check(combo), (doms, combo)
+            fixed = [1 << v for v in combo]
+            assert prop.propagate(fixed) == (None, []), (doms, combo)
+            assert fixed == [1 << v for v in combo]
+        for _ in range(5):
+            narrowed = _random_narrowing(rng, doms)
+            before = list(narrowed)
+            assert prop.propagate(narrowed) == (None, []), (doms, before)
+            assert narrowed == before
+    assert retired > 200, retired
 
 
 @pytest.mark.parametrize("kind", list(IDEMPOTENCE_CASES))

@@ -311,22 +311,22 @@ PINNED_GRAPH_40 = [
 # means the search tree or the propagation queue changed.
 PINNED_COUNTS = [
     ("all-interval-7", "none", (150, 149, 78, 32, 1878)),
-    ("all-interval-7", "static-lex", (46, 45, 27, 8, 703)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 669)),
     ("all-interval-7", "getree", (76, 75, 39, 16, 947)),
     ("graph-12", "none", (151, 150, 48, 48, 606)),
-    ("graph-12", "static-lex", (26, 25, 8, 8, 123)),
-    ("graph-12", "precedence", (26, 25, 8, 8, 123)),
-    ("graph-12", "channel", (26, 25, 8, 8, 145)),
+    ("graph-12", "static-lex", (26, 25, 8, 8, 110)),
+    ("graph-12", "precedence", (26, 25, 8, 8, 121)),
+    ("graph-12", "channel", (26, 25, 8, 8, 132)),
     ("graph-12", "getree", (28, 27, 8, 8, 103)),
     ("pigeonhole-6", "precedence", (1, 0, 1, 0, 7)),
     ("pigeonhole-6", "channel", (1, 0, 1, 0, 9)),
     ("pigeonhole-6", "getree", (33, 32, 13, 0, 84)),
-    ("graph-40", "precedence", (53, 52, 15, 12, 236)),
-    ("graph-40", "channel", (53, 52, 15, 12, 246)),
+    ("graph-40", "precedence", (53, 52, 15, 12, 205)),
+    ("graph-40", "channel", (53, 52, 15, 12, 209)),
     ("all-interval-8", "none", (449, 448, 284, 40, 6043)),
-    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2251)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2168)),
     ("k4-6", "static-lex", (1, 0, 0, 1, 6)),
-    ("path-5", "static-lex", (23, 22, 0, 15, 48)),
+    ("path-5", "static-lex", (23, 22, 0, 15, 44)),
 ]
 
 _PINNED_MODELS = {
@@ -354,14 +354,14 @@ def test_search_counters_are_pinned(model, mode, want):
 # getree breaks the value subgroup, which both groups share.
 ALL_INTERVAL_10_COUNTS = [
     ("full", "input", "none", (4369, 4368, 2858, 296, 70331)),
-    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 27294)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 26596)),
     ("full", "input", "getree", (2185, 2184, 1429, 148, 35171)),
-    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 39482)),
+    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 35174)),
     ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35171)),
     ("full", "min-domain", "none", (26427, 26426, 15569, 296, 327977)),
-    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 45702)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 45675)),
     ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
-    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 39985)),
+    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 35698)),
     ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
 ]
 

@@ -7,11 +7,15 @@ same search trees.
 
 For each seed, workload of bench/workloads.py and variable order (`input`,
 then `min-domain`) it runs every job once, on models built once per
-workload as the benchmark builds them, and prints one line: the sha256 over
-each job's name, its solution list (for `verify`, its per-mode reports)
-and its SearchStats less `elapsed`; a job past its node budget counts its
-partial solutions and stats. Run it on two commits and compare the lines.
-valsym comes from ./src, the workloads from ./bench, which it only imports.
+workload as the benchmark builds them, and prints one line with two sha256
+digests over the jobs in order. The tree digest covers each job's name, its
+solution list (for `verify`, its per-mode reports) and its nodes, branches,
+failures, solutions and max_depth; the work digest covers each job's name and
+its propagation_calls. A job past its node budget counts its partial
+solutions and stats. Run it on two commits and compare the lines: a change
+to the propagation schedule alone keeps every tree digest and moves only
+work digests. valsym comes from ./src, the workloads from ./bench, which it
+only imports.
 """
 
 from __future__ import annotations
@@ -29,11 +33,13 @@ from valsym import BudgetExceeded, problems, search  # noqa: E402
 from workloads import BUDGET, WORKLOADS, build_model, make_workload  # noqa: E402
 
 VAR_ORDERS = ("input", "min-domain")
+TREE_COUNTS = ("nodes", "branches", "failures", "solutions", "max_depth")
 
 
-def job_record(job, model, var_order: str) -> str:
-    """The job's name, its solution list (per-mode reports for `verify`, and
-    the solutions found so far past the budget) and its stats less `elapsed`."""
+def job_records(job, model, var_order: str) -> tuple[str, str]:
+    """(tree record, work record) of one job: its name with its solution list
+    (per-mode reports for `verify`, and the solutions found so far past the
+    budget) and TREE_COUNTS, and its name with its propagation_calls."""
     config = search.SearchConfig(var_order=var_order, enumeration_budget=BUDGET)
     try:
         if job.command == "solve":
@@ -43,7 +49,8 @@ def job_record(job, model, var_order: str) -> str:
             _, outcome, stats = search.verify_symmetry_breaking(model, job.modes, config)
     except BudgetExceeded as exc:
         outcome, stats = ("budget-exceeded", exc.solutions), exc.stats
-    return repr((job.name, outcome, replace(stats, elapsed=0.0)))
+    tree = tuple(getattr(stats, key) for key in TREE_COUNTS)
+    return repr((job.name, outcome, tree)), repr((job.name, stats.propagation_calls))
 
 
 def digests(seeds, smoke: bool = False) -> list[str]:
@@ -53,11 +60,14 @@ def digests(seeds, smoke: bool = False) -> list[str]:
             workload = make_workload(name, seed, smoke)
             models = {key: build_model(problems, spec) for key, spec in workload.specs.items()}
             for var_order in VAR_ORDERS:
-                digest = hashlib.sha256()
+                tree, work = hashlib.sha256(), hashlib.sha256()
                 for job in workload.jobs:
-                    digest.update(job_record(job, models[job.model], var_order).encode())
+                    tree_record, work_record = job_records(job, models[job.model], var_order)
+                    tree.update(tree_record.encode())
+                    work.update(work_record.encode())
                 lines.append(f"seed={seed} workload={name} order={var_order} "
-                             f"jobs={len(workload.jobs)} sha256={digest.hexdigest()}")
+                             f"jobs={len(workload.jobs)} tree={tree.hexdigest()} "
+                             f"work={work.hexdigest()}")
     return lines
 
 
