@@ -17,9 +17,10 @@ starts each child from a copy of its parent's, so a retirement lasts for the
 rest of the node's subtree and never reaches a sibling.
 
 Watchers are two per-variable lists, (on_change, on_fix), of tuples of
-propagator indices; a variable nothing wakes holds the shared `()`. Search
-builds a model's own watchers once and extends copies of them with a mode's
-extra propagators, numbered after the model's own.
+propagator indices, a variable nothing wakes holding the shared `()`, and the
+tuple of the indices the root seeds, in index order. Search builds a model's
+own watchers once and extends copies of them with a mode's extra
+propagators, numbered after the model's own.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Propagator:
         raise NotImplementedError
 
 
-Watchers = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
+Watchers = tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]
 
 
 def build_watchers(
@@ -89,19 +90,25 @@ def build_watchers(
     first: int = 0,
 ) -> Watchers:
     """Per variable: the indices of the propagators any change wakes, and of
-    the fix-only ones a fix wakes. With `base`, copies of its lists, padded
-    to num_vars, are extended with `propagators` numbered from `first`, which
-    leaves each entry in index order when `first` is past every index in
-    `base`; `base` itself is not changed."""
+    the fix-only ones a fix wakes; then the indices the root seeds, every
+    propagator but the fix-only ones with a waking variable. With `base`,
+    copies of its lists, padded to num_vars, and its seeds are extended with
+    `propagators` numbered from `first`, which leaves each entry in index
+    order when `first` is past every index in `base`; `base` itself is not
+    changed."""
     if base is None:
-        base = ([], [])
+        base = ([], [], ())
     pad = [()] * (num_vars - len(base[0]))
     lists = (base[0] + pad, base[1] + pad)
+    seeds = list(base[2])
     for idx, p in enumerate(propagators, first):
+        wakes = p.wakes
         woken = lists[p.fix_only]
-        for v in p.wakes:
+        for v in wakes:
             woken[v] += (idx,)
-    return lists
+        if not p.fix_only or not wakes:
+            seeds.append(idx)
+    return (*lists, tuple(seeds))
 
 
 def propagate_to_fixpoint(
@@ -126,16 +133,16 @@ def propagate_to_fixpoint(
         pending = [False] * (len(propagators) + 1)
     first: deque[int] = deque()  # fix-only propagators, run before `queue`
     queue: deque[int] = deque()
+    on_change, on_fix, seeds = watchers
     if trigger_vars is None:
         # fix-only propagators with a waking variable wake through fixed ones
-        for idx, p in enumerate(propagators):
-            if not pending[idx] and (not p.fix_only or not p.wakes):
+        for idx in seeds:
+            if not pending[idx]:
                 pending[idx] = True
-                (first if p.fix_only else queue).append(idx)
+                (first if propagators[idx].fix_only else queue).append(idx)
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
     else:
         changed = trigger_vars
-    on_change, on_fix = watchers
     spare = idx = len(propagators)  # the spare pending slot: no propagator ran yet
     calls = 0
     while True:

@@ -293,6 +293,15 @@ class PrecedenceProp(Propagator):
     When every position the forward sweep read is fixed, there is one path
     and the backward sweep is skipped; the propagator is then entailed, since
     no narrowing can change those positions and the scope after them is free.
+
+    Both sweeps go by runs of equal masks. A mask that leaves the forward
+    state set unchanged leaves it unchanged at every equal mask after it, so
+    the forward sweep then only compares masks until one differs, and keeps
+    one state set per run. The backward sweep walks a run from its end; once
+    a position writes nothing and leaves the backward state set unchanged,
+    every earlier position of the run has the same inputs, so it jumps to the
+    run's start. The writes come in the same order as from a sweep of every
+    position.
     """
 
     kind = "precedence"
@@ -323,55 +332,60 @@ class PrecedenceProp(Propagator):
 
     def propagate(self, domains):
         scope = self.scope
+        n = len(scope)
         class_mask = self.class_mask
         full = 1 << len(self.order)
-        # domains repeat along the scope, so translate each distinct one once
-        rank_of = {}
-        fwd = []  # fwd[i]: the states before scope position i
+        runs = []  # (start, end, the states before each of them, mask, rank mask)
         states = 1
         loose = 0  # nonzero once the sweep has read an open domain
-        for var in scope:
-            if states == full:
-                break
-            fwd.append(states)
-            dm = domains[var]
+        i = 0
+        while i < n and states != full:
+            dm = domains[scope[i]]
             loose |= dm & (dm - 1)
-            r = rank_of.get(dm)
-            if r is None:
-                r = rank_of[dm] = self._ranks(dm)
+            r = self._ranks(dm)
             if dm & ~class_mask:
-                states |= (states & r) << 1
+                after = states | ((states & r) << 1)
             else:
                 # only states above the least rank can stay
-                states = (states & -((r & -r) << 1)) | ((states & r) << 1)
-            if not states:
+                after = (states & -((r & -r) << 1)) | ((states & r) << 1)
+            end = i + 1
+            if after == states:
+                # a mask that keeps the states keeps them at each equal mask after it
+                while end < n and domains[scope[end]] == dm:
+                    end += 1
+            elif not after:
                 return True, []
+            runs.append((i, end, states, dm, r))
+            states = after
+            i = end
         if not loose:
             # one path through singletons: the backward sweep keeps every value
             return None, []
         changed = []
+        value_bit = self.value_bit
         bwd = states
-        for i in range(len(fwd) - 1, -1, -1):
-            var = scope[i]
-            dm = domains[var]
-            r = rank_of[dm]  # no variable repeats, so the forward sweep read dm as it is
-            f = fwd[i]
-            stay = f & bwd  # states that can stay and still reach an end
-            step = f & (bwd >> 1)  # states whose step up reaches an end
-            keep_r = r & (step | ((1 << (stay.bit_length() - 1)) - 1 if stay else 0))
+        for start, i, f, dm, r in reversed(runs):
             other = dm & ~class_mask
-            if keep_r != r or (other and not stay):
-                keep = other if stay else 0
-                value_bit = self.value_bit
-                while keep_r:
-                    low = keep_r & -keep_r
-                    keep |= value_bit[low]
-                    keep_r ^= low
-                domains[var] = keep
-                changed.append(var)
-                if not keep:
-                    return True, changed
-            bwd = (stay if other else stay & -((r & -r) << 1)) | (step & r)
+            while i > start:
+                i -= 1
+                stay = f & bwd  # states that can stay and still reach an end
+                step = f & (bwd >> 1)  # states whose step up reaches an end
+                keep_r = r & (step | ((1 << (stay.bit_length() - 1)) - 1 if stay else 0))
+                write = keep_r != r or (other and not stay)
+                if write:
+                    keep = other if stay else 0
+                    while keep_r:
+                        low = keep_r & -keep_r
+                        keep |= value_bit[low]
+                        keep_r ^= low
+                    domains[scope[i]] = keep
+                    changed.append(scope[i])
+                    if not keep:
+                        return True, changed
+                after = (stay if other else stay & -((r & -r) << 1)) | (step & r)
+                if after == bwd and not write:
+                    break  # the rest of the run has the same inputs: no write either
+                bwd = after
         return False, changed
 
     def check(self, values):
@@ -532,16 +546,18 @@ class FirstOccurrenceChannelProp(Propagator):
       - a fixed z forces its position's variable;
       - a value absent from every scope domain forces the sentinel.
 
-    A pass reads the scope once: the mask of fixed positions and the
-    positions fixed to each value (bit i stands for position i) up to the
-    last position any z still holds, or the whole scope while some z still
-    holds its sentinel; a later position lies above every z and cannot move
-    one. Only a class value fixed at none of those positions needs the union
-    of all the scope domains, which is then taken once for the scan. Each z
-    is narrowed with word operations on those masks. The rules run in the
-    same order and reach the same domains, on failure too, as one scan of the
-    whole scope per class value: the scan is redone before the next value
-    whenever a rule narrowed a scope variable.
+    A call reads the scope once: the mask of fixed positions and, per class
+    value, the positions fixed to it (bit i stands for position i) up to the
+    last position any z holds, or the whole scope while some z holds its
+    sentinel; a later position lies above every z and cannot move one, and z
+    domains only shrink, so later rounds need no more. The channel's own
+    writes are the only writes during a call, and each one that fixes a
+    scope variable updates both masks in place. Only a class value fixed at
+    none of those positions needs the union of all the scope domains, which
+    is taken on first need after each write to the scope. Each z is narrowed
+    with word operations on those masks. The rules run in the same order and
+    reach the same domains and the same `changed` list, on failure too, as
+    one scan of the whole scope per class value and round.
 
     Once every z is fixed the channel is entailed: at its fixpoint a z fixed
     to a position has that position's variable fixed to its value and no
@@ -557,6 +573,7 @@ class FirstOccurrenceChannelProp(Propagator):
         self.x_scope = tuple(x_scope)
         self.z_vars = tuple(z_vars)
         self.order = tuple(order)
+        self.class_mask = mask_of(order)
         self.watches = self.x_scope + self.z_vars
 
     def sentinel(self, k: int) -> int:
@@ -566,36 +583,29 @@ class FirstOccurrenceChannelProp(Propagator):
         """Initial domain of z_k: positions 1..len(scope) plus its sentinel."""
         return ((1 << (len(self.x_scope) + 1)) - 2) | (1 << self.sentinel(k))
 
-    def _scan(self, domains, last: int) -> tuple[int, dict[int, int]]:
-        """(fixed positions up to `last`, singleton domain -> positions up to
-        `last` fixed to it)."""
-        fixed = 0
-        at: dict[int, int] = {}
-        pos = 2  # position 1
-        for var in self.x_scope[:last]:
-            dx = domains[var]
-            if not dx & (dx - 1):
-                fixed |= pos
-                at[dx] = at.get(dx, 0) | pos
-            pos <<= 1
-        return fixed, at
-
     def propagate(self, domains):
         x_scope = self.x_scope
         n = len(x_scope)
+        class_mask = self.class_mask
+        live = 0
+        for z in self.z_vars:
+            live |= domains[z]
+        # fixed positions and, per class value, the positions fixed to it
+        fixed = 0
+        at: dict[int, int] = {}
+        pos = 2  # position 1
+        for var in x_scope[: n if live >> (n + 1) else live.bit_length() - 1]:
+            dx = domains[var]
+            if not dx & (dx - 1):
+                fixed |= pos
+                if dx & class_mask:
+                    at[dx] = at.get(dx, 0) | pos
+            pos <<= 1
+        union = None  # ORed on first need, once per write to the scope
         changed = set()
         while True:
             moved = False
-            stale = True
-            live = 0
-            for z in self.z_vars:
-                live |= domains[z]
-            last = n if live >> (n + 1) else live.bit_length() - 1
             for k, val in enumerate(self.order):
-                if stale:
-                    fixed, at = self._scan(domains, last)
-                    union = None  # ORed on first need, once per scan
-                    stale = False
                 z = self.z_vars[k]
                 dz = domains[z]
                 bit = 1 << val
@@ -628,9 +638,13 @@ class FirstOccurrenceChannelProp(Propagator):
                         x = x_scope[low.bit_length() - 2]
                         dx = domains[x]
                         if dx & bit:
-                            domains[x] = dx ^ bit
+                            dx = domains[x] = dx ^ bit
                             changed.add(x)
-                            moved = stale = True
+                            moved, union = True, None
+                            if not dx & (dx - 1):
+                                fixed |= low
+                                if dx & class_mask:
+                                    at[dx] = at.get(dx, 0) | low
                 if not dz & (dz - 1):
                     pos = dz.bit_length() - 1
                     if pos <= n:
@@ -639,9 +653,11 @@ class FirstOccurrenceChannelProp(Propagator):
                         if dx & ~bit:
                             dx = domains[x] = dx & bit
                             changed.add(x)
-                            moved = stale = True
                             if not dx:
                                 return True, list(changed)
+                            moved, union = True, None
+                            fixed |= 1 << pos
+                            at[bit] = at.get(bit, 0) | 1 << pos
             if not moved:
                 for z in self.z_vars:
                     dz = domains[z]

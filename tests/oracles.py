@@ -201,6 +201,59 @@ def lex_leader_propagate_one(
             return False, changed
 
 
+def precedence_propagate_per_position(prop, domains: list[int]) -> tuple[Optional[bool], list[int]]:
+    """PrecedenceProp.propagate as it was before it swept runs of equal masks:
+    one forward state set per position read, and a backward step at each of
+    them. The reference for the run sweep, which must match it in failure
+    flag (None included), domains and changed list."""
+    scope, order = prop.scope, prop.order
+    class_mask = sum(1 << v for v in order)
+    full = 1 << len(order)
+
+    def ranks(mask):
+        return sum(1 << r for r, v in enumerate(order) if mask >> v & 1)
+
+    fwd = []  # fwd[i]: the states before scope position i
+    states = 1
+    loose = 0
+    for var in scope:
+        if states == full:
+            break
+        fwd.append(states)
+        dm = domains[var]
+        loose |= dm & (dm - 1)
+        r = ranks(dm)
+        if dm & ~class_mask:
+            states |= (states & r) << 1
+        else:
+            states = (states & -((r & -r) << 1)) | ((states & r) << 1)
+        if not states:
+            return True, []
+    if not loose:
+        return None, []
+    changed = []
+    bwd = states
+    for i in range(len(fwd) - 1, -1, -1):
+        var = scope[i]
+        dm = domains[var]
+        r = ranks(dm)
+        f = fwd[i]
+        stay = f & bwd
+        step = f & (bwd >> 1)
+        keep_r = r & (step | ((1 << (stay.bit_length() - 1)) - 1 if stay else 0))
+        other = dm & ~class_mask
+        if keep_r != r or (other and not stay):
+            keep = (other if stay else 0) | sum(
+                1 << v for k, v in enumerate(order) if keep_r >> k & 1
+            )
+            domains[var] = keep
+            changed.append(var)
+            if not keep:
+                return True, changed
+        bwd = (stay if other else stay & -((r & -r) << 1)) | (step & r)
+    return False, changed
+
+
 def channel_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
     """FirstOccurrenceChannelProp.propagate as first written: one scan of the
     whole scope per class value and pass. The reference for the single-scan

@@ -257,11 +257,14 @@ def test_extending_base_watchers_matches_watching_the_whole_list():
         head = [_random_watched(rng, base_vars) for _ in range(rng.randint(0, 6))]
         tail = [_random_watched(rng, num_vars) for _ in range(rng.randint(0, 6))]
         base = build_watchers(head, base_vars)
-        before = tuple(list(lists) for lists in base)
+        before = (list(base[0]), list(base[1]), base[2])
         extended = build_watchers(tail, num_vars, base, len(head))
         assert extended == build_watchers(head + tail, num_vars)
         assert base == before
-        assert all(type(entry) is tuple for lists in extended for entry in lists)
+        assert all(type(entry) is tuple for lists in extended[:2] for entry in lists)
+        # the root seeds every propagator but a fix-only one with a waking variable
+        props = head + tail
+        assert extended[2] == tuple(i for i, p in enumerate(props) if not p.fix_only or not p.wakes)
 
 
 def test_stars_and_default_params_are_lean():

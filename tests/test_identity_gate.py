@@ -1,6 +1,7 @@
 """tools/identity_gate.py prints a tree and a work digest per workload and
 variable order, the same digests on every run, and a change to the
-propagation schedule alone moves only the work digests."""
+propagation schedule alone moves only the work digests, also those of the
+modes a `verify` job lists."""
 
 import importlib.util
 import re
@@ -36,17 +37,19 @@ def test_a_propagator_that_never_retires_moves_only_work_digests(monkeypatch):
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
     retiring = gate.digests([501], smoke=True)
-    plain = propagators.PrecedenceProp.propagate
+    # static-lex posts the lex-leader in coloring and verify jobs, and only in
+    # the modes a `verify` job lists, not in its mode-none run
+    plain = propagators.LexLeaderProp.propagate
 
     def never_retires(self, domains):
         failed, changed = plain(self, domains)
         return bool(failed), changed
 
-    monkeypatch.setattr(propagators.PrecedenceProp, "propagate", never_retires)
+    monkeypatch.setattr(propagators.LexLeaderProp, "propagate", never_retires)
     kept = gate.digests([501], smoke=True)
     digests = [(re.fullmatch(LINE, a).groups(), re.fullmatch(LINE, b).groups())
                for a, b in zip(retiring, kept)]
     assert len(digests) == 6
     assert all(a[:3] == b[:3] for a, b in digests)
     moved = {a[0] for a, b in digests if a[3] != b[3]}
-    assert "coloring" in moved and "interval" not in moved
+    assert moved == {"coloring", "verify"}

@@ -9,6 +9,7 @@ from oracles import (
     channel_propagate_per_value,
     class_permutations,
     precedence_accepts,
+    precedence_propagate_per_position,
 )
 from valsym.domains import mask_of, values_of
 from valsym.engine import propagate_to_fixpoint
@@ -173,6 +174,71 @@ def test_precedence_is_exactly_gac_after_fixed_prefixes():
     assert min(outcomes[True, False], outcomes[False, False], outcomes[False, True]) > 40, outcomes
 
 
+def _fixed_prefix(rng, order, u):
+    # a few fixed positions; half of the time relabelled so that their class
+    # values appear in class order
+    prefix = [rng.randrange(u) for _ in range(rng.randint(0, 2 * len(order)))]
+    if rng.random() < 0.5:
+        relabel = {}
+        for v in prefix:
+            if v in order and v not in relabel:
+                relabel[v] = order[len(relabel)]
+        prefix = [relabel.get(v, v) for v in prefix]
+    return [1 << v for v in prefix]
+
+
+def _long_run_precedence_case(rng):
+    # 30-120 positions drawn from 1-3 masks in runs of up to 40, after a
+    # fixed prefix; masks may be singletons and may hold non-class values
+    m = rng.randint(1, 4)
+    u = rng.randint(m, m + 2)
+    order = tuple(rng.sample(range(u), m))
+    masks = [
+        1 << rng.randrange(u) if rng.random() < 0.3 else rng.randrange(1, 1 << u)
+        for _ in range(rng.randint(1, 3))
+    ]
+    doms = _fixed_prefix(rng, order, u)
+    n = rng.randint(30, 120)
+    while len(doms) < n:
+        doms += [rng.choice(masks)] * rng.randint(1, 40)
+    return doms[:n], order
+
+
+def _distinct_mask_precedence_case(rng):
+    # short scopes in which no two positions share a mask
+    m = rng.randint(1, 4)
+    u = rng.randint(max(m, 3), m + 2)
+    order = tuple(rng.sample(range(u), m))
+    doms = list(dict.fromkeys(_fixed_prefix(rng, order, u)))[:3]
+    fresh = [d for d in range(1, 1 << u) if d not in doms]
+    return doms + rng.sample(fresh, rng.randint(0 if doms else 1, 6 - len(doms))), order
+
+
+@pytest.mark.parametrize("case", [_long_run_precedence_case, _distinct_mask_precedence_case])
+def test_precedence_run_sweep_matches_the_per_position_sweep(case):
+    rng = random.Random(3131)
+    outcomes = Counter()
+    for _ in range(3000):
+        doms, order = case(rng)
+        # the scope at shuffled ids, so a position is not its variable
+        ids = rng.sample(range(len(doms)), len(doms))
+        want = [0] * len(doms)
+        for var, d in zip(ids, doms):
+            want[var] = d
+        got = list(want)
+        prop = PrecedenceProp(ids, order)
+        want_failed, want_changed = precedence_propagate_per_position(prop, want)
+        failed, changed = prop.propagate(got)
+        assert (failed, changed) == (want_failed, want_changed), (doms, order)
+        if not failed:
+            assert got == want, (doms, order)
+        outcomes[failed, bool(changed)] += 1
+    # failures, entailment, prunings and fixpoints without a write all occur;
+    # only the forward sweep fails, since a path to an end supports every step
+    keys = ((True, False), (None, False), (False, True), (False, False))
+    assert min(outcomes[k] for k in keys) > 100, outcomes
+
+
 def test_precedence_equals_full_lex_leader_conjunction():
     # exhaustive: acceptance coincides with all m! value-permutation
     # lex-leader comparisons
@@ -259,8 +325,10 @@ def test_channel_sound_never_below_gac():
 
 def _random_channel_case(rng):
     # scope and position variables at shuffled ids; scope domains with a fixed
-    # prefix most of the time; position domains full, random or fixed
-    n = rng.randint(1, 12)
+    # prefix most of the time; position domains full, random or fixed. One
+    # scope in four is 30-80 long, its open part drawn in runs from 1-3 masks
+    long = rng.random() < 0.25
+    n = rng.randint(30, 80) if long else rng.randint(1, 12)
     m = rng.randint(1, 5)
     u = rng.randint(m, m + 3)
     order = tuple(range(m)) if rng.random() < 0.3 else tuple(rng.sample(range(u), m))
@@ -268,10 +336,17 @@ def _random_channel_case(rng):
     rng.shuffle(ids)
     prop = FirstOccurrenceChannelProp(ids[:n], ids[n:], order)
     doms = [0] * (n + m)
-    fixed = rng.randint(0, n) if rng.random() < 0.7 else 0
+    fixed = rng.randint(0, 12 if long else n) if rng.random() < 0.7 else 0
+    masks = [rng.randrange(1, 1 << u) for _ in range(rng.randint(1, 3))]
+    run = 0
     for i, var in enumerate(prop.x_scope):
         if i < fixed:
             doms[var] = 1 << (order[min(i, m - 1)] if rng.random() < 0.5 else rng.randrange(u))
+        elif long:
+            if not run:
+                mask, run = rng.choice(masks), rng.randint(1, 20)
+            doms[var] = mask
+            run -= 1
         else:
             doms[var] = rng.randrange(1, 1 << u)
     for k, z in enumerate(prop.z_vars):
@@ -306,7 +381,7 @@ def test_channel_single_scan_matches_per_value_scans():
         failed = failed is True  # None reports entailment, not failure
         assert failed == want_failed
         assert doms == want_doms
-        assert set(changed) == set(want_changed)
+        assert changed == want_changed  # the engine queues in this order
         outcomes[failed, bool(changed)] += 1
     # failures, narrowings and fixpoints all occur often, and so do class
     # values with no fixed occurrence, absent from every scope domain or not

@@ -11,8 +11,10 @@ workload as the benchmark builds them, and prints one line with two sha256
 digests over the jobs in order. The tree digest covers each job's name, its
 solution list (for `verify`, its per-mode reports) and its nodes, branches,
 failures, solutions and max_depth; the work digest covers each job's name and
-its propagation_calls. A job past its node budget counts its partial
-solutions and stats. Run it on two commits and compare the lines: a change
+its propagation_calls. `verify` returns the stats of its mode-`none` run
+alone, so a `verify` job also solves each listed mode again and adds that
+solve's counts to both records. A job past its node budget counts its
+partial solutions and stats. Run it on two commits and compare the lines: a change
 to the propagation schedule alone keeps every tree digest and moves only
 work digests. valsym comes from ./src, the workloads from ./bench, which it
 only imports.
@@ -39,18 +41,25 @@ TREE_COUNTS = ("nodes", "branches", "failures", "solutions", "max_depth")
 def job_records(job, model, var_order: str) -> tuple[str, str]:
     """(tree record, work record) of one job: its name with its solution list
     (per-mode reports for `verify`, and the solutions found so far past the
-    budget) and TREE_COUNTS, and its name with its propagation_calls."""
+    budget) and TREE_COUNTS, and its name with its propagation_calls; for
+    `verify`, each listed mode's TREE_COUNTS and propagation_calls follow."""
     config = search.SearchConfig(var_order=var_order, enumeration_budget=BUDGET)
+    per_mode = []  # (mode, stats of its own solve) per mode `verify` listed
     try:
         if job.command == "solve":
             config = replace(config, symmetry_mode=job.modes[0], solution_limit=job.limit)
             outcome, stats = search.solve(model, config)
         else:
             _, outcome, stats = search.verify_symmetry_breaking(model, job.modes, config)
+            for mode in job.modes:
+                per_mode.append((mode, search.solve(model, replace(config, symmetry_mode=mode))[1]))
     except BudgetExceeded as exc:
         outcome, stats = ("budget-exceeded", exc.solutions), exc.stats
     tree = tuple(getattr(stats, key) for key in TREE_COUNTS)
-    return repr((job.name, outcome, tree)), repr((job.name, stats.propagation_calls))
+    modes_tree = [(mode, tuple(getattr(s, key) for key in TREE_COUNTS)) for mode, s in per_mode]
+    modes_work = [(mode, s.propagation_calls) for mode, s in per_mode]
+    return (repr((job.name, outcome, tree, *modes_tree)),
+            repr((job.name, stats.propagation_calls, *modes_work)))
 
 
 def digests(seeds, smoke: bool = False) -> list[str]:
