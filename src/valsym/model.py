@@ -25,6 +25,7 @@ class ConstraintKind(enum.Enum):
 _NOT_EQUAL = ConstraintKind.NOT_EQUAL
 _ABS_DIFF = ConstraintKind.ABS_DIFF
 _DISJUNCTION = ConstraintKind.EQUALITY_DISJUNCTION
+_DISTINCT = (_NOT_EQUAL, _ABS_DIFF, ConstraintKind.ALL_DIFFERENT, ConstraintKind.LAZY_ALL_DIFFERENT)
 # one read-only empty params shared by every constraint that has none; a
 # mappingproxy cannot be a plain field default, since it is unhashable
 _NO_PARAMS = MappingProxyType({})
@@ -32,46 +33,44 @@ _NO_PARAMS = MappingProxyType({})
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    """Declarative constraint descriptor; propagators are built from these.
-
-    Slotted, and sharing one empty `params`, because a model may hold tens of
-    thousands of them."""
+    """Declarative constraint descriptor; propagators are built from these. Checked
+    on creation: not-equal takes 2 variables, abs-diff 3, only a disjunction's scope
+    may repeat one, and its `pairs` are of distinct scope variables. Slotted, sharing
+    one empty `params`, because a model may hold tens of thousands of them."""
 
     kind: ConstraintKind
     scope: tuple[VarId, ...]
     params: Mapping[str, Any] = field(default_factory=lambda: _NO_PARAMS)
 
     def __post_init__(self):
-        kind = self.kind
+        kind, scope = self.kind, self.scope
         arity = 2 if kind is _NOT_EQUAL else 3 if kind is _ABS_DIFF else None
-        if arity is not None and len(self.scope) != arity:
-            raise ModelError(f"{kind.value} takes {arity} variables, got scope {self.scope}")
-        if len(set(self.scope)) != len(self.scope) and kind in (
-            ConstraintKind.NOT_EQUAL,
-            ConstraintKind.ABS_DIFF,
-            ConstraintKind.ALL_DIFFERENT,
-            ConstraintKind.LAZY_ALL_DIFFERENT,
+        if arity is not None and len(scope) != arity:
+            raise ModelError(f"{kind.value} takes {arity} variables, got scope {scope}")
+        if kind in _DISTINCT and (
+            scope[0] == scope[1] if len(scope) == 2 else len(set(scope)) != len(scope)
         ):
-            raise ModelError(f"{kind.value} scope repeats a variable: {self.scope}")
+            raise ModelError(f"{kind.value} scope repeats a variable: {scope}")
         if kind is _DISJUNCTION:
             pairs = self.params.get("pairs")  # () is legal: the disjunction is then false
             if not isinstance(pairs, (tuple, list)) or not all(
                 isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
-                and p[0] in self.scope and p[1] in self.scope for p in pairs
+                and p[0] in scope and p[1] in scope for p in pairs
             ):
                 raise ModelError(f"equality-disjunction pairs must be distinct scope vars: {pairs}")
 
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable problem description.
+    """Immutable problem description, checked on creation.
 
-    domains holds one bitmask per variable (bit v set iff value v is in the
-    initial domain), each non-empty and inside 0..universe_size-1.
-    symmetry_scope names the variables the declared symmetries act on (in
-    order). Orbit computations, lex-leader posting and dynamic filtering all
-    work on the projection of assignments onto that scope; any remaining
-    variables are auxiliary.
+    domains holds one int bitmask per variable (bit v set iff value v is in the
+    initial domain), each non-empty and inside 0..universe_size-1; constraints name
+    existing variables. symmetry_scope names distinct existing variables, in order, that
+    the declared symmetries act on; symmetry matches its length and universe and maps
+    initial scope domains onto each other, each holding all or none of every class.
+    Orbits, lex-leader posting and dynamic filtering work on assignments projected onto
+    that scope; any remaining variables are auxiliary.
     """
 
     name: str

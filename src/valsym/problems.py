@@ -12,6 +12,7 @@ from .symmetry import SymmetrySpec, VarValueSymmetry, inversion_permutation
 
 ALL_INTERVAL_MIN, ALL_INTERVAL_MAX = 3, 14
 PIGEONHOLE_MIN, PIGEONHOLE_MAX = 2, 20
+_NOT_EQUAL = ConstraintKind.NOT_EQUAL  # bound once: enum member lookup is slow
 
 
 def build_all_interval(n: int) -> Model:
@@ -54,48 +55,48 @@ def build_all_interval(n: int) -> Model:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Read a DIMACS graph: one `p edge V E` line then `e u v` lines
-    (1-based vertices). Returns (num_vertices, 0-based edge list)."""
-    num_vertices = None
-    declared_edges = None
+    """Read a DIMACS graph: one `p edge V E` line (V > 0, E >= 0), then E `e u v` lines,
+    u != v in 1..V, repeats kept; `c` and blank lines skipped. Returns (V, 0-based edges)."""
+    num_vertices = 0  # until the problem line, which declares at least one vertex
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vertices is not None:
-                raise DimacsParseError(line_no, "second problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise DimacsParseError(line_no, f"expected 'p edge V E', got {line!r}")
-            try:
-                num_vertices, declared_edges = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsParseError(line_no, f"bad counts in {line!r}") from None
-            if num_vertices <= 0:
-                raise DimacsParseError(line_no, "vertex count must be positive")
-        elif parts[0] == "e":
-            if num_vertices is None:
-                raise DimacsParseError(line_no, "edge before problem line")
-            if len(parts) != 3:
-                raise DimacsParseError(line_no, f"expected 'e u v', got {line!r}")
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and num_vertices:
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise DimacsParseError(line_no, f"bad vertex in {line!r}") from None
-            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise DimacsParseError(line_no, f"vertex out of range in {line!r}")
+                raise DimacsParseError(line_no, f"bad vertex in {raw.strip()!r}") from None
+            if not (0 < u <= num_vertices and 0 < v <= num_vertices):
+                raise DimacsParseError(line_no, f"vertex out of range in {raw.strip()!r}")
             if u == v:
-                raise DimacsParseError(line_no, f"self-loop {line!r}")
+                raise DimacsParseError(line_no, f"self-loop {raw.strip()!r}")
             edges.append((u - 1, v - 1))
+        elif not parts or parts[0][0] == "c":
+            continue
+        elif parts[0] == "e":
+            raise DimacsParseError(line_no, f"expected 'e u v', got {raw.strip()!r}"
+                                   if num_vertices else "edge before problem line")
+        elif parts[0] != "p":
+            raise DimacsParseError(line_no, f"unrecognized line {raw.strip()!r}")
+        elif num_vertices:
+            raise DimacsParseError(line_no, "second problem line")
+        elif len(parts) != 4 or parts[1] != "edge":
+            raise DimacsParseError(line_no, f"expected 'p edge V E', got {raw.strip()!r}")
         else:
-            raise DimacsParseError(line_no, f"unrecognized line {line!r}")
-    if num_vertices is None:
+            try:
+                num_vertices, declared_edges = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsParseError(line_no, f"bad counts in {raw.strip()!r}") from None
+            if num_vertices <= 0:
+                raise DimacsParseError(line_no, "vertex count must be positive")
+            if declared_edges < 0:
+                raise DimacsParseError(line_no, "edge count must not be negative")
+            header_line = line_no
+    if not num_vertices:
         raise DimacsParseError(1, "missing problem line")
-    if declared_edges is not None and declared_edges != len(edges):
+    if declared_edges != len(edges):
         raise DimacsParseError(
-            1, f"problem line declares {declared_edges} edges, found {len(edges)}"
+            header_line, f"problem line declares {declared_edges} edges, found {len(edges)}"
         )
     return num_vertices, edges
 
@@ -128,18 +129,14 @@ def build_coloring(num_vertices: int, edges: Iterable[tuple[int, int]], num_colo
         raise ModelError("need at least one color")
     if num_vertices <= 0:
         raise ModelError("need at least one vertex")
-    seen = set()
-    constraints = []
+    distinct = {}  # (min, max) of each edge, in order of first appearance
     for u, v in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ModelError(f"edge ({u}, {v}) names unknown vertex")
         if u == v:
             raise ModelError(f"self-loop on vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        constraints.append(Constraint(ConstraintKind.NOT_EQUAL, key))
+        distinct[(u, v) if u < v else (v, u)] = None
+    constraints = [Constraint(_NOT_EQUAL, key) for key in distinct]
     params = {"vertices": num_vertices, "edges": len(constraints), "colors": num_colors}
     return _one_class_model("coloring", num_vertices, num_colors, constraints, params)
 
@@ -165,7 +162,7 @@ def build_pigeonhole(n: int) -> Model:
         raise ModelError(f"pigeonhole n must be in [{PIGEONHOLE_MIN}, {PIGEONHOLE_MAX}]")
     scope = tuple(range(n))
     nonadjacent = [(i, j) for i in range(n) for j in range(i + 2, n)]
-    constraints = [Constraint(ConstraintKind.NOT_EQUAL, pair) for pair in nonadjacent]
+    constraints = [Constraint(_NOT_EQUAL, pair) for pair in nonadjacent]
     constraints.append(Constraint(ConstraintKind.LAZY_ALL_DIFFERENT, scope))
     constraints.append(
         Constraint(ConstraintKind.EQUALITY_DISJUNCTION, scope, {"pairs": tuple(nonadjacent)})
@@ -186,7 +183,7 @@ def random_interchangeable_model(
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.35:
-                constraints.append(Constraint(ConstraintKind.NOT_EQUAL, (i, j)))
+                constraints.append(Constraint(_NOT_EQUAL, (i, j)))
     if n >= 3 and rng.random() < 0.4:
         k = rng.randint(2, min(3, n, m))
         scope = tuple(sorted(rng.sample(range(n), k)))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Optional, Sequence, TypeVar
 
 from .domains import copy_domains, values_of
@@ -380,13 +380,14 @@ class VerifyModeReport:
     missed_orbits: list[list[tuple[int, ...]]]
     non_canonical: list[tuple[int, ...]]
     passed: bool
+    stats: Optional[SearchStats] = field(default=None, repr=False, compare=False)  # its mode's solve
 
 
 def verify_symmetry_breaking(
     model: Model, modes: Sequence[str], config: Optional[SearchConfig] = None
 ) -> tuple[bool, list[VerifyModeReport], SearchStats]:
-    """Check one-solution-per-orbit for each mode against mode-none
-    enumeration. Returns (all_passed, per-mode reports, none-run stats).
+    """Check one-solution-per-orbit for each mode against mode-none enumeration. Returns
+    (all_passed, per-mode reports with their own solves' stats, none-run stats).
     A mode the model cannot run is refused before anything is enumerated.
     Modes that break the same group share one orbit partition of the
     mode-none solutions: none and static-lex share the declared generators,
@@ -409,9 +410,9 @@ def verify_symmetry_breaking(
             partitions.append(shared)
         _, orbits, orbit_of = shared
         if mode == "none":
-            sols = none_sols
+            sols, stats = none_sols, none_stats
         else:
-            sols, _ = solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
+            sols, stats = solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
         proj = [model.project_scope(s) for s in sols]
         # a solution outside the mode-none set, which only an unsound mode finds, counts under None
         counts = Counter(orbit_of.get(p) for p in proj)
@@ -421,7 +422,7 @@ def verify_symmetry_breaking(
         passed = not duplicates and not missed and not counts[None]
         reports.append(
             VerifyModeReport(
-                mode, len(proj), len(orbits), duplicates, missed, non_canonical, passed
+                mode, len(proj), len(orbits), duplicates, missed, non_canonical, passed, stats
             )
         )
     return all(r.passed for r in reports), reports, none_stats

@@ -12,6 +12,7 @@ from typing import Callable, Container, Optional, Sequence
 
 from valsym import search
 from valsym.domains import values_of
+from valsym.errors import DimacsParseError, ModelError
 from valsym.model import Constraint, ConstraintKind, Model
 from valsym.symmetry import (
     ClassProduct,
@@ -520,3 +521,79 @@ def getree_allowed_values_by_path(
             for s in stab:
                 seen |= 1 << s(v)
     return allowed
+
+
+def parse_dimacs_per_line_kind(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """parse_dimacs as first written: each line stripped, then tested for a
+    comment, a `p` line and an `e` line in turn. The one change since is the
+    header check: a negative declared edge count is refused on the `p` line,
+    and a count that does not match names the `p` line, not line 1. The
+    reference for the parser that splits each line once and tests the common
+    `e u v` line first, which must match it in result and in first error."""
+    num_vertices = None
+    declared_edges = None
+    header_line = None
+    edges: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if num_vertices is not None:
+                raise DimacsParseError(line_no, "second problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise DimacsParseError(line_no, f"expected 'p edge V E', got {line!r}")
+            try:
+                num_vertices, declared_edges = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsParseError(line_no, f"bad counts in {line!r}") from None
+            if num_vertices <= 0:
+                raise DimacsParseError(line_no, "vertex count must be positive")
+            if declared_edges < 0:
+                raise DimacsParseError(line_no, "edge count must not be negative")
+            header_line = line_no
+        elif parts[0] == "e":
+            if num_vertices is None:
+                raise DimacsParseError(line_no, "edge before problem line")
+            if len(parts) != 3:
+                raise DimacsParseError(line_no, f"expected 'e u v', got {line!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DimacsParseError(line_no, f"bad vertex in {line!r}") from None
+            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
+                raise DimacsParseError(line_no, f"vertex out of range in {line!r}")
+            if u == v:
+                raise DimacsParseError(line_no, f"self-loop {line!r}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise DimacsParseError(line_no, f"unrecognized line {line!r}")
+    if num_vertices is None:
+        raise DimacsParseError(1, "missing problem line")
+    if declared_edges != len(edges):
+        raise DimacsParseError(
+            header_line, f"problem line declares {declared_edges} edges, found {len(edges)}"
+        )
+    return num_vertices, edges
+
+
+def coloring_constraints_with_seen_set(num_vertices: int, edges) -> list[Constraint]:
+    """build_coloring's edge checks and constraints as first written: one
+    edge at a time, a set of the (min, max) pairs seen so far, and one
+    not-equal per pair at its first appearance. The reference for the builder
+    that keys an insertion-ordered dict, which must give the same constraints
+    in the same order and raise the same first ModelError."""
+    seen = set()
+    constraints = []
+    for u, v in edges:
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ModelError(f"edge ({u}, {v}) names unknown vertex")
+        if u == v:
+            raise ModelError(f"self-loop on vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        constraints.append(Constraint(ConstraintKind.NOT_EQUAL, key))
+    return constraints

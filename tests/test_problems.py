@@ -1,10 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import constraint_holds, model_solutions
+from oracles import (
+    coloring_constraints_with_seen_set,
+    constraint_holds,
+    model_solutions,
+    parse_dimacs_per_line_kind,
+)
 from valsym.errors import DimacsParseError, ModelError
-from valsym.model import ConstraintKind
+from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import (
     build_all_interval,
     build_coloring,
@@ -103,6 +109,8 @@ def test_dimacs_round_trip_to_model():
         ("p edge 3 1\nq 1 2\n", 2, "unrecognized"),
         ("c nothing here\n", 1, "missing problem line"),
         ("p edge 3 2\ne 1 2\n", 1, "declares 2 edges, found 1"),
+        ("c a\nc b\np edge 3 2\ne 1 2\n", 3, "declares 2 edges, found 1"),
+        ("c a\np edge 3 -1\ne 1 2\n", 2, "edge count must not be negative"),
     ],
 )
 def test_dimacs_errors_carry_line_numbers(text, line_no, fragment):
@@ -116,6 +124,111 @@ def test_dimacs_errors_carry_line_numbers(text, line_no, fragment):
 def test_dimacs_skips_comments_and_blanks():
     n, edges = parse_dimacs("c a\n\nc b\np edge 2 1\n\ne 1 2\n")
     assert n == 2 and edges == [(0, 1)]
+
+
+_GAPS = (" ", "  ", "\t", " \t ", "\u00a0")
+# each replaces one line of a well-formed text; {n} is the vertex count, {m} one more
+_CORRUPT_LINES = (
+    "e 1", "e 1 2 3", "e", "e x 2", "e 1 2.0", "e 0 1", "e 1 {m}", "e -1 2", "e 2 2", "e +1 ١",
+    "e1 2", "E 1 2", "q 1 2", "pedge {n} 1", "p edge {n} 1", "p graph {n} 1", "p edge",
+    "p edge x 1", "p edge {n} y", "p edge 0 0", "p edge -2 1", "p edge {n} -1", "comment",
+    "c", "  c indented", "%",
+)
+
+
+def _dimacs_text(rng: random.Random) -> str:
+    """A small DIMACS text: comments, blank and blank-looking lines, tabs and
+    extra spaces anywhere, duplicate and reversed edges, and in about half of
+    the texts one or two corrupted lines, a wrong edge count or no header."""
+    n = rng.randint(1, 7)
+    edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    picked = [rng.choice(edges) for _ in range(rng.randint(0, 10))] if edges else []
+    gap = lambda: rng.choice(_GAPS)  # noqa: E731
+    lead = lambda: rng.choice(("", "", " ", "\t"))  # noqa: E731
+    count = len(picked) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    lines = [f"{lead()}p{gap()}edge{gap()}{n}{gap()}{count}{lead()}"]
+    lines += [f"{lead()}e{gap()}{u}{gap()}{v}{lead()}" for u, v in picked]
+    for _ in range(rng.randint(0, 4)):
+        filler = rng.choice(("c note", "c", "cc 1 2", "", "   ", "\t", f"c{gap()}p edge 1 1"))
+        lines.insert(rng.randint(0, len(lines)), filler)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            bad = rng.choice(_CORRUPT_LINES).format(n=n, m=n + 1)
+            lines[rng.randrange(len(lines))] = f"{lead()}{bad}{lead()}"
+    if rng.random() < 0.05:  # no header, or an edge before it
+        lines = [line for line in lines if "p" not in line]
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", ""))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DimacsParseError, ModelError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+def test_dimacs_parse_and_build_match_the_per_line_reference():
+    """The parser that tests `e u v` lines first gives the reference's result
+    or first error (type, line and message) on every text, and the builder
+    the reference's constraints in the same order."""
+    rng = random.Random(3232)
+    outcomes = Counter()
+    for _ in range(3000):
+        text = _dimacs_text(rng)
+        got = _outcome(parse_dimacs, text)
+        assert got == _outcome(parse_dimacs_per_line_kind, text), text
+        outcomes[got[0] == "ok"] += 1
+        if got[0] == "ok":
+            n, edges = got[1]
+            model = build_coloring(n, edges, 3)
+            want = tuple(coloring_constraints_with_seen_set(n, edges))
+            assert model.constraints == want, text
+            assert model.params["edges"] == len(want)
+            assert build_coloring_from_dimacs(text, 3) == model
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_build_coloring_matches_the_seen_set_reference_on_raw_edges():
+    """Edge lists straight from a caller, with reversed and repeated edges,
+    self-loops and unknown vertices: the same constraints in the same order,
+    or the same first ModelError."""
+    rng = random.Random(3233)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.7:  # mostly legal lists, so the orders get compared
+            edges = [(u % n, v % n) for u, v in edges if u % n != v % n]
+        got = _outcome(lambda: build_coloring(n, edges, 2).constraints)
+        want = _outcome(lambda: tuple(coloring_constraints_with_seen_set(n, edges)))
+        assert got == want, (n, edges)
+        outcomes[got[0] == "ok"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_an_unknown_constraint_variable_names_the_first_offender():
+    rng = random.Random(3234)
+    kinds = [(ConstraintKind.NOT_EQUAL, 2), (ConstraintKind.ABS_DIFF, 3), (ConstraintKind.ALL_DIFFERENT, 4)]
+    outcomes = Counter()
+    for _ in range(500):
+        n = rng.randint(4, 8)
+        constraints = []
+        for _ in range(rng.randint(1, 6)):
+            kind, arity = rng.choice(kinds)
+            scope = rng.sample(range(n), arity)
+            if rng.random() < 0.2:
+                scope[rng.randrange(arity)] = rng.choice((-1, n, n + 2))
+            constraints.append(Constraint(kind, tuple(scope)))
+        spec = SymmetrySpec(scope_len=0, universe_size=2)
+        got = _outcome(Model, "m", 2, (0b11,) * n, tuple(constraints), spec, ())
+        bad = [(c, v) for c in constraints for v in c.scope if not 0 <= v < n]
+        if bad:
+            c, v = bad[0]
+            assert got == (ModelError, None, f"constraint {c.kind.value} names unknown var {v}")
+        else:
+            assert got[0] == "ok"
+        outcomes[bool(bad)] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 # --- pigeonhole family --------------------------------------------------------

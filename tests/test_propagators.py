@@ -149,6 +149,24 @@ def test_constraint_refuses_a_scope_of_the_wrong_arity(kind, scope, message):
         Constraint(kind, scope)
 
 
+@pytest.mark.parametrize(
+    "kind, scope",
+    [
+        (ConstraintKind.NOT_EQUAL, (3, 3)),
+        (ConstraintKind.ALL_DIFFERENT, (4, 4)),
+        (ConstraintKind.ALL_DIFFERENT, (1, 2, 1)),
+        (ConstraintKind.LAZY_ALL_DIFFERENT, (0, 0)),
+        (ConstraintKind.LAZY_ALL_DIFFERENT, (2, 0, 1, 0)),
+    ],
+)
+def test_constraint_refuses_a_repeated_variable_in_a_scope_of_any_length(kind, scope):
+    with pytest.raises(ModelError, match=f"{kind.value} scope repeats a variable"):
+        Constraint(kind, scope)
+    Constraint(kind, tuple(range(len(scope))))
+    # a disjunction alone may name a variable twice
+    Constraint(ConstraintKind.EQUALITY_DISJUNCTION, scope, {"pairs": ()})
+
+
 def _random_all_different_case(rng, cls):
     """An all-different propagator over a scope of 2-10 shuffled variable ids
     out of up to 20, its domains drawn from a universe of n-1 to 14 values

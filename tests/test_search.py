@@ -157,6 +157,24 @@ def test_verify_matches_a_partition_per_mode_on_random_models():
             assert reports == verify_per_mode(m, modes, config), m.describe()
 
 
+@pytest.mark.parametrize("var_order", ["input", "min-domain"])
+def test_each_verify_report_carries_its_own_modes_solve_stats(var_order):
+    # outside the report's repr and ==, so the reports, their JSON and the
+    # identity gate's tree records read as they did before the field
+    m = build_all_interval(6)
+    modes = ["none", "static-lex", "getree"]
+    config = SearchConfig(var_order=var_order)
+    _, reports, none_stats = verify_symmetry_breaking(m, modes, config)
+    assert reports[0].stats is none_stats
+    counts = set()
+    for report in reports:
+        _, want = solve(m, replace(config, symmetry_mode=report.mode))
+        assert replace(report.stats, elapsed=0.0) == replace(want, elapsed=0.0), report.mode
+        counts.add(report.stats.propagation_calls)
+        assert "stats" not in repr(report) and report == replace(report, stats=None)
+    assert len(counts) == len(modes)
+
+
 def test_an_unsound_mode_does_not_spoil_the_sibling_sharing_its_orbits(monkeypatch):
     # precedence and channel break the same class product, so they read one
     # orbit partition; only precedence returns a stray and a repeated orbit

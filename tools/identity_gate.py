@@ -11,13 +11,12 @@ workload as the benchmark builds them, and prints one line with two sha256
 digests over the jobs in order. The tree digest covers each job's name, its
 solution list (for `verify`, its per-mode reports) and its nodes, branches,
 failures, solutions and max_depth; the work digest covers each job's name and
-its propagation_calls. `verify` returns the stats of its mode-`none` run
-alone, so a `verify` job also solves each listed mode again and adds that
-solve's counts to both records. A job past its node budget counts its
-partial solutions and stats. Run it on two commits and compare the lines: a change
-to the propagation schedule alone keeps every tree digest and moves only
-work digests. valsym comes from ./src, the workloads from ./bench, which it
-only imports.
+its propagation_calls. A `verify` job adds to both records the counts of
+each listed mode's own solve, which its per-mode reports carry. A job past
+its node budget counts its partial solutions and stats. Run it on two
+commits and compare the lines: a change to the propagation schedule alone
+keeps every tree digest and moves only work digests. valsym comes from
+./src, the workloads from ./bench, which it only imports.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def job_records(job, model, var_order: str) -> tuple[str, str]:
             outcome, stats = search.solve(model, config)
         else:
             _, outcome, stats = search.verify_symmetry_breaking(model, job.modes, config)
-            for mode in job.modes:
-                per_mode.append((mode, search.solve(model, replace(config, symmetry_mode=mode))[1]))
+            per_mode = [(report.mode, report.stats) for report in outcome]
     except BudgetExceeded as exc:
         outcome, stats = ("budget-exceeded", exc.solutions), exc.stats
     tree = tuple(getattr(stats, key) for key in TREE_COUNTS)
