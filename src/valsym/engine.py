@@ -32,12 +32,15 @@ from typing import Optional, Sequence
 from .domains import VarId
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagationOutcome:
-    """Result of running propagation to a fixpoint: whether some domain
-    emptied. On success the domains list holds the fixpoint."""
+    """Whether propagation to a fixpoint emptied some domain; on success the
+    domains list holds the fixpoint. Frozen: calls share FAILED and FIXPOINT."""
 
     failed: bool
+
+
+FAILED, FIXPOINT = PropagationOutcome(True), PropagationOutcome(False)
 
 
 class Propagator:
@@ -172,8 +175,8 @@ def propagate_to_fixpoint(
             if failed:
                 if stats is not None:
                     stats.propagation_calls += calls
-                return PropagationOutcome(True)
+                return FAILED
             idx = spare  # entailed: its flag stays set, so nothing wakes it again
     if stats is not None:
         stats.propagation_calls += calls
-    return PropagationOutcome(False)
+    return FIXPOINT

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .domains import VarId, mask_of, values_of
 from .errors import ModelError
@@ -132,8 +134,13 @@ class Model:
         """The solver's working domains: one bitmask per variable."""
         return list(self.domains)
 
-    def project_scope(self, assignment: Sequence[int]) -> tuple[int, ...]:
-        return tuple(assignment[v] for v in self.symmetry_scope)
+    @cached_property
+    def project_scope(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """assignment -> its symmetry_scope values as a tuple, kept in `__dict__`."""
+        scope = self.symmetry_scope
+        if len(scope) > 1:
+            return itemgetter(*scope)
+        return lambda assignment: tuple([assignment[v] for v in scope])  # itemgetter(v) gives no tuple
 
     def describe(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}

@@ -749,4 +749,8 @@ def build_propagators(model: Model) -> list[Propagator]:
 
 
 def check_all(propagators: Sequence[Propagator], values: Sequence[int]) -> bool:
-    return all(p.check(values) for p in propagators)
+    """Whether every check accepts the full assignment, run in order up to the first refusal."""
+    for p in propagators:
+        if not p.check(values):
+            return False
+    return True

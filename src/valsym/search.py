@@ -17,14 +17,17 @@ Modes:
 Domains are a flat list of int bitmasks, one per variable, copied per node;
 propagation runs to a fixpoint after every assignment and every leaf is
 re-checked against the exact constraint relations, so weak propagators cost
-time, never correctness. Each open ancestor of the node has one search-stack
-frame: its domains, its branching variable, its values, how many it tried,
-the mask of the values decided on scope variables above it, so getree reads
-the decided values as one mask instead of walking the path, and its pending
-list after its fixpoint, which marks the propagators retired as entailed at
-it or above it. Each child starts its fixpoint from a copy of that list, so a
-retirement holds for the node's whole subtree and never reaches a sibling;
-the leaf check still runs every propagator.
+time, never correctness. A solve reads leaf values and branching value lists
+from per-solve tables and keeps its counters in locals, writing them to its
+stats before it returns or raises BudgetExceeded. Each open ancestor of the
+node has one search-stack frame: its domains, its branching variable, its
+values, how many it tried, the mask of the values decided on scope variables
+above it, so getree reads the decided values as one mask instead of walking
+the path, and its pending list after its fixpoint, which marks the
+propagators retired as entailed at it or above it. Each child starts its
+fixpoint from a copy of that list, so a retirement holds for the node's whole
+subtree and never reaches a sibling; the leaf check still runs every
+propagator.
 
 A model keeps three builds, each made on first use in the model's `__dict__`,
 outside its fields, so `==`, `repr` and `dataclasses.replace` do not see them:
@@ -244,9 +247,12 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     limit = config.solution_limit
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
-    num_vars = len(domains)
+    num_vars, model_vars = len(domains), model.num_vars
     ascending = config.val_order == "ascending"
     min_dom = config.var_order == "min-domain"
+    # a leaf's singleton mask -> its value, over the widest initial domain
+    value_of = {1 << v: v for v in range(max(domains, default=0).bit_length())}.__getitem__
+    value_lists: dict[int, list[int]] = {}  # a branching mask -> its values, shared by frames
     t0 = time.perf_counter()
 
     def pick_var(domains, start: int) -> int:
@@ -272,33 +278,34 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     stack: list = []
     decided = 0
     pending = [False] * (len(props) + 1)
+    nodes = branches = failures = max_depth = 0  # written to stats at the one exit
     while True:
-        stats.nodes += 1
-        if stats.nodes > budget:
-            stats.elapsed = time.perf_counter() - t0
-            raise BudgetExceeded(budget, stats, config.symmetry_mode, solutions)
-        if len(stack) > stats.max_depth:
-            stats.max_depth = len(stack)
+        nodes += 1
+        if nodes > budget:
+            break
+        if len(stack) > max_depth:
+            max_depth = len(stack)
         var = stack[-1][1] if stack else -1  # the node's decision, -1 at the root
         outcome = propagate_to_fixpoint(
             props, domains, (var,) if stack else None, watchers, stats, pending
         )
         if outcome.failed:
-            stats.failures += 1
+            failures += 1
         elif (var := pick_var(domains, var + 1)) < 0:
-            values = tuple(d.bit_length() - 1 for d in domains)
+            values = tuple(map(value_of, domains))
             if check_all(props, values):
-                stats.solutions += 1
-                solutions.append(values[: model.num_vars])
-                if limit is not None and stats.solutions >= limit:
+                solutions.append(values[:model_vars])
+                if len(solutions) == limit:
                     break
             else:
-                stats.failures += 1
+                failures += 1
         else:
             if getree:
                 vals = getree_allowed_values(decided, var, group, domains, scope)
             else:
-                vals = list(values_of(domains[var]))
+                vals = value_lists.get(domains[var])
+                if vals is None:
+                    vals = value_lists[domains[var]] = list(values_of(domains[var]))
             stack.append([domains, var, vals if ascending else vals[::-1], 0, decided, pending])
         # the next node is the next child of the deepest frame with one left
         while stack:
@@ -310,13 +317,17 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
             break
         parent, var, vals, nxt, decided, pending = frame
         frame[3] = nxt + 1
-        stats.branches += 1
+        branches += 1
         domains = copy_domains(parent)
         pending = pending.copy()
         bit = domains[var] = 1 << vals[nxt]
         if var in scope:
             decided |= bit
+    stats.nodes, stats.branches, stats.failures = nodes, branches, failures
+    stats.solutions, stats.max_depth = len(solutions), max_depth
     stats.elapsed = time.perf_counter() - t0
+    if nodes > budget:
+        raise BudgetExceeded(budget, stats, config.symmetry_mode, solutions)
     return solutions, stats
 
 
@@ -399,7 +410,7 @@ def verify_symmetry_breaking(
     groups = [break_group(model, mode) for mode in modes]
     base = config if config is not None else SearchConfig()
     none_sols, none_stats = solve(model, replace(base, symmetry_mode="none", solution_limit=None))
-    none_proj = [model.project_scope(s) for s in none_sols]
+    none_proj = list(map(model.project_scope, none_sols))
     partitions: list = []  # (group, orbits, orbit_of) per distinct group
     reports = []
     for mode, group in zip(modes, groups):
@@ -413,9 +424,9 @@ def verify_symmetry_breaking(
             sols, stats = none_sols, none_stats
         else:
             sols, stats = solve(model, replace(base, symmetry_mode=mode, solution_limit=None))
-        proj = [model.project_scope(s) for s in sols]
+        proj = list(map(model.project_scope, sols))
         # a solution outside the mode-none set, which only an unsound mode finds, counts under None
-        counts = Counter(orbit_of.get(p) for p in proj)
+        counts = Counter(map(orbit_of.get, proj))
         duplicates = [orbit for idx, orbit in enumerate(orbits) if counts[idx] > 1]
         missed = [orbit for idx, orbit in enumerate(orbits) if not counts[idx]]
         non_canonical = sorted(p for p in set(proj) if p in orbit_of and p != orbits[orbit_of[p]][0])

@@ -197,13 +197,16 @@ class ClassProduct:
     def canonical(self, assignment: Sequence[int]) -> tuple[int, ...]:
         """Lex-least image of the assignment, in one pass over it."""
         class_of = self.class_of
-        fresh = [iter(cls) for cls in self._ascending]
+        fresh = list(map(iter, self._ascending))
         relabel: dict[int, int] = {}
+        image = []
         for v in assignment:
-            if v not in relabel:
+            w = relabel.get(v)
+            if w is None:
                 idx = class_of.get(v)
-                relabel[v] = v if idx is None else next(fresh[idx])
-        return tuple([relabel[v] for v in assignment])
+                w = relabel[v] = v if idx is None else next(fresh[idx])
+            image.append(w)
+        return tuple(image)
 
 
 @dataclass(frozen=True)

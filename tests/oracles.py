@@ -438,6 +438,21 @@ def not_equal_forward_check(edges, domains: list[int]) -> bool:
     return False
 
 
+def class_product_canonical_by_dict_walk(group: ClassProduct, assignment: Sequence[int]) -> tuple[int, ...]:
+    """The first-occurrence relabelling by one dict walk over the assignment:
+    each value met for the first time takes its class's least unused value,
+    a value outside every class keeps itself; then every position is read
+    back through the dict."""
+    class_of = {v: idx for idx, cls in enumerate(group.classes) for v in cls}
+    fresh = [iter(sorted(cls)) for cls in group.classes]
+    relabel: dict[int, int] = {}
+    for v in assignment:
+        if v not in relabel:
+            idx = class_of.get(v)
+            relabel[v] = v if idx is None else next(fresh[idx])
+    return tuple([relabel[v] for v in assignment])
+
+
 def canonical_partition(points: Sequence[tuple[int, ...]], group: Group) -> list[list[tuple[int, ...]]]:
     """The points bucketed by canonical form, each orbit sorted and in order
     of canonical form: the orbits under the group for any points, closed

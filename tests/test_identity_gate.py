@@ -1,7 +1,7 @@
 """tools/identity_gate.py prints a tree and a work digest per workload and
 variable order, the same digests on every run, and a change to the
 propagation schedule alone moves only the work digests, also those of the
-modes a `verify` job lists."""
+modes a `verify` job lists. The smoke workloads' tree digests are pinned."""
 
 import importlib.util
 import re
@@ -31,11 +31,36 @@ def test_identity_gate_digests_each_smoke_workload_and_order_the_same_way_twice(
     assert gate_lines("--smoke", "501") == lines
 
 
-def test_a_propagator_that_never_retires_moves_only_work_digests(monkeypatch):
+def load_gate(monkeypatch):
     monkeypatch.setattr(sys, "path", sys.path[:])  # the gate prepends ./src and ./bench
     spec = importlib.util.spec_from_file_location("identity_gate", GATE)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
+    return gate
+
+
+# `--smoke 501` tree digests: any change to a smoke job's search tree or
+# solution list moves one. A change that alters propagation strength on
+# purpose updates them; the work digests are left free, since a change to the
+# propagation schedule alone moves them.
+SMOKE_501_TREES = {
+    ("interval", "input"): "f1b4ccf7a7c85c80ef11af55b8e8a7c85f14d791cb134e2768dece9fd86ecb0b",
+    ("interval", "min-domain"): "9d9d92fa6ef1627d8365024cf95fdef28b8a7f3686507b1addc873e8f3a8fe6f",
+    ("coloring", "input"): "1e723f62afd270e73f0c835d9d0cea786c753d96c7543ee2ab8a1944946e2690",
+    ("coloring", "min-domain"): "cd0630ef3d1ab99e35c0634a3859740b15a2760dfac6a63f7df0e4fd6e04c82a",
+    ("verify", "input"): "25b32cc11bb878d366beb43febe787c53896dd014cdba276aa8231b00b73dd5b",
+    ("verify", "min-domain"): "888478d408b1a49435ca1436e13a7e78bae22cbdc92661d60d0fc4f3cd1b7b52",
+}
+
+
+def test_smoke_tree_digests_are_pinned(monkeypatch):
+    lines = load_gate(monkeypatch).digests([501], smoke=True)
+    keys = [re.fullmatch(LINE, line).groups() for line in lines]
+    assert {(w, o): tree for w, o, tree, _ in keys} == SMOKE_501_TREES
+
+
+def test_a_propagator_that_never_retires_moves_only_work_digests(monkeypatch):
+    gate = load_gate(monkeypatch)
     retiring = gate.digests([501], smoke=True)
     # static-lex posts the lex-leader in coloring and verify jobs, and only in
     # the modes a `verify` job lists, not in its mode-none run

@@ -390,6 +390,46 @@ def test_not_equal_stars_match_pairwise_forward_checking():
     assert min(outcomes.values()) > 200, outcomes
 
 
+class _CountedCheck:
+    """A propagator's check that records its call in a shared list."""
+
+    def __init__(self, prop, calls):
+        self.prop, self.calls = prop, calls
+
+    def check(self, values):
+        self.calls.append(self.prop)
+        return self.prop.check(values)
+
+
+def test_check_all_matches_all_over_checks_and_stops_at_the_same_one():
+    # random graphs with an all-different, an abs-diff or a disjunction now
+    # and then, full assignments: the same verdict from the same prefix of checks
+    rng = random.Random(3333)
+    outcomes = Counter()
+    for _ in range(3_000):
+        n, u = rng.randint(3, 8), rng.randint(2, 5)
+        constraints = [Constraint(ConstraintKind.NOT_EQUAL, tuple(rng.sample(range(n), 2)))
+                       for _ in range(rng.randint(0, 2 * n))]
+        if rng.random() < 0.3:
+            constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, tuple(rng.sample(range(n), 3))))
+        if rng.random() < 0.3:
+            constraints.append(Constraint(ConstraintKind.ABS_DIFF, tuple(rng.sample(range(n), 3))))
+        if rng.random() < 0.3:
+            pairs = (tuple(rng.sample(range(n), 2)),)
+            constraints.append(Constraint(ConstraintKind.EQUALITY_DISJUNCTION, pairs[0], {"pairs": pairs}))
+        rng.shuffle(constraints)
+        props = build_propagators(_graph_model(n, u, constraints))
+        values = tuple(rng.randrange(u) for _ in range(n))
+        got_calls, want_calls = [], []
+        got = check_all([_CountedCheck(p, got_calls) for p in props], values)
+        want = all(p.check(values) for p in [_CountedCheck(p, want_calls) for p in props])
+        assert got == want == all(constraint_holds(c, values) for c in constraints)
+        assert got_calls == want_calls
+        outcomes["accepted" if got else "refused"] += 1
+        outcomes["stopped early"] += len(got_calls) < len(props)
+    assert min(outcomes.values()) > 400, outcomes
+
+
 def test_a_leaf_checks_each_not_equal_edge_once_either_way_round():
     # the stars of a model check every distinct edge once between them, and
     # reject a leaf that breaks one edge alone whichever way it was declared

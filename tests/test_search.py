@@ -231,6 +231,19 @@ def test_sample_random_models_verify_across_all_modes():
         assert passed, [(r.mode, r.duplicate_orbits, r.missed_orbits) for r in reports]
 
 
+@pytest.mark.parametrize("scope", [(4, 0, 5, 2, 1, 3), (5, 1, 3), (2,), ()],
+                         ids=["permuted", "subset", "one-variable", "empty"])
+def test_project_scope_reads_the_scope_in_order(scope):
+    u = 4
+    model = Model("scoped", u, ((1 << u) - 1,) * 6, (), SymmetrySpec(len(scope), u), scope)
+    rng = random.Random(3535)
+    for _ in range(200):
+        assignment = tuple(rng.randrange(u) for _ in range(6))
+        got = model.project_scope(assignment)
+        assert type(got) is tuple and got == tuple(assignment[v] for v in scope)
+        assert model.project_scope(list(assignment)) == got
+
+
 def test_solution_counts_equal_orbit_counts():
     m = build_all_interval(6)
     none_sols, _ = solve(m)
@@ -262,14 +275,35 @@ def test_solution_limit_truncates():
     assert sols == full[:3]
 
 
-def test_budget_exhaustion_carries_partial_stats():
-    m = build_all_interval(7)
+# (model, mode, var order, budget, then nodes, branches, failures, solutions,
+# propagation_calls, max_depth when the budget trips); nodes is budget + 1, the
+# node that tripped the guard. All-interval 7 has 150 nodes in input order, so
+# it trips there at 100 and at 10, and in min-domain order at 10 and 300.
+BUDGET_TRIPS = [
+    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 138, 3)),
+    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 96, 6)),
+    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 1242, 4)),
+    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 2858, 7)),
+    ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 103, 5)),
+    ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 94, 4)),
+]
+
+
+@pytest.mark.parametrize("model,mode,order,budget,want", BUDGET_TRIPS,
+                         ids=[f"{m}-{mode}-{o}-{b}" for m, mode, o, b, _ in BUDGET_TRIPS])
+def test_budget_exhaustion_carries_partial_stats(model, mode, order, budget, want):
+    config = SearchConfig(var_order=order, symmetry_mode=mode)
+    full, _ = solve(_PINNED_MODELS[model](), config)
     with pytest.raises(BudgetExceeded) as exc:
-        solve(m, SearchConfig(enumeration_budget=10))
-    assert exc.value.budget == 10
-    assert exc.value.stats is not None
-    assert exc.value.stats.nodes == 11  # the node that tripped the guard
-    assert exc.value.stats.elapsed > 0
+        solve(_PINNED_MODELS[model](), replace(config, enumeration_budget=budget))
+    assert (exc.value.budget, exc.value.mode) == (budget, mode)
+    stats = exc.value.stats
+    got = (stats.nodes, stats.branches, stats.failures, stats.solutions,
+           stats.propagation_calls, stats.max_depth)
+    assert got == want
+    assert stats.elapsed > 0
+    # the solutions found before the guard tripped, in the unbudgeted order
+    assert exc.value.solutions == full[: stats.solutions]
 
 
 def test_search_is_deterministic():

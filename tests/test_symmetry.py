@@ -1,12 +1,19 @@
 import itertools
 import math
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_partition, enumerated_group, lex_leader_support
+from oracles import (
+    canonical_partition,
+    class_product_canonical_by_dict_walk,
+    enumerated_group,
+    lex_leader_support,
+)
 from valsym import symmetry
 from valsym.domains import mask_of
 from valsym.errors import GroupTooLarge, ModelError
@@ -305,6 +312,28 @@ def test_class_product_relabels_by_first_occurrence():
     cp = ClassProduct(((5, 2, 4), (3, 0)), universe_size=7)
     assert cp.canonical((4, 1, 3, 4, 5, 6, 0)) == (2, 1, 0, 2, 4, 6, 3)
     assert canonical_form((5, 5, 2), cp) == (2, 2, 4)
+
+
+def test_class_product_canonical_matches_the_dict_walk():
+    # 1-3 classes over a universe with values outside every class, lengths
+    # 0-12 drawn from a few values, so most assignments repeat some
+    rng = random.Random(3434)
+    seen = Counter()
+    for _ in range(4_000):
+        universe = rng.randint(2, 9)
+        values = rng.sample(range(universe), rng.randint(1, universe))
+        k = rng.randint(1, min(3, len(values)))
+        cuts = sorted(rng.sample(range(1, len(values)), k - 1))
+        classes = tuple(tuple(values[a:b]) for a, b in zip([0, *cuts], [*cuts, len(values)]))
+        group = ClassProduct(classes, universe)
+        pool = rng.sample(range(universe), rng.randint(1, universe))
+        assignment = tuple(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+        assert group.canonical(assignment) == class_product_canonical_by_dict_walk(group, assignment)
+        seen["outside a class"] += any(v not in values for v in assignment)
+        seen["repeated"] += len(set(assignment)) < len(assignment)
+        seen[f"{k} classes"] += 1
+        seen["empty"] += not assignment
+    assert min(seen.values()) > 150, seen
 
 
 def test_class_product_has_no_class_size_limit():
