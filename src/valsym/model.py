@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
@@ -60,6 +60,11 @@ class Constraint:
                 and p[0] in scope and p[1] in scope for p in pairs
             ):
                 raise ModelError(f"equality-disjunction pairs must be distinct scope vars: {pairs}")
+
+    def __reduce__(self):
+        # the shared empty params cannot be pickled: a copy takes the default again
+        params = () if self.params is _NO_PARAMS else (self.params,)
+        return Constraint, (self.kind, self.scope, *params)
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,10 @@ class Model:
                         f"initial domain of var {var} holds part of interchangeable "
                         f"class {cls}, not all of it"
                     )
+
+    def __getstate__(self):
+        # builds kept in `__dict__` are remade on first use; one may be a lambda
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def num_vars(self) -> int:

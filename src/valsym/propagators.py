@@ -19,7 +19,8 @@ from .errors import ModelError
 from .model import Constraint, ConstraintKind, Model
 from .symmetry import VarValueSymmetry
 
-_NOT_EQUAL = ConstraintKind.NOT_EQUAL  # bound once: enum member lookup is slow
+# bound once: enum member lookup is slow
+_NOT_EQUAL, _ALL_DIFFERENT = ConstraintKind.NOT_EQUAL, ConstraintKind.ALL_DIFFERENT
 
 
 class NotEqualProp(Propagator):
@@ -31,6 +32,9 @@ class NotEqualProp(Propagator):
     that either end's fix prunes the other, and checks it at a leaf only in
     the star of its lower-numbered end: each star is given the neighbours
     above its centre as `checked`, and a model's stars test every edge once.
+    The edges between two variables of an all-different join the stars too,
+    so the stars prune its assigned values, but not `checked`: the
+    all-different's own check covers them at a leaf.
     """
 
     __slots__ = ("x", "others", "checked")  # a model holds one star per variable
@@ -131,27 +135,22 @@ class AbsDiffProp(Propagator):
 
 
 class AllDifferentProp(Propagator):
-    """Assigned values are pruned from the rest of the scope; when the number
-    of available values equals the scope size, a value held by only one
-    variable is fixed there; fewer available values than variables fails.
+    """The counting rules of all-different: fewer available values than
+    variables fails, and when there are as many as variables, a value held
+    by only one variable is fixed there. Its assigned values are pruned by
+    the not-equal stars `build_propagators` posts beside it.
 
     A round reads the scope once. It counts holders with two words, `twice |=
     once & d; once |= d`, so `once & ~twice` holds the values with exactly
-    one holder, and takes `open_union`, the union of the domains that are not
-    singletons. Two scans are skipped because they could write nothing: the
-    prune scan runs only when `open_union & fixed_mask`, since an open domain
-    that holds no assigned value needs no prune, and single holders are looked
-    for only in `open_union`, since a value whose only holder is fixed needs
-    no write. Values are fixed in ascending order at the first variable
-    holding them; a fix that drops a value with other holders counts again,
-    so a value left with one holder by an earlier fix is fixed in the same
-    round, and the writes are those of one scope scan per value. A round that
-    fixes no value and leaves no new assigned variable is the last: the next
-    one would prune nothing and find every single holder fixed already.
+    one holder, and looks for them only in the union of the open domains: a
+    value whose only holder is fixed needs no write. Values are fixed in
+    ascending order at the first variable holding them; a fix that drops a
+    value with other holders counts again, so a value left with one holder
+    by an earlier fix is fixed in the same round, and the writes are those
+    of one scope scan per value. A round that fixes no value is the last.
     """
 
     kind = "all-different"
-    prune_assigned = True
 
     def __init__(self, scope: Sequence[VarId]):
         self.scope = tuple(scope)
@@ -160,34 +159,16 @@ class AllDifferentProp(Propagator):
     def propagate(self, domains):
         scope = self.scope
         size = len(scope)
-        prune = self.prune_assigned
         changed = set()
         while True:
             moved = False
-            # pruning assigned values leaves each pruned value in the singleton
-            # holding it, so it neither shrinks the union nor leaves a value
-            # with one holder that needs a write: the counts need no redo
-            once = twice = open_union = fixed_mask = 0
+            once = twice = open_union = 0
             for v in scope:
                 d = domains[v]
                 twice |= once & d
                 once |= d
                 if d & (d - 1):
                     open_union |= d
-                elif prune:
-                    if d & fixed_mask:
-                        return True, list(changed)  # two vars on one value
-                    fixed_mask |= d
-            if open_union & fixed_mask:
-                for v in scope:
-                    d = domains[v]
-                    if d & (d - 1) and d & fixed_mask:
-                        d = domains[v] = d & ~fixed_mask
-                        changed.add(v)
-                        if not d:
-                            return True, list(changed)
-                        if not d & (d - 1):
-                            moved = True  # a new assignment to prune next round
             count = once.bit_count()
             if count < size:
                 return True, list(changed)
@@ -223,12 +204,10 @@ class AllDifferentProp(Propagator):
 
 
 class LazyAllDifferentProp(AllDifferentProp):
-    """All-different that deliberately skips assigned-value pruning; it only
-    applies the counting rules, leaving individual collisions to the leaf
-    check."""
+    """All-different posted without the not-equal stars: only the counting
+    rules prune, and two variables on one value are left to the leaf check."""
 
     kind = "lazy-all-different"
-    prune_assigned = False
 
 
 class OrderingChainProp(Propagator):
@@ -733,8 +712,12 @@ def build_propagators(model: Model) -> list[Propagator]:
     """One propagator per constraint, except that the not-equals become one
     star per variable over its distinct neighbours, placed first, each
     checking at a leaf only its neighbours above its centre (see
-    `NotEqualProp`)."""
+    `NotEqualProp`). An all-different also puts its pairwise differences into
+    the stars, which prune its assigned values, and its own propagator holds
+    the counting rules; those edges are left out of `checked`. A lazy
+    all-different posts no stars."""
     neighbours: dict[VarId, dict[VarId, None]] = {}
+    cliques = []
     props = []
     for c in model.constraints:
         if c.kind is _NOT_EQUAL:
@@ -742,10 +725,17 @@ def build_propagators(model: Model) -> list[Propagator]:
             neighbours.setdefault(x, {})[y] = None
             neighbours.setdefault(y, {})[x] = None
         else:
+            if c.kind is _ALL_DIFFERENT:
+                cliques.append(c.scope)
             props.append(build_propagator(c))
-    return [
-        NotEqualProp(x, others, [y for y in others if y > x]) for x, others in neighbours.items()
-    ] + props
+    checked = {x: [y for y in others if y > x] for x, others in neighbours.items()}
+    for scope in cliques:
+        clique = dict.fromkeys(scope)
+        for x in scope:
+            others = neighbours.setdefault(x, {})
+            others.update(clique)
+            del others[x]
+    return [NotEqualProp(x, others, checked.get(x, ())) for x, others in neighbours.items()] + props
 
 
 def check_all(propagators: Sequence[Propagator], values: Sequence[int]) -> bool:

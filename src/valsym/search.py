@@ -30,13 +30,13 @@ subtree and never reaches a sibling; the leaf check still runs every
 propagator.
 
 A model keeps three builds, each made on first use in the model's `__dict__`,
-outside its fields, so `==`, `repr` and `dataclasses.replace` do not see them:
-its own propagators and their watchers, its closed group and the propagators
-static-lex posts. Every later solve, in any mode, shares them, and a search
-reads nothing but its model and its config. A propagator keeps no state after
-`__init__`, so sharing one is safe. Each solve builds precedence's and
-channel's propagators afresh and watches a mode's extra propagators through
-extended copies of the shared watcher lists.
+outside its fields, so `==`, `repr`, `dataclasses.replace`, `pickle` and
+`copy.deepcopy` do not see them: its own propagators and their watchers, its
+closed group and the propagators static-lex posts. Every later solve, in any
+mode, shares them, and a search reads nothing but its model and its config.
+A propagator keeps no state after `__init__`, so sharing one is safe. Each
+solve builds precedence's and channel's propagators afresh and watches a
+mode's extra propagators through extended copies of the shared watchers.
 """
 
 from __future__ import annotations

@@ -356,12 +356,17 @@ def abs_diff_propagate_full_rounds(prop, domains: list[int]) -> tuple[bool, list
             return False, list(changed)
 
 
-def all_different_propagate_per_value(prop, domains: list[int]) -> tuple[bool, list[int]]:
+def all_different_propagate_per_value(
+    prop, domains: list[int], prune_assigned: bool = False
+) -> tuple[bool, list[int]]:
     """AllDifferentProp.propagate (and its lazy subclass) as first written:
     the Hall-singleton step scans the whole scope once per available value
     to find that value's holders. The reference for the holder-counting
     version, which must match it in failure flag and, when it does not fail,
-    in domains and changed list."""
+    in domains and changed list. With prune_assigned it also drops assigned
+    values from the rest of the scope and fails on two variables fixed to one
+    value, as the all-different did alone before those prunes moved into the
+    not-equal stars: the reference for the fixpoint of the staged posting."""
     scope = prop.scope
     changed = set()
     while True:
@@ -370,7 +375,7 @@ def all_different_propagate_per_value(prop, domains: list[int]) -> tuple[bool, l
         for v in scope:
             d = domains[v]
             avail |= d
-            if prop.prune_assigned and not d & (d - 1):
+            if prune_assigned and not d & (d - 1):
                 if d & fixed_mask:
                     return True, list(changed)
                 fixed_mask |= d

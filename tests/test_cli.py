@@ -371,7 +371,7 @@ def test_budget_exhaustion_exits_three(capsys):
     # the search stopped at its 11th node and says how far it got
     assert err[1] == (
         "partial stats: nodes=11 branches=10 failures=5 solutions=1"
-        " propagation_calls=146 max_depth=4"
+        " propagation_calls=162 max_depth=4"
     )
 
 
@@ -385,7 +385,7 @@ def test_budget_exhaustion_emits_a_partial_json_report(capsys):
     assert run["mode"] == "none"
     stats = {k: v for k, v in run["stats"].items() if k != "elapsed"}
     assert stats == {"nodes": 11, "branches": 10, "failures": 5, "solutions": 1,
-                     "propagation_calls": 146, "max_depth": 4}
+                     "propagation_calls": 162, "max_depth": 4}
     # the solution found before the budget ran out is the full search's first
     assert run["solution_count"] == 1
     assert run["solutions"] == [list(solve(build_all_interval(8))[0][0])]

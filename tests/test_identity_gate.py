@@ -1,7 +1,8 @@
 """tools/identity_gate.py prints a tree and a work digest per workload and
 variable order, the same digests on every run, and a change to the
 propagation schedule alone moves only the work digests, also those of the
-modes a `verify` job lists. The smoke workloads' tree digests are pinned."""
+modes a `verify` job lists. The smoke workloads' tree digests are pinned.
+Against a saved run it fails on a moved tree digest only."""
 
 import importlib.util
 import re
@@ -78,3 +79,33 @@ def test_a_propagator_that_never_retires_moves_only_work_digests(monkeypatch):
     assert all(a[:3] == b[:3] for a, b in digests)
     moved = {a[0] for a, b in digests if a[3] != b[3]}
     assert moved == {"coloring", "verify"}
+
+
+def test_against_a_saved_run_fails_only_on_a_moved_tree_digest(monkeypatch, tmp_path, capsys):
+    gate = load_gate(monkeypatch)
+    lines = gate.digests([501], smoke=True)
+    monkeypatch.setattr(gate, "digests", lambda seeds, smoke=False: lines)
+    saved = tmp_path / "saved.txt"
+
+    def against(tamper_line: int, field: str) -> tuple[int, list[str]]:
+        tampered = list(lines)
+        _, tree, work = gate.split_line(tampered[tamper_line])
+        digest = tree if field == "tree" else work
+        tampered[tamper_line] = tampered[tamper_line].replace(digest, "0" * 64)
+        saved.write_text("\n".join(tampered) + "\n")
+        code = gate.main(["--smoke", "501", "--against", str(saved)])
+        out = capsys.readouterr().out.splitlines()
+        assert out[: len(lines)] == lines
+        return code, out[len(lines):]
+
+    key = "seed=501 workload=verify order=min-domain"
+    assert against(5, "tree") == (1, [f"tree moved: {key}"])
+    assert against(5, "work") == (0, [f"work moved: {key}"])
+    # an untouched saved run names nothing; a key it lacks is a moved tree
+    saved.write_text("\n".join(lines) + "\n")
+    assert gate.main(["--smoke", "501", "--against", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    saved.write_text("\n".join(lines[1:]) + "\n")
+    assert gate.main(["--smoke", "501", "--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[len(lines):] == [
+        "tree moved: seed=501 workload=interval order=input"]

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +22,7 @@ from valsym.problems import (
     parse_dimacs,
     random_interchangeable_model,
 )
-from valsym.search import SearchConfig, applicable_modes, solve
+from valsym.search import SearchConfig, applicable_modes, solve, verify_symmetry_breaking
 from valsym.symmetry import SymmetrySpec
 
 TRIANGLE_DIMACS = """c triangle
@@ -320,3 +323,31 @@ def test_one_class_families_share_the_layout(build, n, m):
     assert model.domains == ((1 << m) - 1,) * n
     assert model.symmetry_scope == tuple(range(n))
     assert model.symmetry == SymmetrySpec(n, m, interchangeable_classes=(tuple(range(m)),))
+
+
+# one model per built-in family; the one-vertex colouring has a one-variable
+# symmetry scope, whose kept `project_scope` is a lambda
+COPIED_MODELS = {
+    "all-interval-6": lambda: build_all_interval(6),
+    "pigeonhole-4": lambda: build_pigeonhole(4),
+    "coloring-triangle": lambda: build_coloring_from_dimacs(TRIANGLE_DIMACS, 3),
+    "coloring-one-vertex": lambda: build_coloring(1, [], 2),
+    "random-interchangeable": lambda: random_interchangeable_model(random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "after-verify"])
+@pytest.mark.parametrize("name", list(COPIED_MODELS))
+def test_a_model_pickles_and_deep_copies_to_an_equal_model(name, used):
+    model = COPIED_MODELS[name]()
+    modes = ["none"] + applicable_modes(model)
+    if used:
+        verify_symmetry_breaking(model, modes)
+        assert "project_scope" in vars(model) and "_own_propagators" in vars(model)
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert copied == model and copied is not model
+        for mode in modes:
+            config = SearchConfig(symmetry_mode=mode)
+            (got, got_stats), (want, want_stats) = solve(copied, config), solve(model, config)
+            assert got == want
+            assert replace(got_stats, elapsed=0) == replace(want_stats, elapsed=0)

@@ -1,8 +1,6 @@
 import random
 from collections import Counter
-from functools import reduce
 from itertools import product
-from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -224,31 +222,31 @@ def test_all_different_matches_per_value_scans_on_engine_traffic(cls):
         prop, doms = case
         scope_doms = [doms[v] for v in prop.scope]
         fixed = [d for d in scope_doms if not d & (d - 1)]
-        open_union = reduce(or_, (d for d in scope_doms if d & (d - 1)), 0)
         holders = Counter(b for d in scope_doms for b in values_of(d))
         want = list(doms)
         want_failed, want_changed = all_different_propagate_per_value(prop, want)
         failed, changed = prop.propagate(doms)
         assert (failed, doms, set(changed)) == (want_failed, want, set(want_changed))
-        # the cases reach the scans this kernel skips, and the writes it keeps
-        if fixed and not open_union & reduce(or_, fixed):
-            seen["prune scan skipped"] += 1
+        # the cases reach the scan this kernel skips, and the writes it keeps
         if len(holders) == len(prop.scope) and any(holders[d.bit_length() - 1] == 1 for d in fixed):
             seen["single holder fixed already"] += 1
         if not failed and any(d & (d - 1) and not doms[v] & (doms[v] - 1)
                               for v, d in zip(prop.scope, scope_doms)):
             seen["fix written"] += 1
-    assert min(seen.values()) > 300 and len(seen) == 3, seen
+    assert min(seen.values()) > 300 and len(seen) == 2, seen
 
 
 def test_all_different_assigned_value_pruning():
-    failed, doms = run(
-        [AllDifferentProp((0, 1, 2))],
-        [mask_of([1]), mask_of([1, 2]), mask_of([1, 2, 3])],
-    )
+    # four values for three variables: the counting rules prune nothing, and
+    # the not-equal stars posted beside them drop each assigned value
+    doms = [mask_of([1]), mask_of([1, 2]), mask_of([0, 1, 2, 3])]
+    alone = list(doms)
+    assert AllDifferentProp((0, 1, 2)).propagate(alone) == (False, [])
+    model = _graph_model(3, 4, [Constraint(ConstraintKind.ALL_DIFFERENT, (0, 1, 2))])
+    failed, doms = run(build_propagators(model), doms)
     assert not failed
     assert list(values_of(doms[1])) == [2]
-    assert list(values_of(doms[2])) == [3]
+    assert list(values_of(doms[2])) == [0, 3]
 
 
 def test_all_different_unique_holder_tightening():
@@ -349,7 +347,9 @@ def test_every_constraint_kind_has_a_propagator_and_an_oracle(kind):
     # the enum, the factory and the reference oracle cover the same kinds
     c = REGISTRY_CASES[kind]
     props = build_propagators(_graph_model(4, 3, [c]))
-    assert props and {p.kind for p in props} == {kind.value}
+    # an all-different posts not-equal stars over its scope beside itself
+    want = {kind.value, "not-equal"} if kind is ConstraintKind.ALL_DIFFERENT else {kind.value}
+    assert props and {p.kind for p in props} == want
     for values in product(range(3), repeat=4):
         assert check_all(props, values) == constraint_holds(c, values)
 
@@ -448,6 +448,107 @@ def test_a_leaf_checks_each_not_equal_edge_once_either_way_round():
                 assert check_all(stars, values)
                 values[b] = a  # only a and b now share a value
                 assert not check_all(stars, values), (listed, declared)
+
+
+def _staged_all_different_case(rng):
+    """A model of up to 16 variables over 14 values with one all-different
+    over 2-12 of them, now and then a second one, and in half the cases
+    not-equal edges inside or across the scopes; then random domains, some
+    fixed onto one value and some short of values."""
+    n = rng.randint(2, 12)
+    num_vars = rng.randint(n, n + 4)
+    scopes = [rng.sample(range(num_vars), n)]
+    if rng.random() < 0.25:
+        scopes.append(rng.sample(range(num_vars), rng.randint(2, num_vars)))
+    edges = []
+    if rng.random() < 0.5:
+        edges = [tuple(rng.sample(range(num_vars), 2)) for _ in range(rng.randint(1, num_vars))]
+    constraints = [Constraint(ConstraintKind.ALL_DIFFERENT, tuple(sc)) for sc in scopes]
+    constraints += [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges]
+    rng.shuffle(constraints)
+    values = rng.sample(range(14), min(14, max(1, n + rng.choice((-1, 0, 0, 0, 0, 1, 3)))))
+    fixed, dense = rng.random() * 0.2, 0.2 + rng.random() * 0.5
+    doms = []
+    for _ in range(num_vars):
+        if rng.random() < fixed:
+            doms.append(1 << rng.choice(values))
+        else:
+            doms.append(mask_of(w for w in values if rng.random() < dense) or 1 << rng.choice(values))
+    return _graph_model(num_vars, 14, constraints), scopes, edges, doms
+
+
+def _staged_reference(scopes, edges, doms):
+    """The fixpoint of the all-differents pruning their own assigned values,
+    as one propagator each, and pairwise forward checking on the edges."""
+    while True:
+        before = list(doms)
+        for scope in scopes:
+            if all_different_propagate_per_value(AllDifferentProp(scope), doms, prune_assigned=True)[0]:
+                return True
+        if not_equal_forward_check(edges, doms):
+            return True
+        if doms == before:
+            return False
+
+
+def test_staged_all_different_reaches_the_one_propagator_fixpoint():
+    # the stars and the counting propagator that build_propagators posts for
+    # an all-different reach the fixpoint of one propagator applying every rule
+    rng = random.Random(3434)
+    outcomes = Counter()
+    for _ in range(4_000):
+        model, scopes, edges, doms = _staged_all_different_case(rng)
+        start = list(doms)
+        want = list(doms)
+        want_failed = _staged_reference(scopes, edges, want)
+        failed = propagate_to_fixpoint(build_propagators(model), doms).failed
+        assert failed == want_failed, (model.constraints, start)
+        if failed:
+            outcomes["failed"] += 1
+            continue
+        assert doms == want, (model.constraints, start)
+        # pairwise forward checking over every clique edge alone
+        pruned = list(start)
+        clique_edges = [(a, b) for sc in scopes for a in sc for b in sc if a < b]
+        assert not not_equal_forward_check(clique_edges + edges, pruned)
+        if doms == start:
+            outcomes["nothing"] += 1
+        elif doms == pruned:
+            outcomes["assigned values pruned"] += 1
+        else:
+            outcomes["single holder fixed"] += 1
+    # each outcome is common: seed 3434 draws 1 718 failed, 1 227 pruned
+    # only, 746 unchanged and 309 with a single holder fixed
+    assert min(outcomes.values()) > 200 and len(outcomes) == 4, outcomes
+
+
+def test_all_different_edges_stay_out_of_the_stars_leaf_checks():
+    # the stars prune along every clique edge, but check at a leaf only the
+    # declared not-equal edges, each once, also one repeated inside a scope:
+    # the all-different's own check covers its clique
+    rng = random.Random(3535)
+    repeated = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        scope = tuple(rng.sample(range(n), rng.randint(2, n)))
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        constraints = [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges]
+        constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, scope))
+        rng.shuffle(constraints)
+        props = build_propagators(_graph_model(n, n, constraints))
+        stars = [p for p in props if isinstance(p, NotEqualProp)]
+        declared = {tuple(sorted(e)) for e in edges}
+        assert sorted((p.x, y) for p in stars for y in p.checked) == sorted(declared)
+        clique = {(a, b) for a in scope for b in scope if a != b}
+        assert {(p.x, y) for p in stars for y in p.others} == clique | declared | {
+            (b, a) for a, b in declared}
+        assert all(len(set(p.others)) == len(p.others) for p in stars)
+        for a, b in declared & clique:
+            repeated += 1
+            values = list(range(n))
+            values[b] = a  # only a and b now share a value
+            assert sum(not p.check(values) for p in props) == 2  # its star and the all-different
+    assert repeated > 100
 
 
 def test_equality_disjunction_waits_for_full_fix():

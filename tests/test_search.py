@@ -280,10 +280,10 @@ def test_solution_limit_truncates():
 # node that tripped the guard. All-interval 7 has 150 nodes in input order, so
 # it trips there at 100 and at 10, and in min-domain order at 10 and 300.
 BUDGET_TRIPS = [
-    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 138, 3)),
-    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 96, 6)),
-    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 1242, 4)),
-    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 2858, 7)),
+    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 140, 3)),
+    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 123, 6)),
+    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 1397, 4)),
+    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 3557, 7)),
     ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 103, 5)),
     ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 94, 4)),
 ]
@@ -362,9 +362,9 @@ PINNED_GRAPH_40 = [
 # search in input/ascending order. Search is deterministic, so any change here
 # means the search tree or the propagation queue changed.
 PINNED_COUNTS = [
-    ("all-interval-7", "none", (150, 149, 78, 32, 1878)),
-    ("all-interval-7", "static-lex", (46, 45, 27, 8, 669)),
-    ("all-interval-7", "getree", (76, 75, 39, 16, 947)),
+    ("all-interval-7", "none", (150, 149, 78, 32, 2093)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 758)),
+    ("all-interval-7", "getree", (76, 75, 39, 16, 1055)),
     ("graph-12", "none", (151, 150, 48, 48, 606)),
     ("graph-12", "static-lex", (26, 25, 8, 8, 110)),
     ("graph-12", "precedence", (26, 25, 8, 8, 121)),
@@ -375,8 +375,8 @@ PINNED_COUNTS = [
     ("pigeonhole-6", "getree", (33, 32, 13, 0, 84)),
     ("graph-40", "precedence", (53, 52, 15, 12, 205)),
     ("graph-40", "channel", (53, 52, 15, 12, 209)),
-    ("all-interval-8", "none", (449, 448, 284, 40, 6043)),
-    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2168)),
+    ("all-interval-8", "none", (449, 448, 284, 40, 6441)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2498)),
     ("k4-6", "static-lex", (1, 0, 0, 1, 6)),
     ("path-5", "static-lex", (23, 22, 0, 15, 44)),
 ]
@@ -405,16 +405,16 @@ def test_search_counters_are_pinned(model, mode, want):
 # "value-only" inversion alone. Mode none ignores the group, so it runs once;
 # getree breaks the value subgroup, which both groups share.
 ALL_INTERVAL_10_COUNTS = [
-    ("full", "input", "none", (4369, 4368, 2858, 296, 70331)),
-    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 26596)),
-    ("full", "input", "getree", (2185, 2184, 1429, 148, 35171)),
-    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 35174)),
-    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35171)),
-    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 327977)),
-    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 45675)),
-    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
-    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 35698)),
-    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 244258)),
+    ("full", "input", "none", (4369, 4368, 2858, 296, 70173)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 27592)),
+    ("full", "input", "getree", (2185, 2184, 1429, 148, 35092)),
+    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 35095)),
+    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35092)),
+    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 371722)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 50771)),
+    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 273580)),
+    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 37394)),
+    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 273580)),
 ]
 
 

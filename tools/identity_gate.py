@@ -4,6 +4,7 @@ same search trees.
 
     python3 tools/identity_gate.py 501 502
     python3 tools/identity_gate.py --smoke 501
+    python3 tools/identity_gate.py 501 502 --against parent.txt
 
 For each seed, workload of bench/workloads.py and variable order (`input`,
 then `min-domain`) it runs every job once, on models built once per
@@ -17,6 +18,11 @@ its node budget counts its partial solutions and stats. Run it on two
 commits and compare the lines: a change to the propagation schedule alone
 keeps every tree digest and moves only work digests. valsym comes from
 ./src, the workloads from ./bench, which it only imports.
+
+With `--against FILE`, a saved run's output, it then names each
+seed/workload/order whose tree digest differs from FILE's, or that FILE
+lacks, and exits 1 if there is one; it lists the moved work digests too,
+which leave the exit status 0.
 """
 
 from __future__ import annotations
@@ -78,14 +84,39 @@ def digests(seeds, smoke: bool = False) -> list[str]:
     return lines
 
 
+def split_line(line: str) -> tuple[str, str, str]:
+    """(seed/workload/order key, tree digest, work digest) of one output line."""
+    key, _, rest = line.partition(" jobs=")
+    fields = dict(item.split("=", 1) for item in rest.split()[1:])
+    return key, fields["tree"], fields["work"]
+
+
+def compare(lines, saved) -> int:
+    """Print each key whose tree or work digest moved from the saved digest
+    lines, which may come with other lines; 1 if a tree digest moved or a key
+    is not saved, else 0."""
+    old = {key: (tree, work) for key, tree, work in (split_line(s) for s in saved if " jobs=" in s)}
+    status = 0
+    for key, tree, work in map(split_line, lines):
+        if key not in old or old[key][0] != tree:
+            print(f"tree moved: {key}")
+            status = 1
+        elif old[key][1] != work:
+            print(f"work moved: {key}")
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
     parser.add_argument("--smoke", action="store_true", help="the benchmark's smoke-sized workloads")
+    parser.add_argument("--against", type=Path, metavar="FILE", help="a saved run to compare with")
     args = parser.parse_args(argv)
-    for line in digests(args.seeds, args.smoke):
+    saved = args.against.read_text().splitlines() if args.against else None
+    lines = digests(args.seeds, args.smoke)
+    for line in lines:
         print(line, flush=True)
-    return 0
+    return 0 if saved is None else compare(lines, saved)
 
 
 if __name__ == "__main__":
