@@ -2,12 +2,19 @@
 
 Propagators are contracting and monotone, so running them in any fair order
 reaches the same greatest fixpoint. A change to a variable wakes the
-propagators that list it in `wakes` into a FIFO queue, except a `fix_only`
-one, woken only when the variable becomes fixed, into a second FIFO drained
-first: not-equal cascades settle before the global propagators run. The root
-runs all the others in index order, and a fix-only one through a waking
-variable fixed already or if it has none. A propagator returns at its own
+propagators that watch it into a FIFO queue, except a `fix_only` one, woken
+only when the variable becomes fixed, into a second FIFO drained first. The
+root runs all the others in index order, and a fix-only one through a watched
+variable fixed already or if it watches none. A propagator returns at its own
 fixpoint, so the engine does not wake it for the changes it made itself.
+
+The engine forward-checks not-equal itself: a change that leaves a variable
+fixed drops its value from each of the variable's not-equal neighbours, and
+fails if that empties one. The neighbours so narrowed are a second change
+list, handled once the propagator whose write fixed the variable has its
+flag cleared, so they wake it too; one left fixed prunes its own neighbours
+in turn. These prunes are no propagator runs: `propagation_calls` does not
+count them.
 
 A propagator's pending flag is set while it is queued or running. One that
 reports itself entailed keeps its flag set, so nothing wakes it again: it is
@@ -17,10 +24,11 @@ starts each child from a copy of its parent's, so a retirement lasts for the
 rest of the node's subtree and never reaches a sibling.
 
 Watchers are two per-variable lists, (on_change, on_fix), of tuples of
-propagator indices, a variable nothing wakes holding the shared `()`, and the
-tuple of the indices the root seeds, in index order. Search builds a model's
-own watchers once and extends copies of them with a mode's extra
-propagators, numbered after the model's own.
+propagator indices, the tuple of the indices the root seeds, in index order,
+and a per-variable list of tuples of not-equal neighbours; a variable with
+none holds the shared `()`. Search builds a model's own watchers once and
+extends copies of them with a mode's extra propagators, numbered after the
+model's own.
 """
 
 from __future__ import annotations
@@ -58,9 +66,9 @@ class Propagator:
     fixpoint, and search never below this node: it stays retired for the
     node's whole subtree. Reporting False instead is always sound; reporting
     None early loses pruning.
-    wakes names the watched variables whose changes wake it, all of them unless
-    a subclass narrows it. fix_only declares that it prunes nothing while none
-    of those is a singleton; the engine then wakes it only when one is fixed.
+    Any change to a watched variable wakes it. fix_only declares that it
+    prunes nothing while none of them is a singleton; the engine then wakes
+    it only when one is fixed.
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
     A propagator keeps no state after __init__: search shares a model's own
@@ -72,10 +80,6 @@ class Propagator:
     watches: tuple[VarId, ...] = ()
     fix_only = False
 
-    @property
-    def wakes(self) -> tuple[VarId, ...]:
-        return self.watches
-
     def propagate(self, domains: list[int]) -> tuple[Optional[bool], list[int]]:
         raise NotImplementedError
 
@@ -83,7 +87,9 @@ class Propagator:
         raise NotImplementedError
 
 
-Watchers = tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]
+Watchers = tuple[
+    list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...], list[tuple[VarId, ...]]
+]
 
 
 def build_watchers(
@@ -91,27 +97,31 @@ def build_watchers(
     num_vars: int,
     base: Optional[Watchers] = None,
     first: int = 0,
+    stars: Sequence = (),
 ) -> Watchers:
     """Per variable: the indices of the propagators any change wakes, and of
     the fix-only ones a fix wakes; then the indices the root seeds, every
-    propagator but the fix-only ones with a waking variable. With `base`,
-    copies of its lists, padded to num_vars, and its seeds are extended with
-    `propagators` numbered from `first`, which leaves each entry in index
-    order when `first` is past every index in `base`; `base` itself is not
-    changed."""
+    propagator but the fix-only ones with a watched variable; then per
+    variable its not-equal neighbours, the `others` of the star in `stars`
+    centred on it. With `base`, copies of its lists, padded to num_vars, and
+    its seeds are extended with `propagators` numbered from `first`, which
+    leaves each entry in index order when `first` is past every index in
+    `base`; `base` itself is not changed."""
     if base is None:
-        base = ([], [], ())
+        base = ([], [], (), [])
     pad = [()] * (num_vars - len(base[0]))
     lists = (base[0] + pad, base[1] + pad)
     seeds = list(base[2])
+    neighbours = base[3] + pad
     for idx, p in enumerate(propagators, first):
-        wakes = p.wakes
         woken = lists[p.fix_only]
-        for v in wakes:
+        for v in p.watches:
             woken[v] += (idx,)
-        if not p.fix_only or not wakes:
+        if not p.fix_only or not p.watches:
             seeds.append(idx)
-    return (*lists, tuple(seeds))
+    for star in stars:
+        neighbours[star.x] = star.others
+    return (*lists, tuple(seeds), neighbours)
 
 
 def propagate_to_fixpoint(
@@ -122,13 +132,14 @@ def propagate_to_fixpoint(
     stats=None,
     pending: Optional[list[bool]] = None,
 ) -> PropagationOutcome:
-    """Run propagators to their common fixpoint.
+    """Run propagators, and the watchers' not-equal prunes, to their common
+    fixpoint.
 
     trigger_vars=None seeds the root call (see the module docstring);
     otherwise only the watchers of the given variables run initially, the
     rest are woken by domain changes. pending, one flag per propagator and a
     spare, marks the retired propagators (see the module docstring) and is
-    updated in place.
+    updated in place. stats.propagation_calls counts the propagator runs.
     """
     if watchers is None:
         watchers = build_watchers(propagators, len(domains))
@@ -136,9 +147,9 @@ def propagate_to_fixpoint(
         pending = [False] * (len(propagators) + 1)
     first: deque[int] = deque()  # fix-only propagators, run before `queue`
     queue: deque[int] = deque()
-    on_change, on_fix, seeds = watchers
+    on_change, on_fix, seeds, neighbours = watchers
     if trigger_vars is None:
-        # fix-only propagators with a waking variable wake through fixed ones
+        # fix-only propagators with a watched variable wake through fixed ones
         for idx in seeds:
             if not pending[idx]:
                 pending[idx] = True
@@ -148,35 +159,47 @@ def propagate_to_fixpoint(
         changed = trigger_vars
     spare = idx = len(propagators)  # the spare pending slot: no propagator ran yet
     calls = 0
-    while True:
-        # enqueueing is inlined: it runs once per watcher of every change
-        for v in changed:
-            for w in on_change[v]:
-                if not pending[w]:
-                    pending[w] = True
-                    queue.append(w)
-            fix_woken = on_fix[v]
-            if fix_woken and not domains[v] & (domains[v] - 1):
-                for w in fix_woken:
+    pruned = []  # the neighbours the engine narrowed while handling `changed`
+    try:
+        while True:
+            # enqueueing is inlined: it runs once per watcher of every change
+            for v in changed:
+                for w in on_change[v]:
                     if not pending[w]:
                         pending[w] = True
-                        first.append(w)
-        # idx stayed pending while it ran, so its own changes did not queue it
-        pending[idx] = False
-        if first:
-            idx = first.popleft()
-        elif queue:
-            idx = queue.popleft()
-        else:
-            break
-        calls += 1
-        failed, changed = propagators[idx].propagate(domains)
-        if failed is not False:
-            if failed:
-                if stats is not None:
-                    stats.propagation_calls += calls
-                return FAILED
-            idx = spare  # entailed: its flag stays set, so nothing wakes it again
-    if stats is not None:
-        stats.propagation_calls += calls
-    return FIXPOINT
+                        queue.append(w)
+                d = domains[v]
+                if not d & (d - 1):
+                    for w in on_fix[v]:
+                        if not pending[w]:
+                            pending[w] = True
+                            first.append(w)
+                    # a fixed variable's mask is its value's bit
+                    for y in neighbours[v]:
+                        e = domains[y]
+                        if e & d:
+                            if e == d:
+                                return FAILED
+                            domains[y] = e ^ d
+                            pruned.append(y)
+            # idx stayed pending while it ran, so its own changes did not queue it
+            pending[idx] = False
+            if pruned:
+                # handled as the spare's changes, so they wake idx as well
+                changed, pruned, idx = pruned, [], spare
+                continue
+            if first:
+                idx = first.popleft()
+            elif queue:
+                idx = queue.popleft()
+            else:
+                return FIXPOINT
+            calls += 1
+            failed, changed = propagators[idx].propagate(domains)
+            if failed is not False:
+                if failed:
+                    return FAILED
+                idx = spare  # entailed: its flag stays set, so nothing wakes it again
+    finally:
+        if stats is not None:
+            stats.propagation_calls += calls

@@ -4,7 +4,8 @@ Every propagator is contracting (only removes values) and monotone, and each
 carries an exact check() used at search leaves, so propagation strength below
 GAC never lets a false solution through. Domains are bitmasks (see
 `domains.py`); a propagator writes `domains[v] = mask` for the watched
-variables it narrows.
+variables it narrows. The engine prunes not-equal itself, so a not-equal
+star is only a leaf check and its centre's neighbour list.
 """
 
 from __future__ import annotations
@@ -24,50 +25,28 @@ _NOT_EQUAL, _ALL_DIFFERENT = ConstraintKind.NOT_EQUAL, ConstraintKind.ALL_DIFFER
 
 
 class NotEqualProp(Propagator):
-    """x differs from each of `others`. The star wakes only when x becomes
-    fixed and drops x's value from every neighbour in one loop. check() tests
-    x against `checked`, all of `others` unless given.
+    """x differs from each of `others`: the not-equal star centred on x. The
+    engine prunes not-equal itself, through the neighbour lists
+    `build_watchers` takes from the stars' `others`, so a star has no
+    `propagate` of its own and runs only as a leaf check. check() tests x
+    against `checked`, all of `others` unless given.
 
     `build_propagators` puts each edge into the stars of both its ends, so
     that either end's fix prunes the other, and checks it at a leaf only in
     the star of its lower-numbered end: each star is given the neighbours
     above its centre as `checked`, and a model's stars test every edge once.
     The edges between two variables of an all-different join the stars too,
-    so the stars prune its assigned values, but not `checked`: the
+    so the engine prunes its assigned values, but not `checked`: the
     all-different's own check covers them at a leaf.
     """
 
     __slots__ = ("x", "others", "checked")  # a model holds one star per variable
     kind = "not-equal"
-    fix_only = True
 
     def __init__(self, x: VarId, others: Sequence[VarId], checked: Optional[Sequence[VarId]] = None):
         self.x = x
         self.others = tuple(others)
         self.checked = self.others if checked is None else tuple(checked)
-
-    @property
-    def watches(self):
-        return (self.x, *self.others)
-
-    @property
-    def wakes(self):
-        return (self.x,)
-
-    def propagate(self, domains):
-        dx = domains[self.x]
-        if dx & (dx - 1):
-            return False, []
-        changed = []
-        # a fixed variable's mask is its value's bit
-        for y in self.others:
-            dy = domains[y]
-            if dy & dx:
-                domains[y] = dy ^ dx
-                changed.append(y)
-                if dy == dx:
-                    return True, changed
-        return False, changed
 
     def check(self, values):
         # a plain loop: a generator per leaf costs more than the comparisons
@@ -137,8 +116,8 @@ class AbsDiffProp(Propagator):
 class AllDifferentProp(Propagator):
     """The counting rules of all-different: fewer available values than
     variables fails, and when there are as many as variables, a value held
-    by only one variable is fixed there. Its assigned values are pruned by
-    the not-equal stars `build_propagators` posts beside it.
+    by only one variable is fixed there. The engine prunes its assigned
+    values, through the not-equal stars `build_propagators` posts beside it.
 
     A round reads the scope once. It counts holders with two words, `twice |=
     once & d; once |= d`, so `once & ~twice` holds the values with exactly
@@ -708,14 +687,14 @@ def build_propagator(c: Constraint) -> Propagator:
     raise ModelError(f"no propagator for constraint kind {kind}")
 
 
-def build_propagators(model: Model) -> list[Propagator]:
-    """One propagator per constraint, except that the not-equals become one
-    star per variable over its distinct neighbours, placed first, each
-    checking at a leaf only its neighbours above its centre (see
-    `NotEqualProp`). An all-different also puts its pairwise differences into
-    the stars, which prune its assigned values, and its own propagator holds
-    the counting rules; those edges are left out of `checked`. A lazy
-    all-different posts no stars."""
+def build_propagators(model: Model) -> tuple[list[NotEqualProp], list[Propagator]]:
+    """The model's not-equal stars and its propagators, one per constraint
+    but the not-equals. The not-equals become one star per variable over its
+    distinct neighbours, each checking at a leaf only its neighbours above its
+    centre (see `NotEqualProp`). An all-different also puts its pairwise
+    differences into the stars, so the engine prunes its assigned values, and
+    its own propagator holds the counting rules; those edges are left out of
+    `checked`. A lazy all-different posts no stars."""
     neighbours: dict[VarId, dict[VarId, None]] = {}
     cliques = []
     props = []
@@ -735,7 +714,7 @@ def build_propagators(model: Model) -> list[Propagator]:
             others = neighbours.setdefault(x, {})
             others.update(clique)
             del others[x]
-    return [NotEqualProp(x, others, checked.get(x, ())) for x, others in neighbours.items()] + props
+    return [NotEqualProp(x, others, checked.get(x, ())) for x, others in neighbours.items()], props
 
 
 def check_all(propagators: Sequence[Propagator], values: Sequence[int]) -> bool:

@@ -15,11 +15,13 @@ Modes:
               the value subgroup of whatever is declared (`break_group`)
 
 Domains are a flat list of int bitmasks, one per variable, copied per node;
-propagation runs to a fixpoint after every assignment and every leaf is
-re-checked against the exact constraint relations, so weak propagators cost
-time, never correctness. A solve reads leaf values and branching value lists
-from per-solve tables and keeps its counters in locals, writing them to its
-stats before it returns or raises BudgetExceeded. Each open ancestor of the
+propagation runs to a fixpoint after every assignment, the engine pruning a
+fixed variable's not-equal neighbours itself, uncounted in
+`propagation_calls`, and every leaf is re-checked against the exact
+constraint relations, so weak propagators cost time, never correctness. A
+solve reads branching value lists from a per-solve table and keeps its
+counters in locals, writing them to its stats before it returns or raises
+BudgetExceeded. Each open ancestor of the
 node has one search-stack frame: its domains, its branching variable, its
 values, how many it tried, the mask of the values decided on scope variables
 above it, so getree reads the decided values as one mask instead of walking
@@ -27,13 +29,14 @@ the path, and its pending list after its fixpoint, which marks the
 propagators retired as entailed at it or above it. Each child starts its
 fixpoint from a copy of that list, so a retirement holds for the node's whole
 subtree and never reaches a sibling; the leaf check still runs every
-propagator.
+propagator, after the not-equal stars that check an edge.
 
 A model keeps three builds, each made on first use in the model's `__dict__`,
 outside its fields, so `==`, `repr`, `dataclasses.replace`, `pickle` and
-`copy.deepcopy` do not see them: its own propagators and their watchers, its
-closed group and the propagators static-lex posts. Every later solve, in any
-mode, shares them, and a search reads nothing but its model and its config.
+`copy.deepcopy` do not see them: its own propagators, leaf checks and
+watchers, its closed group and the propagators static-lex posts. Every later
+solve, in any mode, shares them, and a search reads nothing but its model and
+its config.
 A propagator keeps no state after `__init__`, so sharing one is safe. Each
 solve builds precedence's and channel's propagators afresh and watches a
 mode's extra propagators through extended copies of the shared watchers.
@@ -205,18 +208,21 @@ def _static_lex_propagators(model: Model) -> tuple:
     return tuple(props)
 
 
-def _own_propagators(model: Model) -> tuple[tuple, Watchers]:
-    props = tuple(build_propagators(model))
-    return props, build_watchers(props, model.num_vars)
+def _own_propagators(model: Model) -> tuple[tuple, tuple, Watchers]:
+    """The model's propagators, its leaf checks (the stars that check an edge,
+    then the propagators) and the watchers, with the stars' neighbours."""
+    stars, props = build_propagators(model)
+    checks = (*(s for s in stars if s.checked), *props)
+    return tuple(props), checks, build_watchers(props, model.num_vars, stars=stars)
 
 
-def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
-    """The working domains, the propagators and their watchers for one solve:
-    the model's shared own ones, then those the mode posts."""
+def _prepare(model: Model, mode: str) -> tuple[list[int], list, list, Watchers]:
+    """The working domains, the propagators, the leaf checks and the watchers
+    for one solve: the model's shared own ones, then those the mode posts."""
     _require_mode(model.symmetry, mode)
     classes = model.symmetry.interchangeable_classes
     domains = model.initial_domains()
-    own, watchers = _kept(model, _own_propagators)
+    own, checks, watchers = _kept(model, _own_propagators)
     extra = []
     if mode == "static-lex":
         extra = _kept(model, _static_lex_propagators)
@@ -227,7 +233,7 @@ def _prepare(model: Model, mode: str) -> tuple[list[int], list, Watchers]:
             extra += post_first_occurrence_channel(domains, model.symmetry_scope, cls)
     if extra:
         watchers = build_watchers(extra, len(domains), watchers, len(own))
-    return domains, [*own, *extra], watchers
+    return domains, [*own, *extra], [*checks, *extra], watchers
 
 
 def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tuple[int, ...]], SearchStats]:
@@ -238,7 +244,7 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     deterministic for a given config."""
     if config is None:
         config = SearchConfig()
-    domains, props, watchers = _prepare(model, config.symmetry_mode)
+    domains, props, checks, watchers = _prepare(model, config.symmetry_mode)
     getree = config.symmetry_mode == "getree"
     group, scope = None, set()  # the variables whose decided values getree reads
     if getree:
@@ -250,8 +256,6 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
     num_vars, model_vars = len(domains), model.num_vars
     ascending = config.val_order == "ascending"
     min_dom = config.var_order == "min-domain"
-    # a leaf's singleton mask -> its value, over the widest initial domain
-    value_of = {1 << v: v for v in range(max(domains, default=0).bit_length())}.__getitem__
     value_lists: dict[int, list[int]] = {}  # a branching mask -> its values, shared by frames
     t0 = time.perf_counter()
 
@@ -292,8 +296,8 @@ def solve(model: Model, config: Optional[SearchConfig] = None) -> tuple[list[tup
         if outcome.failed:
             failures += 1
         elif (var := pick_var(domains, var + 1)) < 0:
-            values = tuple(map(value_of, domains))
-            if check_all(props, values):
+            values = tuple([d.bit_length() - 1 for d in domains])
+            if check_all(checks, values):
                 solutions.append(values[:model_vars])
                 if len(solutions) == limit:
                     break

@@ -6,7 +6,7 @@ generate-and-test."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from typing import Callable, Container, Optional, Sequence
 
@@ -422,6 +422,79 @@ def naive_fixpoint(propagators, domains: list[int]) -> bool:
                 return True
         if domains == before:
             return False
+
+
+class ReferenceStar:
+    """A not-equal star as a fix-only propagator, the way the engine ran the
+    stars before it pruned not-equal neighbours itself: it watches x and
+    `others`, wakes when x becomes fixed and drops x's value from every
+    neighbour in one loop."""
+
+    kind = "not-equal"
+    fix_only = True
+
+    def __init__(self, x: int, others: Sequence[int]):
+        self.x, self.others = x, tuple(others)
+        self.watches, self.wakes = (x, *self.others), (x,)
+
+    def propagate(self, domains: list[int]) -> tuple[bool, list[int]]:
+        dx = domains[self.x]
+        if dx & (dx - 1):
+            return False, []
+        changed = []
+        for y in self.others:
+            dy = domains[y]
+            if dy & dx:
+                domains[y] = dy ^ dx
+                changed.append(y)
+                if dy == dx:
+                    return True, changed
+        return False, changed
+
+
+def reference_fixpoint(propagators, domains: list[int], trigger_vars=None) -> bool:
+    """The engine as it ran reference stars: a change wakes the propagators
+    that list the variable in `wakes` (all of `watches` when they have none),
+    a fix-only one only when the change leaves it fixed and into a queue run
+    first; the root seeds every propagator but the fix-only ones with a
+    waking variable, and changes from the fixed variables. Leaves the
+    fixpoint in `domains` and returns whether some propagator failed."""
+    wakes = [getattr(p, "wakes", p.watches) for p in propagators]
+    on_change, on_fix = [[] for _ in domains], [[] for _ in domains]
+    for idx, p in enumerate(propagators):
+        for v in wakes[idx]:
+            (on_fix if p.fix_only else on_change)[v].append(idx)
+    pending = [False] * (len(propagators) + 1)
+    first, queue = deque(), deque()
+    if trigger_vars is None:
+        for idx, p in enumerate(propagators):
+            if not p.fix_only or not wakes[idx]:
+                pending[idx] = True
+                (first if p.fix_only else queue).append(idx)
+        changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
+    else:
+        changed = trigger_vars
+    idx = len(propagators)
+    while True:
+        for v in changed:
+            for w in on_change[v]:
+                if not pending[w]:
+                    pending[w] = True
+                    queue.append(w)
+            if not domains[v] & (domains[v] - 1):
+                for w in on_fix[v]:
+                    if not pending[w]:
+                        pending[w] = True
+                        first.append(w)
+        pending[idx] = False
+        if not first and not queue:
+            return False
+        idx = (first or queue).popleft()
+        failed, changed = propagators[idx].propagate(domains)
+        if failed:
+            return True
+        if failed is None:
+            idx = len(propagators)
 
 
 def not_equal_forward_check(edges, domains: list[int]) -> bool:

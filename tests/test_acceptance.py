@@ -18,7 +18,7 @@ from oracles import (
     precedence_accepts,
 )
 from valsym.domains import mask_of, values_of
-from valsym.engine import propagate_to_fixpoint
+from valsym.engine import build_watchers, propagate_to_fixpoint
 from valsym.problems import (
     build_all_interval,
     build_pigeonhole,
@@ -71,15 +71,15 @@ def test_criterion_1_reference_vectors():
         problems.append("composed image mismatch")
 
     model = build_all_interval(11)
-    base_props = build_propagators(model)
+    stars, base_props = build_propagators(model)
     vectors = (SERIES_11, REVERSED_11, INVERTED_11, COMPOSED_11)
     for vec in vectors:
-        if not check_all(base_props, _with_diffs(vec)):
+        if not check_all(stars + base_props, _with_diffs(vec)):
             problems.append(f"{vec[:3]}... violates the base model")
 
     # static-lex posts first < last for reversal (the series is all-different)
     # and one lex-leader over inversion and the composed element
-    _, broken_props, _ = _prepare(model, "static-lex")
+    _, broken_props, broken_checks, _ = _prepare(model, "static-lex")
     posted = sorted(p.kind for p in broken_props[len(base_props):])
     if posted != ["lex-leader", "ordering-chain"]:
         problems.append(f"static-lex posted {posted}")
@@ -88,7 +88,7 @@ def test_criterion_1_reference_vectors():
     if len(lex) != 1 or set(lex[0].elements) != set(want):
         problems.append("static-lex lex-leader elements are not inversion and composed")
     survivors = [
-        vec for vec in vectors if check_all(broken_props, _with_diffs(vec))
+        vec for vec in vectors if check_all(broken_checks, _with_diffs(vec))
     ]
     if survivors != [COMPOSED_11]:
         problems.append(f"survivors {survivors}")
@@ -107,13 +107,15 @@ def test_criterion_2_lex_fixpoints():
     problems = []
     m = build_all_interval(11)
     inversion = VarValueSymmetry.value_only(11, inversion_permutation(11))
-    props = build_propagators(m) + [LexLeaderProp(m.symmetry_scope, inversion)]
+    stars, props = build_propagators(m)
+    props.append(LexLeaderProp(m.symmetry_scope, inversion))
+    watchers = build_watchers(props, m.num_vars, stars=stars)
     doms = m.initial_domains()
-    out = propagate_to_fixpoint(props, doms)
+    out = propagate_to_fixpoint(props, doms, watchers=watchers)
     if out.failed or set(values_of(doms[0])) != set(range(6)):
         problems.append(f"root domain {sorted(values_of(doms[0]))}")
     doms[0] = 1 << 5
-    out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
+    out = propagate_to_fixpoint(props, doms, [0], watchers)
     if out.failed or set(values_of(doms[1])) != set(range(5)):
         problems.append(f"post-assignment domain {sorted(values_of(doms[1]))}")
     elapsed = time.perf_counter() - t0

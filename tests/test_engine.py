@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import naive_fixpoint
-from test_propagators import IDEMPOTENCE_CASES
+from oracles import ReferenceStar, naive_fixpoint, reference_fixpoint
+from test_propagators import IDEMPOTENCE_CASES, _graph_model, _random_masks
 from valsym import propagators, search
 from valsym.domains import mask_of, values_of
 from valsym.engine import Propagator, build_watchers, propagate_to_fixpoint
@@ -11,6 +12,7 @@ from valsym.model import Constraint, ConstraintKind, Model
 from valsym.problems import build_all_interval, build_pigeonhole
 from valsym.search import MODES, SearchConfig, SearchStats, solve
 from valsym.propagators import (
+    AbsDiffProp,
     AllDifferentProp,
     EqualityDisjunctionProp,
     LexLeaderProp,
@@ -18,6 +20,7 @@ from valsym.propagators import (
     OrderingChainProp,
     PrecedenceProp,
     build_propagators,
+    post_first_occurrence_channel,
 )
 from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry, inversion_permutation
 
@@ -27,11 +30,40 @@ def _edge(x, y):
     return [NotEqualProp(x, (y,)), NotEqualProp(y, (x,))]
 
 
+def _fixpoint(props, doms, stars, **kwargs):
+    """propagate_to_fixpoint on watchers that also hold the stars' neighbours."""
+    watchers = build_watchers(props, len(doms), stars=stars)
+    return propagate_to_fixpoint(props, doms, watchers=watchers, **kwargs)
+
+
 def test_not_equal_fixpoint():
     doms = [mask_of([3]), mask_of([3, 4])]
-    out = propagate_to_fixpoint(_edge(0, 1), doms)
+    out = _fixpoint([], doms, _edge(0, 1))
     assert not out.failed
     assert doms == [mask_of([3]), mask_of([4])]
+
+
+def test_a_fixed_neighbour_prunes_its_own_neighbours_in_turn():
+    # a path x0 - x1 - x2 - x3: x0 = 1 leaves x1 = 2, which leaves x2 = 3,
+    # which empties x3; then without x3's fix the path settles
+    doms = [mask_of([1]), mask_of([1, 2]), mask_of([2, 3]), mask_of([3])]
+    stars = _edge(0, 1) + _edge(1, 2) + _edge(2, 3)
+    assert _fixpoint([], doms, stars).failed
+    doms = [mask_of([1]), mask_of([1, 2]), mask_of([2, 3]), mask_of([3, 4])]
+    assert not _fixpoint([], doms, stars).failed
+    assert doms == [mask_of([1]), mask_of([2]), mask_of([3]), mask_of([4])]
+
+
+def test_a_neighbour_prune_wakes_the_propagator_whose_write_fixed_its_source():
+    # |x0 - x1| = x2 narrows x1 to 2; the engine then drops 2 from x1's
+    # neighbour x2, which the abs-diff watches too, so it must run again and
+    # fix x0 to 2
+    doms = [mask_of([0, 2]), mask_of([1, 2]), mask_of([0, 2])]
+    stats = SearchStats()
+    pending = [False, False]
+    out = _fixpoint([AbsDiffProp(0, 1, 2)], doms, _edge(1, 2), stats=stats, pending=pending)
+    assert not out.failed and doms == [mask_of([2]), mask_of([2]), mask_of([0])]
+    assert stats.propagation_calls == 2 and pending == [False, False]
 
 
 def test_own_changes_do_not_wake_a_propagator():
@@ -45,9 +77,11 @@ def test_own_changes_do_not_wake_a_propagator():
 
 
 def test_failure_reported_not_stored():
-    doms = [mask_of([3]), mask_of([3])]
+    # the chain fixes x1 to 4, and the engine's prune of x1's neighbour x2
+    # then empties it
+    doms = [mask_of([3]), mask_of([3, 4]), mask_of([4])]
     stats = SearchStats()
-    out = propagate_to_fixpoint(_edge(0, 1), doms, stats=stats)
+    out = _fixpoint([OrderingChainProp((0, 1))], doms, _edge(1, 2), stats=stats)
     assert out.failed
     assert stats.propagation_calls == 1  # counted on the failing return too
 
@@ -63,29 +97,28 @@ def test_all_interval_root_prefix_bound():
     # caps the first series variable at 5
     m = build_all_interval(11)
     inversion = VarValueSymmetry.value_only(11, inversion_permutation(11))
-    props = build_propagators(m) + [
-        OrderingChainProp((0, 10)),
-        LexLeaderProp(m.symmetry_scope, inversion),
-    ]
+    stars, props = build_propagators(m)
+    props += [OrderingChainProp((0, 10)), LexLeaderProp(m.symmetry_scope, inversion)]
     doms = m.initial_domains()
-    out = propagate_to_fixpoint(props, doms)
+    out = _fixpoint(props, doms, stars)
     assert not out.failed
     assert set(values_of(doms[0])) <= set(range(6))
 
 
 def test_trigger_vars_wake_only_watchers():
     doms = [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
-    props = _edge(0, 1)
+    props = [OrderingChainProp((0, 1))]
     stats = SearchStats()
-    out = propagate_to_fixpoint(props, doms, trigger_vars=[2], stats=stats)
-    # nothing watches var 2, so nothing runs and nothing changes
+    out = _fixpoint(props, doms, _edge(0, 1), trigger_vars=[2], stats=stats)
+    # nothing watches var 2 and it has no neighbour, so nothing changes
     assert not out.failed and stats.propagation_calls == 0
     assert doms == [mask_of([3]), mask_of([3, 4]), mask_of([0, 1])]
-    out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
+    out = _fixpoint(props, doms, _edge(0, 1), trigger_vars=[0])
     assert list(values_of(doms[1])) == [4]
 
 
 def _random_instance(rng):
+    """Random domains, random not-equal stars and random propagators."""
     n = rng.randint(3, 5)
     u = rng.randint(3, 5)
     doms = [rng.randrange(1, 1 << u) for _ in range(n)]
@@ -95,7 +128,8 @@ def _random_instance(rng):
             if rng.random() < 0.3:
                 neighbours[i].append(j)
                 neighbours[j].append(i)
-    props = [NotEqualProp(x, ys) for x, ys in enumerate(neighbours) if ys]
+    stars = [NotEqualProp(x, ys) for x, ys in enumerate(neighbours) if ys]
+    props = []
     if rng.random() < 0.5:
         props.append(AllDifferentProp(tuple(range(n))))
     if rng.random() < 0.5:
@@ -111,7 +145,11 @@ def _random_instance(rng):
     if rng.random() < 0.5:
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
         props.append(EqualityDisjunctionProp(pairs))
-    return doms, props
+    return doms, props, stars
+
+
+def _reference_stars(stars):
+    return [ReferenceStar(s.x, s.others) for s in stars]
 
 
 def test_fixpoint_confluent_under_scheduling_order():
@@ -119,7 +157,7 @@ def test_fixpoint_confluent_under_scheduling_order():
     # fixpoint (or fail identically)
     rng = random.Random(99)
     for _ in range(300):
-        doms, props = _random_instance(rng)
+        doms, props, stars = _random_instance(rng)
         if not props:
             continue
         results = []
@@ -127,7 +165,7 @@ def test_fixpoint_confluent_under_scheduling_order():
             order = props[:]
             random.Random(perm_seed).shuffle(order)
             local = list(doms)
-            out = propagate_to_fixpoint(order, local)
+            out = _fixpoint(order, local, stars)
             results.append((out.failed, local))
         assert results[0][0] == results[1][0] == results[2][0]
         if not results[0][0]:
@@ -138,31 +176,33 @@ def test_fixpoint_is_stable():
     # re-running propagation on a fixpoint changes nothing
     rng = random.Random(7)
     for _ in range(200):
-        doms, props = _random_instance(rng)
+        doms, props, stars = _random_instance(rng)
         if not props:
             continue
-        out = propagate_to_fixpoint(props, doms)
+        out = _fixpoint(props, doms, stars)
         if out.failed:
             continue
         before = list(doms)
-        out2 = propagate_to_fixpoint(props, doms)
+        out2 = _fixpoint(props, doms, stars)
         assert not out2.failed
         assert doms == before
 
 
 def test_fixpoint_matches_waking_every_propagator_on_every_change():
     # fix-only propagators are woken only when a watched variable becomes
-    # fixed, and run ahead of the rest; the fixpoint must not change, at the
-    # root and after a search-style decision on a copy of the root fixpoint
+    # fixed, and run ahead of the rest, and the engine prunes not-equal
+    # neighbours itself; the fixpoint must not change, at the root and after
+    # a search-style decision on a copy of the root fixpoint
     rng = random.Random(4242)
     checked = 0
     for _ in range(600):
-        doms, props = _random_instance(rng)
+        doms, props, stars = _random_instance(rng)
         if not props:
             continue
+        reference = props + _reference_stars(stars)
         ref = list(doms)
-        ref_failed = naive_fixpoint(props, ref)
-        assert propagate_to_fixpoint(props, doms).failed == ref_failed
+        ref_failed = naive_fixpoint(reference, ref)
+        assert _fixpoint(props, doms, stars).failed == ref_failed
         if ref_failed:
             continue
         assert doms == ref
@@ -173,12 +213,72 @@ def test_fixpoint_matches_waking_every_propagator_on_every_change():
         child = list(doms)
         child[v] = 1 << rng.choice(list(values_of(child[v])))
         ref = list(child)
-        ref_failed = naive_fixpoint(props, ref)
-        assert propagate_to_fixpoint(props, child, trigger_vars=[v]).failed == ref_failed
+        ref_failed = naive_fixpoint(reference, ref)
+        assert _fixpoint(props, child, stars, trigger_vars=[v]).failed == ref_failed
         if not ref_failed:
             assert child == ref
         checked += 1
     assert checked > 100
+
+
+def _engine_case(rng):
+    """Declared not-equal edges and the stars `build_propagators` makes of
+    them and of 1-2 all-different cliques, with one or two of all-different,
+    abs-diff and the first-occurrence channel (numbering its position
+    variables after the model's, as channel mode does) over random domains,
+    some variables fixed. Returns the propagators, the stars, the watchers
+    and the domains."""
+    n, u = rng.randint(3, 8), rng.randint(3, 8)
+    kinds = rng.sample(("all-different", "abs-diff", "channel"), rng.randint(1, 2))
+    constraints = [Constraint(ConstraintKind.NOT_EQUAL, tuple(rng.sample(range(n), 2)))
+                   for _ in range(rng.randint(0, n))]
+    for kind, arity in (("all-different", 0), ("abs-diff", 3)):
+        if kind in kinds:
+            for _ in range(rng.randint(1, 2)):
+                scope = tuple(rng.sample(range(n), arity or rng.randint(2, min(n, u))))
+                constraints.append(Constraint(ConstraintKind(kind), scope))
+    rng.shuffle(constraints)
+    model = _graph_model(n, u, constraints)
+    doms = _random_masks(rng, n, u, fixed=rng.choice((0.1, 0.3)))
+    stars, props = build_propagators(model)
+    watchers = build_watchers(props, n, stars=stars)
+    if "channel" in kinds:
+        order = rng.sample(range(u), rng.randint(1, u))
+        extra = post_first_occurrence_channel(doms, rng.sample(range(n), rng.randint(1, n)), order)
+        watchers = build_watchers(extra, len(doms), watchers, len(props))
+        props += extra
+    return props, stars, watchers, doms
+
+
+def test_engine_not_equal_prunes_match_the_reference_stars():
+    # the engine's own not-equal prunes reach the fixpoint the engine reached
+    # when it ran the stars as fix-only propagators: at the root, and after
+    # a search-style decision on the root fixpoint
+    rng = random.Random(3535)
+    outcomes = Counter()
+    for _ in range(3_000):
+        props, stars, watchers, doms = _engine_case(rng)
+        reference = _reference_stars(stars) + props
+        for phase in ("root", "decision"):
+            trigger = None
+            if phase == "decision":
+                open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
+                if not open_vars:
+                    break
+                v = rng.choice(open_vars)
+                doms[v] = 1 << rng.choice(list(values_of(doms[v])))
+                trigger = [v]
+            start, ref = list(doms), list(doms)
+            ref_failed = reference_fixpoint(reference, ref, trigger)
+            failed = propagate_to_fixpoint(props, doms, trigger, watchers).failed
+            assert failed == ref_failed, (props, stars, start, trigger)
+            if failed:
+                outcomes[phase, "failed"] += 1
+                break
+            assert doms == ref, (props, stars, start, trigger)
+            outcomes[phase, "pruned" if doms != start else "unchanged"] += 1
+    # seed 3535 draws each outcome in each phase often
+    assert len(outcomes) == 6 and min(outcomes.values()) > 80, outcomes
 
 
 def _unfixed_mask(rng, width):
@@ -190,9 +290,8 @@ def _unfixed_mask(rng, width):
 
 def test_fix_only_propagators_prune_nothing_while_no_waking_variable_is_fixed():
     # the engine wakes a fix-only propagator only when a change leaves one of
-    # its waking variables fixed, so one that could prune earlier is
-    # mislabelled; the other watched variables (a star's neighbours) may be
-    # fixed, as drawn or all of them
+    # its watched variables fixed, so one that could prune earlier is
+    # mislabelled
     fix_only = [
         cls for cls in vars(propagators).values()
         if isinstance(cls, type) and issubclass(cls, Propagator) and cls.fix_only
@@ -202,47 +301,43 @@ def test_fix_only_propagators_prune_nothing_while_no_waking_variable_is_fixed():
     for cls in fix_only:
         for _ in range(2_000):
             prop, doms = IDEMPOTENCE_CASES[cls.kind](rng)
-            if not prop.wakes:
+            if not prop.watches:
                 continue  # a disjunction of no pairs: the root runs it anyway
             width = max(3, max(d.bit_length() for d in doms))
-            for v in prop.wakes:
+            for v in prop.watches:
                 doms[v] = _unfixed_mask(rng, width)
-            rest = [v for v in prop.watches if v not in prop.wakes]
-            fixed = list(doms)
-            for v in rest:
-                fixed[v] = 1 << rng.choice(list(values_of(fixed[v])))
-            for case in (doms, fixed):
-                before = list(case)
-                assert prop.propagate(case) == (False, []), (cls.kind, before)
-                assert case == before
+            before = list(doms)
+            assert prop.propagate(doms) == (False, []), (cls.kind, before)
+            assert doms == before
 
 
 def test_a_star_prunes_nothing_while_its_centre_is_unfixed():
+    # x1 and x2 are fixed but no star is centred on them
     doms = [mask_of([0, 1]), mask_of([0]), mask_of([1])]
-    star = NotEqualProp(0, (1, 2))
-    assert star.wakes == (0,) and star.watches == (0, 1, 2)
-    assert star.propagate(doms) == (False, [])
+    stats = SearchStats()
+    out = _fixpoint([], doms, [NotEqualProp(0, (1, 2))], stats=stats)
+    assert not out.failed and stats.propagation_calls == 0
     assert doms == [mask_of([0, 1]), mask_of([0]), mask_of([1])]
+    out = _fixpoint([], doms, [NotEqualProp(0, (1, 2))], trigger_vars=[0])
+    assert not out.failed and doms == [mask_of([0, 1]), mask_of([0]), mask_of([1])]
 
 
 def test_root_runs_not_equal_only_through_a_fixed_variable():
-    # x0 is fixed at the root, so its star prunes x1, which stays open; no
-    # other star's centre is fixed, so none of them runs
+    # x0 is fixed at the root, so the engine prunes its neighbour x1, which
+    # stays open; no other variable is fixed, and no propagator runs for it
     doms = [mask_of([3]), mask_of([3, 4, 5]), mask_of([0, 1]), mask_of([0, 1])]
     stats = SearchStats()
-    out = propagate_to_fixpoint(_edge(2, 3) + _edge(0, 1), doms, stats=stats)
-    assert not out.failed and doms[1] == mask_of([4, 5])
-    assert stats.propagation_calls == 1
+    out = _fixpoint([], doms, _edge(2, 3) + _edge(0, 1), stats=stats)
+    assert not out.failed and doms == [mask_of([3]), mask_of([4, 5]), mask_of([0, 1]), mask_of([0, 1])]
+    assert stats.propagation_calls == 0
 
 
 def _random_watched(rng, num_vars):
     scope = rng.sample(range(num_vars), rng.randint(1, num_vars))
-    kind = rng.randrange(4)
+    kind = rng.randrange(3)
     if kind == 0:
-        return NotEqualProp(scope[0], scope[1:])
-    if kind == 1:
         return AllDifferentProp(scope)
-    if kind == 2:
+    if kind == 1:
         return OrderingChainProp(scope)
     return EqualityDisjunctionProp(list(zip(scope, scope[1:])))
 
@@ -256,15 +351,22 @@ def test_extending_base_watchers_matches_watching_the_whole_list():
         num_vars = base_vars + rng.randint(0, 3)  # a mode may add variables
         head = [_random_watched(rng, base_vars) for _ in range(rng.randint(0, 6))]
         tail = [_random_watched(rng, num_vars) for _ in range(rng.randint(0, 6))]
-        base = build_watchers(head, base_vars)
-        before = (list(base[0]), list(base[1]), base[2])
+        centres = rng.sample(range(base_vars), rng.randint(0, base_vars))
+        stars = [NotEqualProp(x, rng.sample(range(base_vars), rng.randint(1, base_vars))) for x in centres]
+        base = build_watchers(head, base_vars, stars=stars)
+        before = tuple(map(list, base))
         extended = build_watchers(tail, num_vars, base, len(head))
-        assert extended == build_watchers(head + tail, num_vars)
-        assert base == before
-        assert all(type(entry) is tuple for lists in extended[:2] for entry in lists)
-        # the root seeds every propagator but a fix-only one with a waking variable
+        assert extended == build_watchers(head + tail, num_vars, stars=stars)
+        assert tuple(map(list, base)) == before
+        assert all(type(entry) is tuple for lists in (*extended[:2], extended[3]) for entry in lists)
+        # the root seeds every propagator but a fix-only one with a watched variable
         props = head + tail
-        assert extended[2] == tuple(i for i, p in enumerate(props) if not p.fix_only or not p.wakes)
+        assert extended[2] == tuple(i for i, p in enumerate(props) if not p.fix_only or not p.watches)
+        # each star's centre lists its neighbours, and the rest, padding included, none
+        want = [()] * num_vars
+        for star in stars:
+            want[star.x] = star.others
+        assert extended[3] == want
 
 
 def test_stars_and_default_params_are_lean():
@@ -276,11 +378,8 @@ def test_stars_and_default_params_are_lean():
 
 
 class _Recorder(Propagator):
-    wakes = ()  # shadows the default, so that an instance can set its own
-
-    def __init__(self, name, watches, fix_only, log, wakes=None):
+    def __init__(self, name, watches, fix_only, log):
         self.name, self.watches, self.fix_only, self.log = name, watches, fix_only, log
-        self.wakes = watches if wakes is None else wakes
 
     def propagate(self, domains):
         self.log.append(self.name)
@@ -302,9 +401,9 @@ def test_fix_only_watchers_run_before_the_fifo():
 
 @pytest.mark.parametrize("fix_only", [False, True])
 def test_only_waking_variables_wake_a_propagator(fix_only):
-    # it watches x0 and x1 but wakes on x0 alone
+    # it watches x0 alone, so a change to x1 does not wake it
     log = []
-    props = [_Recorder("p", (0, 1), fix_only, log, wakes=(0,))]
+    props = [_Recorder("p", (0,), fix_only, log)]
     doms = [mask_of([0, 1]), mask_of([2])]
     assert not propagate_to_fixpoint(props, doms, trigger_vars=[1]).failed
     assert log == []
@@ -315,15 +414,15 @@ def test_only_waking_variables_wake_a_propagator(fix_only):
 
 def test_root_wakes_a_fix_only_propagator_through_fixed_waking_variables_only():
     log = []
-    props = [_Recorder("p", (0, 1), True, log, wakes=(0,))]
-    # x1 is fixed but does not wake it, and x0 is open
+    props = [_Recorder("p", (0,), True, log)]
+    # x1 is fixed but not watched, and x0 is open
     assert not propagate_to_fixpoint(props, [mask_of([0, 1]), mask_of([2])]).failed
     assert log == []
     assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
     assert log == ["p"]
-    # with no waking variable at all, the root runs it once
+    # with no watched variable at all, the root runs it once
     log.clear()
-    props = [_Recorder("q", (0, 1), True, log, wakes=())]
+    props = [_Recorder("q", (), True, log)]
     assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
     assert log == ["q"]
 
@@ -359,7 +458,7 @@ def test_a_retired_propagator_stays_retired_below_its_node_only(monkeypatch):
     # The propagator retires at x0 = 0, so it runs there once and never
     # below, but runs at x0 = 1 and at each of that node's children
     log = []
-    monkeypatch.setattr(search, "build_propagators", lambda model: [_Retiring(3, 0, log)])
+    monkeypatch.setattr(search, "build_propagators", lambda model: ([], [_Retiring(3, 0, log)]))
     model = Model("free", 2, (0b11,) * 3, (), SymmetrySpec(scope_len=3, universe_size=2), (0, 1, 2))
     sols, stats = solve(model)
     assert len(sols) == 8 and stats.nodes == 15

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import brute_support, enumerated_group, lex_leader_propagate_one
 from valsym.domains import mask_of, values_of
-from valsym.engine import propagate_to_fixpoint
+from valsym.engine import build_watchers, propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.problems import build_all_interval
 from valsym.propagators import LexLeaderProp, PrecedenceProp, build_propagators
@@ -81,15 +81,17 @@ def test_series_model_root_and_first_branch_fixpoints():
     # strictly below 5 (the tie consumes the lone fixed value)
     m = build_all_interval(11)
     _, inversion, _ = _all_interval_syms(11)
-    props = build_propagators(m) + [LexLeaderProp(m.symmetry_scope, inversion)]
+    stars, props = build_propagators(m)
+    props.append(LexLeaderProp(m.symmetry_scope, inversion))
+    watchers = build_watchers(props, m.num_vars, stars=stars)
     doms = m.initial_domains()
-    out = propagate_to_fixpoint(props, doms)
+    out = propagate_to_fixpoint(props, doms, watchers=watchers)
     assert not out.failed
     assert set(values_of(doms[0])) == set(range(6))
     assert all(doms[i].bit_count() == 11 for i in range(1, 11))
 
     doms[0] = 1 << 5
-    out = propagate_to_fixpoint(props, doms, trigger_vars=[0])
+    out = propagate_to_fixpoint(props, doms, [0], watchers)
     assert not out.failed
     assert set(values_of(doms[1])) == set(range(5))
 

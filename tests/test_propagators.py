@@ -15,7 +15,7 @@ from oracles import (
 )
 from valsym.domains import mask_of, values_of
 from valsym import propagators
-from valsym.engine import Propagator, propagate_to_fixpoint
+from valsym.engine import Propagator, build_watchers, propagate_to_fixpoint
 from valsym.errors import ModelError
 from valsym.model import Constraint, ConstraintKind, Model
 from valsym.propagators import (
@@ -37,6 +37,15 @@ from valsym.symmetry import SymmetrySpec, ValuePermutation, VarValueSymmetry
 def run(props, doms):
     out = propagate_to_fixpoint(props, doms)
     return out.failed, doms
+
+
+def run_model(model, doms, extra=(), trigger_vars=None):
+    """A model's fixpoint as search reaches it: its own propagators, then
+    `extra`, with the engine pruning along its stars' not-equal edges."""
+    stars, props = build_propagators(model)
+    props += extra
+    watchers = build_watchers(props, len(doms), stars=stars)
+    return propagate_to_fixpoint(props, doms, trigger_vars, watchers).failed, doms
 
 
 def test_abs_diff_fixed_pair():
@@ -238,12 +247,12 @@ def test_all_different_matches_per_value_scans_on_engine_traffic(cls):
 
 def test_all_different_assigned_value_pruning():
     # four values for three variables: the counting rules prune nothing, and
-    # the not-equal stars posted beside them drop each assigned value
+    # the engine drops each assigned value along the stars posted beside them
     doms = [mask_of([1]), mask_of([1, 2]), mask_of([0, 1, 2, 3])]
     alone = list(doms)
     assert AllDifferentProp((0, 1, 2)).propagate(alone) == (False, [])
     model = _graph_model(3, 4, [Constraint(ConstraintKind.ALL_DIFFERENT, (0, 1, 2))])
-    failed, doms = run(build_propagators(model), doms)
+    failed, doms = run_model(model, doms)
     assert not failed
     assert list(values_of(doms[1])) == [2]
     assert list(values_of(doms[2])) == [0, 3]
@@ -346,32 +355,36 @@ def _graph_model(num_vars, num_values, constraints):
 def test_every_constraint_kind_has_a_propagator_and_an_oracle(kind):
     # the enum, the factory and the reference oracle cover the same kinds
     c = REGISTRY_CASES[kind]
-    props = build_propagators(_graph_model(4, 3, [c]))
-    # an all-different posts not-equal stars over its scope beside itself
+    stars, props = build_propagators(_graph_model(4, 3, [c]))
+    # a not-equal posts only stars, and an all-different stars over its scope
+    # beside itself
     want = {kind.value, "not-equal"} if kind is ConstraintKind.ALL_DIFFERENT else {kind.value}
-    assert props and {p.kind for p in props} == want
+    assert {p.kind for p in stars + props} == want
+    assert (kind is ConstraintKind.NOT_EQUAL) == (not props)
     for values in product(range(3), repeat=4):
-        assert check_all(props, values) == constraint_holds(c, values)
+        assert check_all(stars + props, values) == constraint_holds(c, values)
 
 
 def test_not_equal_stars_match_pairwise_forward_checking():
     # random graphs, repeated and reversed edges included, over random masks:
-    # the stars reach the pairwise fixpoint, at the root and after a decision
+    # the engine's prunes along the stars reach the pairwise fixpoint, at the
+    # root and after a decision
     rng = random.Random(3030)
     outcomes = Counter()
     for _ in range(2_000):
         n, u = rng.randint(2, 7), rng.randint(2, 4)
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
         model = _graph_model(n, u, [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges])
-        props = build_propagators(model)
+        stars, props = build_propagators(model)
+        assert props == []
         values = [rng.randrange(u) for _ in range(n)]
         holds = all(constraint_holds(c, values) for c in model.constraints)
-        assert check_all(props, values) == holds
+        assert check_all(stars, values) == holds
         outcomes["holds" if holds else "violated"] += 1
         doms = _random_masks(rng, n, u, fixed=0.4)
         ref = list(doms)
         ref_failed = not_equal_forward_check(edges, ref)
-        assert propagate_to_fixpoint(props, doms).failed == ref_failed, (edges, ref)
+        assert run_model(model, doms)[0] == ref_failed, (edges, ref)
         if ref_failed:
             outcomes["failed"] += 1
             continue
@@ -383,7 +396,7 @@ def test_not_equal_stars_match_pairwise_forward_checking():
         doms[v] = 1 << rng.choice(list(values_of(doms[v])))
         ref = list(doms)
         ref_failed = not_equal_forward_check(edges, ref)
-        assert propagate_to_fixpoint(props, doms, trigger_vars=[v]).failed == ref_failed
+        assert run_model(model, doms, trigger_vars=[v])[0] == ref_failed
         if not ref_failed:
             assert doms == ref
         outcomes["decided"] += 1
@@ -418,7 +431,8 @@ def test_check_all_matches_all_over_checks_and_stops_at_the_same_one():
             pairs = (tuple(rng.sample(range(n), 2)),)
             constraints.append(Constraint(ConstraintKind.EQUALITY_DISJUNCTION, pairs[0], {"pairs": pairs}))
         rng.shuffle(constraints)
-        props = build_propagators(_graph_model(n, u, constraints))
+        stars, props = build_propagators(_graph_model(n, u, constraints))
+        props = stars + props
         values = tuple(rng.randrange(u) for _ in range(n))
         got_calls, want_calls = [], []
         got = check_all([_CountedCheck(p, got_calls) for p in props], values)
@@ -442,7 +456,7 @@ def test_a_leaf_checks_each_not_equal_edge_once_either_way_round():
                 listed = [e for e in edges if e != (a, b)] + [declared]
                 rng.shuffle(listed)
                 model = _graph_model(n, n, [Constraint(ConstraintKind.NOT_EQUAL, e) for e in listed])
-                stars = build_propagators(model)
+                stars, _ = build_propagators(model)
                 assert sorted((p.x, y) for p in stars for y in p.checked) == sorted(edges)
                 values = list(range(n))
                 assert check_all(stars, values)
@@ -492,8 +506,9 @@ def _staged_reference(scopes, edges, doms):
 
 
 def test_staged_all_different_reaches_the_one_propagator_fixpoint():
-    # the stars and the counting propagator that build_propagators posts for
-    # an all-different reach the fixpoint of one propagator applying every rule
+    # the engine's prunes along the stars and the counting propagator that
+    # build_propagators posts for an all-different reach the fixpoint of one
+    # propagator applying every rule
     rng = random.Random(3434)
     outcomes = Counter()
     for _ in range(4_000):
@@ -501,7 +516,7 @@ def test_staged_all_different_reaches_the_one_propagator_fixpoint():
         start = list(doms)
         want = list(doms)
         want_failed = _staged_reference(scopes, edges, want)
-        failed = propagate_to_fixpoint(build_propagators(model), doms).failed
+        failed = run_model(model, doms)[0]
         assert failed == want_failed, (model.constraints, start)
         if failed:
             outcomes["failed"] += 1
@@ -535,8 +550,7 @@ def test_all_different_edges_stay_out_of_the_stars_leaf_checks():
         constraints = [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges]
         constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, scope))
         rng.shuffle(constraints)
-        props = build_propagators(_graph_model(n, n, constraints))
-        stars = [p for p in props if isinstance(p, NotEqualProp)]
+        stars, props = build_propagators(_graph_model(n, n, constraints))
         declared = {tuple(sorted(e)) for e in edges}
         assert sorted((p.x, y) for p in stars for y in p.checked) == sorted(declared)
         clique = {(a, b) for a in scope for b in scope if a != b}
@@ -547,7 +561,7 @@ def test_all_different_edges_stay_out_of_the_stars_leaf_checks():
             repeated += 1
             values = list(range(n))
             values[b] = a  # only a and b now share a value
-            assert sum(not p.check(values) for p in props) == 2  # its star and the all-different
+            assert sum(not p.check(values) for p in stars + props) == 2  # its star and the all-different
     assert repeated > 100
 
 
@@ -605,9 +619,8 @@ def test_binary_propagators_sound_and_contracting(inst):
     # fixpoint domains contain every brute-force support and never grow
     u, doms = inst
     n = len(doms)
-    props = [NotEqualProp(0, (1,)), NotEqualProp(1, (0,))]
-    if n >= 3:
-        props.append(AbsDiffProp(0, 1, 2))
+    stars = [NotEqualProp(0, (1,)), NotEqualProp(1, (0,))]
+    props = [AbsDiffProp(0, 1, 2)] if n >= 3 else []
     props.append(OrderingChainProp((0, n - 1)))
     snapshot = list(doms)
 
@@ -618,14 +631,14 @@ def test_binary_propagators_sound_and_contracting(inst):
             return False
         return c[0] < c[n - 1]
 
-    failed, doms = run(props, doms)
+    failed = propagate_to_fixpoint(props, doms, watchers=build_watchers(props, n, stars=stars)).failed
     want = brute_support(snapshot, accepts)
     if want is None:
         # individual propagators need not detect a joint wipeout, but the
         # leaf checks must reject every remaining completion
         if not failed:
             for combo in product(*(tuple(values_of(d)) for d in doms)):
-                assert not all(p.check(combo) for p in props)
+                assert not all(p.check(combo) for p in stars + props)
         return
     assert not failed
     for i in range(n):
@@ -687,15 +700,7 @@ def _random_disjunction_case(rng):
     return EqualityDisjunctionProp(pairs), _random_masks(rng, n, 3, fixed=0.8)
 
 
-def _random_star_case(rng):
-    n = rng.randint(2, 5)
-    x = rng.randrange(n)
-    others = rng.sample([v for v in range(n) if v != x], rng.randint(1, n - 1))
-    return NotEqualProp(x, others), _random_masks(rng, n, 4, fixed=0.5)
-
-
 IDEMPOTENCE_CASES = {
-    "not-equal": _random_star_case,
     "abs-diff": _random_abs_diff_case,
     "all-different": lambda rng: _random_all_different_case(rng, AllDifferentProp),
     "lazy-all-different": lambda rng: _random_all_different_case(rng, LazyAllDifferentProp),
@@ -708,11 +713,15 @@ IDEMPOTENCE_CASES = {
 
 
 def test_idempotence_cases_cover_every_propagator_kind():
+    # every kind that propagates; the engine prunes not-equal itself, so its
+    # stars are leaf checks only
     kinds = {
         cls.kind for cls in vars(propagators).values()
-        if isinstance(cls, type) and issubclass(cls, Propagator) and cls is not Propagator
+        if isinstance(cls, type) and issubclass(cls, Propagator)
+        and cls.propagate is not Propagator.propagate
     }
     assert kinds == set(IDEMPOTENCE_CASES)
+    assert NotEqualProp.propagate is Propagator.propagate
 
 
 @pytest.mark.parametrize("kind", list(IDEMPOTENCE_CASES))

@@ -17,7 +17,7 @@ from valsym.problems import (
     build_pigeonhole,
     random_interchangeable_model,
 )
-from valsym.propagators import NotEqualProp, build_propagators
+from valsym.propagators import build_propagators
 from valsym.search import (
     MODES,
     SearchConfig,
@@ -254,17 +254,19 @@ def test_solution_counts_equal_orbit_counts():
         assert len(sols) == len(orbits), mode
 
 
-def test_a_leaf_that_only_the_leaf_check_rejects_is_a_failure(monkeypatch):
-    # with not-equal pruning nothing, every one of the 27 full assignments of
-    # a triangle in 3 colours is a leaf; the exact leaf check keeps the 6
-    # proper colourings and each of the other 21 leaves counts as a failure
-    m = build_coloring(3, TRIANGLE, 3)
-    want, stats = solve(m)
-    assert (stats.nodes, stats.failures) == (10, 0)
-    monkeypatch.setattr(NotEqualProp, "propagate", lambda self, domains: (False, []))
-    got, stats = solve(m)
-    assert got == want and len(got) == 6
-    assert (stats.nodes, stats.failures, stats.solutions) == (40, 21, 6)
+def test_a_leaf_that_only_the_leaf_check_rejects_is_a_failure():
+    # a triangle in 4 colours posted as a lazy all-different: its counting
+    # rules prune nothing while 4 values remain for 3 variables, so every one
+    # of the 64 full assignments is a leaf; the exact leaf check keeps the 24
+    # proper colourings and each of the other 40 leaves counts as a failure.
+    # Posted as not-equals, the engine's prunes reach only the 24
+    edges = build_coloring(3, TRIANGLE, 4)
+    lazy = replace(edges, constraints=(Constraint(ConstraintKind.LAZY_ALL_DIFFERENT, (0, 1, 2)),))
+    want, stats = solve(edges)
+    assert (stats.nodes, stats.failures) == (41, 0)
+    got, stats = solve(lazy)
+    assert got == want and len(got) == 24
+    assert (stats.nodes, stats.failures, stats.solutions) == (85, 40, 24)
 
 
 def test_solution_limit_truncates():
@@ -280,12 +282,12 @@ def test_solution_limit_truncates():
 # node that tripped the guard. All-interval 7 has 150 nodes in input order, so
 # it trips there at 100 and at 10, and in min-domain order at 10 and 300.
 BUDGET_TRIPS = [
-    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 140, 3)),
-    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 123, 6)),
-    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 1397, 4)),
-    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 3557, 7)),
-    ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 103, 5)),
-    ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 94, 4)),
+    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 104, 3)),
+    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 95, 6)),
+    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 947, 4)),
+    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 2618, 7)),
+    ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 28, 5)),
+    ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 30, 4)),
 ]
 
 
@@ -362,23 +364,23 @@ PINNED_GRAPH_40 = [
 # search in input/ascending order. Search is deterministic, so any change here
 # means the search tree or the propagation queue changed.
 PINNED_COUNTS = [
-    ("all-interval-7", "none", (150, 149, 78, 32, 2093)),
-    ("all-interval-7", "static-lex", (46, 45, 27, 8, 758)),
-    ("all-interval-7", "getree", (76, 75, 39, 16, 1055)),
-    ("graph-12", "none", (151, 150, 48, 48, 606)),
-    ("graph-12", "static-lex", (26, 25, 8, 8, 110)),
-    ("graph-12", "precedence", (26, 25, 8, 8, 121)),
-    ("graph-12", "channel", (26, 25, 8, 8, 132)),
-    ("graph-12", "getree", (28, 27, 8, 8, 103)),
-    ("pigeonhole-6", "precedence", (1, 0, 1, 0, 7)),
-    ("pigeonhole-6", "channel", (1, 0, 1, 0, 9)),
-    ("pigeonhole-6", "getree", (33, 32, 13, 0, 84)),
-    ("graph-40", "precedence", (53, 52, 15, 12, 205)),
-    ("graph-40", "channel", (53, 52, 15, 12, 209)),
-    ("all-interval-8", "none", (449, 448, 284, 40, 6441)),
-    ("all-interval-8", "static-lex", (139, 138, 95, 10, 2498)),
-    ("k4-6", "static-lex", (1, 0, 0, 1, 6)),
-    ("path-5", "static-lex", (23, 22, 0, 15, 44)),
+    ("all-interval-7", "none", (150, 149, 78, 32, 1424)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 528)),
+    ("all-interval-7", "getree", (76, 75, 39, 16, 720)),
+    ("graph-12", "none", (151, 150, 48, 48, 0)),
+    ("graph-12", "static-lex", (26, 25, 8, 8, 7)),
+    ("graph-12", "precedence", (26, 25, 8, 8, 18)),
+    ("graph-12", "channel", (26, 25, 8, 8, 29)),
+    ("graph-12", "getree", (28, 27, 8, 8, 0)),
+    ("pigeonhole-6", "precedence", (1, 0, 1, 0, 5)),
+    ("pigeonhole-6", "channel", (1, 0, 1, 0, 7)),
+    ("pigeonhole-6", "getree", (33, 32, 13, 0, 52)),
+    ("graph-40", "precedence", (53, 52, 15, 12, 8)),
+    ("graph-40", "channel", (53, 52, 15, 12, 12)),
+    ("all-interval-8", "none", (449, 448, 284, 40, 4561)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 1743)),
+    ("k4-6", "static-lex", (1, 0, 0, 1, 2)),
+    ("path-5", "static-lex", (23, 22, 0, 15, 20)),
 ]
 
 _PINNED_MODELS = {
@@ -405,16 +407,16 @@ def test_search_counters_are_pinned(model, mode, want):
 # "value-only" inversion alone. Mode none ignores the group, so it runs once;
 # getree breaks the value subgroup, which both groups share.
 ALL_INTERVAL_10_COUNTS = [
-    ("full", "input", "none", (4369, 4368, 2858, 296, 70173)),
-    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 27592)),
-    ("full", "input", "getree", (2185, 2184, 1429, 148, 35092)),
-    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 35095)),
-    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 35092)),
-    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 371722)),
-    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 50771)),
-    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 273580)),
-    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 37394)),
-    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 273580)),
+    ("full", "input", "none", (4369, 4368, 2858, 296, 52215)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 20720)),
+    ("full", "input", "getree", (2185, 2184, 1429, 148, 26113)),
+    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 26116)),
+    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 26113)),
+    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 282024)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 38158)),
+    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 219846)),
+    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 28903)),
+    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 219846)),
 ]
 
 
@@ -476,8 +478,8 @@ _FAMILY_MODELS = {
 @pytest.mark.parametrize("name", _FAMILY_MODELS)
 def test_static_lex_posts_one_lex_leader_over_every_non_ordering_element(name):
     model = _FAMILY_MODELS[name]()
-    own, _ = search._own_propagators(model)
-    _, props, _ = search._prepare(model, "static-lex")
+    own, _, _ = search._own_propagators(model)
+    _, props, _, _ = search._prepare(model, "static-lex")
     extra = props[len(own):]
     lex = [p for p in extra if p.kind == "lex-leader"]
     orderings = [p for p in extra if p.kind == "ordering-chain"]
@@ -496,8 +498,8 @@ def test_static_lex_posts_no_lex_leader_when_every_element_is_an_ordering():
     reversal = model.symmetry.explicit[0]
     assert reversal.sigma.is_identity
     model = replace(model, symmetry=replace(model.symmetry, explicit=(reversal,)))
-    own, _ = search._own_propagators(model)
-    _, props, _ = search._prepare(model, "static-lex")
+    own, _, _ = search._own_propagators(model)
+    _, props, _, _ = search._prepare(model, "static-lex")
     assert [p.kind for p in props[len(own):]] == ["ordering-chain"]
 
 
@@ -517,8 +519,8 @@ def test_a_replaced_model_builds_its_own_propagators():
     reversed_only = replace(interval, symmetry=replace(interval.symmetry, explicit=(reversal,)))
     assert len(search._kept(interval, search._closed_group)) == 4
     assert len(search._kept(reversed_only, search._closed_group)) == 2
-    own, _ = search._kept(reversed_only, search._own_propagators)
-    _, props, _ = search._prepare(reversed_only, "static-lex")
+    own, _, _ = search._kept(reversed_only, search._own_propagators)
+    _, props, _, _ = search._prepare(reversed_only, "static-lex")
     assert [p.kind for p in props[len(own):]] == ["ordering-chain"]
     fresh = replace(build_all_interval(8), symmetry=reversed_only.symmetry)
     for mode in ("static-lex", "getree"):
@@ -539,7 +541,7 @@ def test_break_group_keeps_the_static_lex_build_its_solves_post(name, monkeypatc
     leaders = []
     for _ in range(2):
         assert _run(model, "static-lex") == want
-        _, props, _ = search._prepare(model, "static-lex")
+        _, props, _, _ = search._prepare(model, "static-lex")
         leaders += [p for p in props if p.kind == "lex-leader"]
     assert len(leaders) == 2 and leaders[0] is leaders[1]
 
@@ -552,10 +554,10 @@ def test_repeated_not_equals_solve_as_their_deduplicated_twin():
     model = replace(
         twin, constraints=tuple(Constraint(ConstraintKind.NOT_EQUAL, e) for e in repeated)
     )
-    stars = {p.x: p.others for p in build_propagators(model)}
+    stars = {p.x: p.others for p in build_propagators(model)[0]}
     assert all(len(set(others)) == len(others) for others in stars.values())
     assert {x: set(o) for x, o in stars.items()} == {
-        p.x: set(p.others) for p in build_propagators(twin)
+        p.x: set(p.others) for p in build_propagators(twin)[0]
     }
     for mode in applicable_modes(twin):
         config = SearchConfig(symmetry_mode=mode)
@@ -563,6 +565,31 @@ def test_repeated_not_equals_solve_as_their_deduplicated_twin():
         want_sols, want = solve(twin, config)
         assert sols == want_sols and sols
         assert replace(stats, elapsed=0) == replace(want, elapsed=0), mode
+
+
+def test_leaf_check_stars_hold_the_declared_edges_each_once_at_its_lower_end():
+    # a star that checks no edge is left out of the leaf checks: all-interval
+    # 10's 19 stars carry only all-different edges, so its leaf checks are
+    # its propagators alone
+    own, checks, _ = search._own_propagators(build_all_interval(10))
+    assert checks == own
+    rng = random.Random(3636)
+    with_clique = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        constraints = [Constraint(ConstraintKind.NOT_EQUAL, e) for e in edges]
+        if rng.random() < 0.5:
+            scope = tuple(rng.sample(range(n), rng.randint(2, n)))
+            constraints.append(Constraint(ConstraintKind.ALL_DIFFERENT, scope))
+            with_clique += 1
+        rng.shuffle(constraints)
+        own, checks, _ = search._own_propagators(_plain_model(n, n, constraints))
+        stars = checks[: len(checks) - len(own)]
+        assert checks[len(stars):] == own and all(p.kind == "not-equal" and p.checked for p in stars)
+        declared = sorted({tuple(sorted(e)) for e in edges})
+        assert sorted((p.x, y) for p in stars for y in p.checked) == declared
+    assert with_clique > 100
 
 
 def test_deep_model_is_solved_without_recursion():
