@@ -2,11 +2,11 @@
 
 Propagators are contracting and monotone, so running them in any fair order
 reaches the same greatest fixpoint. A change to a variable wakes the
-propagators that watch it into a FIFO queue, except a `fix_only` one, woken
-only when the variable becomes fixed, into a second FIFO drained first. The
-root runs all the others in index order, and a fix-only one through a watched
-variable fixed already or if it watches none. A propagator returns at its own
-fixpoint, so the engine does not wake it for the changes it made itself.
+propagators that watch it into one of two FIFO queues: the fixed-arity ones
+into the first, and a `late` one, which reads a whole scope, into the second,
+drained only while the first is empty. The root queues every propagator, in
+index order. A propagator returns at its own fixpoint, so the engine does not
+wake it for the changes it made itself.
 
 The engine forward-checks not-equal itself: a change that leaves a variable
 fixed drops its value from each of the variable's not-equal neighbours, and
@@ -23,12 +23,12 @@ after a successful fixpoint, when only the retired flags are set; search
 starts each child from a copy of its parent's, so a retirement lasts for the
 rest of the node's subtree and never reaches a sibling.
 
-Watchers are two per-variable lists, (on_change, on_fix), of tuples of
-propagator indices, the tuple of the indices the root seeds, in index order,
-and a per-variable list of tuples of not-equal neighbours; a variable with
-none holds the shared `()`. Search builds a model's own watchers once and
-extends copies of them with a mode's extra propagators, numbered after the
-model's own.
+Watchers are (on_change, late, neighbours): per variable the tuple of the
+indices of the propagators that watch it, one `late` flag per propagator
+index, and per variable the tuple of its not-equal neighbours; a variable
+with none of either holds the shared `()`. Search builds a model's own
+watchers once and extends copies of them with a mode's extra propagators,
+numbered after the model's own.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class Propagator:
     fixpoint, and search never below this node: it stays retired for the
     node's whole subtree. Reporting False instead is always sound; reporting
     None early loses pruning.
-    Any change to a watched variable wakes it. fix_only declares that it
-    prunes nothing while none of them is a singleton; the engine then wakes
-    it only when one is fixed.
+    Any change to a watched variable wakes it. `late` only schedules it: a
+    late one runs only while no early one is queued, so one that reads a
+    whole scope runs on the settled output of the cheap ones, less often.
     check() decides the underlying relation on a full assignment; search uses
     it at leaves so weak propagators never admit false solutions.
     A propagator keeps no state after __init__: search shares a model's own
@@ -78,7 +78,7 @@ class Propagator:
     __slots__ = ()
     kind = "propagator"
     watches: tuple[VarId, ...] = ()
-    fix_only = False
+    late = False
 
     def propagate(self, domains: list[int]) -> tuple[Optional[bool], list[int]]:
         raise NotImplementedError
@@ -87,9 +87,7 @@ class Propagator:
         raise NotImplementedError
 
 
-Watchers = tuple[
-    list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...], list[tuple[VarId, ...]]
-]
+Watchers = tuple[list[tuple[int, ...]], tuple[bool, ...], list[tuple[VarId, ...]]]
 
 
 def build_watchers(
@@ -99,29 +97,23 @@ def build_watchers(
     first: int = 0,
     stars: Sequence = (),
 ) -> Watchers:
-    """Per variable: the indices of the propagators any change wakes, and of
-    the fix-only ones a fix wakes; then the indices the root seeds, every
-    propagator but the fix-only ones with a watched variable; then per
-    variable its not-equal neighbours, the `others` of the star in `stars`
-    centred on it. With `base`, copies of its lists, padded to num_vars, and
-    its seeds are extended with `propagators` numbered from `first`, which
-    leaves each entry in index order when `first` is past every index in
-    `base`; `base` itself is not changed."""
+    """Per variable the indices of the propagators that watch it, the `late`
+    flag of each propagator, and per variable its not-equal neighbours, the
+    `others` of the star in `stars` centred on it. With `base`, which holds
+    `first` propagators, copies of its lists, padded to num_vars, and its
+    flags are extended with `propagators` numbered from `first`, so each entry
+    stays in index order; `base` itself is not changed."""
     if base is None:
-        base = ([], [], (), [])
+        base = ([], (), [])
     pad = [()] * (num_vars - len(base[0]))
-    lists = (base[0] + pad, base[1] + pad)
-    seeds = list(base[2])
-    neighbours = base[3] + pad
+    on_change = base[0] + pad
+    neighbours = base[2] + pad
     for idx, p in enumerate(propagators, first):
-        woken = lists[p.fix_only]
         for v in p.watches:
-            woken[v] += (idx,)
-        if not p.fix_only or not p.watches:
-            seeds.append(idx)
+            on_change[v] += (idx,)
     for star in stars:
         neighbours[star.x] = star.others
-    return (*lists, tuple(seeds), neighbours)
+    return on_change, base[1] + tuple(p.late for p in propagators), neighbours
 
 
 def propagate_to_fixpoint(
@@ -135,7 +127,7 @@ def propagate_to_fixpoint(
     """Run propagators, and the watchers' not-equal prunes, to their common
     fixpoint.
 
-    trigger_vars=None seeds the root call (see the module docstring);
+    trigger_vars=None queues every propagator (see the module docstring);
     otherwise only the watchers of the given variables run initially, the
     rest are woken by domain changes. pending, one flag per propagator and a
     spare, marks the retired propagators (see the module docstring) and is
@@ -145,15 +137,14 @@ def propagate_to_fixpoint(
         watchers = build_watchers(propagators, len(domains))
     if pending is None:
         pending = [False] * (len(propagators) + 1)
-    first: deque[int] = deque()  # fix-only propagators, run before `queue`
     queue: deque[int] = deque()
-    on_change, on_fix, seeds, neighbours = watchers
+    later: deque[int] = deque()  # the late propagators, run while `queue` is empty
+    on_change, late, neighbours = watchers
     if trigger_vars is None:
-        # fix-only propagators with a watched variable wake through fixed ones
-        for idx in seeds:
+        for idx in range(len(propagators)):
             if not pending[idx]:
                 pending[idx] = True
-                (first if propagators[idx].fix_only else queue).append(idx)
+                (later if late[idx] else queue).append(idx)
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
     else:
         changed = trigger_vars
@@ -167,13 +158,12 @@ def propagate_to_fixpoint(
                 for w in on_change[v]:
                     if not pending[w]:
                         pending[w] = True
-                        queue.append(w)
+                        if late[w]:
+                            later.append(w)
+                        else:
+                            queue.append(w)
                 d = domains[v]
                 if not d & (d - 1):
-                    for w in on_fix[v]:
-                        if not pending[w]:
-                            pending[w] = True
-                            first.append(w)
                     # a fixed variable's mask is its value's bit
                     for y in neighbours[v]:
                         e = domains[y]
@@ -188,10 +178,10 @@ def propagate_to_fixpoint(
                 # handled as the spare's changes, so they wake idx as well
                 changed, pruned, idx = pruned, [], spare
                 continue
-            if first:
-                idx = first.popleft()
-            elif queue:
+            if queue:
                 idx = queue.popleft()
+            elif later:
+                idx = later.popleft()
             else:
                 return FIXPOINT
             calls += 1

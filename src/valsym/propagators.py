@@ -130,6 +130,7 @@ class AllDifferentProp(Propagator):
     """
 
     kind = "all-different"
+    late = True
 
     def __init__(self, scope: Sequence[VarId]):
         self.scope = tuple(scope)
@@ -263,6 +264,7 @@ class PrecedenceProp(Propagator):
     """
 
     kind = "precedence"
+    late = True
 
     def __init__(self, scope: Sequence[VarId], order: Sequence[int]):
         if len(set(order)) != len(order):
@@ -402,6 +404,7 @@ class LexLeaderProp(Propagator):
     """
 
     kind = "lex-leader"
+    late = True
 
     def __init__(self, scope: Sequence[VarId], *syms: VarValueSymmetry):
         if not syms:
@@ -524,6 +527,7 @@ class FirstOccurrenceChannelProp(Propagator):
     """
 
     kind = "first-occurrence-channel"
+    late = True
 
     def __init__(self, x_scope: Sequence[VarId], z_vars: Sequence[VarId], order: Sequence[int]):
         if len(z_vars) != len(order):
@@ -649,10 +653,11 @@ def post_first_occurrence_channel(
 
 class EqualityDisjunctionProp(Propagator):
     """Some listed pair of variables must be equal; evaluated only once its
-    whole scope is fixed. With no pairs it always fails."""
+    whole scope is fixed, so a late run returns at the first open variable.
+    With no pairs it always fails, at the root, which runs every propagator."""
 
     kind = "equality-disjunction"
-    fix_only = True
+    late = True
 
     def __init__(self, pairs: Sequence[tuple[VarId, VarId]]):
         self.pairs = tuple(tuple(p) for p in pairs)

@@ -15,7 +15,8 @@ Modes:
               the value subgroup of whatever is declared (`break_group`)
 
 Domains are a flat list of int bitmasks, one per variable, copied per node;
-propagation runs to a fixpoint after every assignment, the engine pruning a
+propagation runs to a fixpoint after every assignment, the scope-wide
+propagators queued behind the fixed-arity ones and the engine pruning a
 fixed variable's not-equal neighbours itself, uncounted in
 `propagation_calls`, and every leaf is re-checked against the exact
 constraint relations, so weak propagators cost time, never correctness. A
@@ -403,12 +404,15 @@ def verify_symmetry_breaking(
 ) -> tuple[bool, list[VerifyModeReport], SearchStats]:
     """Check one-solution-per-orbit for each mode against mode-none enumeration. Returns
     (all_passed, per-mode reports with their own solves' stats, none-run stats).
-    A mode the model cannot run is refused before anything is enumerated.
-    Modes that break the same group share one orbit partition of the
-    mode-none solutions: none and static-lex share the declared generators,
-    and on value classes alone every mode breaks the class product. A
-    declared element that maps a solution outside the mode-none set is no
-    symmetry of the model, and `orbit_partition` raises ModelError for it."""
+    An empty or repeated mode list, or a mode the model cannot run, is
+    refused before anything is enumerated. Modes that break the same group
+    share one orbit partition of the mode-none solutions: none and static-lex
+    share the declared generators, and on value classes alone every mode
+    breaks the class product. A declared element that maps a solution
+    outside the mode-none set is no symmetry of the model, and
+    `orbit_partition` raises ModelError for it."""
+    if not modes:
+        raise ValueError("verify_symmetry_breaking needs at least one mode")
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode listed")
     groups = [break_group(model, mode) for mode in modes]

@@ -425,17 +425,16 @@ def naive_fixpoint(propagators, domains: list[int]) -> bool:
 
 
 class ReferenceStar:
-    """A not-equal star as a fix-only propagator, the way the engine ran the
-    stars before it pruned not-equal neighbours itself: it watches x and
-    `others`, wakes when x becomes fixed and drops x's value from every
-    neighbour in one loop."""
+    """A not-equal star as a propagator, the way the engine ran the stars
+    before it pruned not-equal neighbours itself: it watches x and `others`,
+    wakes, through `wakes_on_fix`, only when x becomes fixed, and drops x's
+    value from every neighbour in one loop."""
 
     kind = "not-equal"
-    fix_only = True
 
     def __init__(self, x: int, others: Sequence[int]):
         self.x, self.others = x, tuple(others)
-        self.watches, self.wakes = (x, *self.others), (x,)
+        self.watches, self.wakes_on_fix = (x, *self.others), (x,)
 
     def propagate(self, domains: list[int]) -> tuple[bool, list[int]]:
         dx = domains[self.x]
@@ -453,24 +452,27 @@ class ReferenceStar:
 
 
 def reference_fixpoint(propagators, domains: list[int], trigger_vars=None) -> bool:
-    """The engine as it ran reference stars: a change wakes the propagators
-    that list the variable in `wakes` (all of `watches` when they have none),
-    a fix-only one only when the change leaves it fixed and into a queue run
-    first; the root seeds every propagator but the fix-only ones with a
-    waking variable, and changes from the fixed variables. Leaves the
-    fixpoint in `domains` and returns whether some propagator failed."""
-    wakes = [getattr(p, "wakes", p.watches) for p in propagators]
+    """The engine as it ran reference stars: a star wakes only when a change
+    leaves a variable of its `wakes_on_fix` fixed, into a queue run first,
+    and any other propagator on any change to a variable it watches, into one
+    FIFO; the root seeds every propagator but the stars, and changes from the
+    fixed variables. Leaves the fixpoint in `domains` and returns whether
+    some propagator failed."""
     on_change, on_fix = [[] for _ in domains], [[] for _ in domains]
     for idx, p in enumerate(propagators):
-        for v in wakes[idx]:
-            (on_fix if p.fix_only else on_change)[v].append(idx)
+        if hasattr(p, "wakes_on_fix"):
+            for v in p.wakes_on_fix:
+                on_fix[v].append(idx)
+        else:
+            for v in p.watches:
+                on_change[v].append(idx)
     pending = [False] * (len(propagators) + 1)
     first, queue = deque(), deque()
     if trigger_vars is None:
         for idx, p in enumerate(propagators):
-            if not p.fix_only or not wakes[idx]:
+            if not hasattr(p, "wakes_on_fix"):
                 pending[idx] = True
-                (first if p.fix_only else queue).append(idx)
+                queue.append(idx)
         changed = [v for v, d in enumerate(domains) if not d & (d - 1)]
     else:
         changed = trigger_vars

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import ReferenceStar, naive_fixpoint, reference_fixpoint
 from test_propagators import IDEMPOTENCE_CASES, _graph_model, _random_masks
-from valsym import propagators, search
+from valsym import search
 from valsym.domains import mask_of, values_of
 from valsym.engine import Propagator, build_watchers, propagate_to_fixpoint
 from valsym.model import Constraint, ConstraintKind, Model
@@ -189,10 +189,9 @@ def test_fixpoint_is_stable():
 
 
 def test_fixpoint_matches_waking_every_propagator_on_every_change():
-    # fix-only propagators are woken only when a watched variable becomes
-    # fixed, and run ahead of the rest, and the engine prunes not-equal
-    # neighbours itself; the fixpoint must not change, at the root and after
-    # a search-style decision on a copy of the root fixpoint
+    # late propagators wait for the early queue to drain, and the engine
+    # prunes not-equal neighbours itself; the fixpoint must not change, at the
+    # root and after a search-style decision on a copy of the root fixpoint
     rng = random.Random(4242)
     checked = 0
     for _ in range(600):
@@ -252,8 +251,8 @@ def _engine_case(rng):
 
 def test_engine_not_equal_prunes_match_the_reference_stars():
     # the engine's own not-equal prunes reach the fixpoint the engine reached
-    # when it ran the stars as fix-only propagators: at the root, and after
-    # a search-style decision on the root fixpoint
+    # when it ran the stars as propagators woken by their centre's fix: at
+    # the root, and after a search-style decision on the root fixpoint
     rng = random.Random(3535)
     outcomes = Counter()
     for _ in range(3_000):
@@ -281,34 +280,70 @@ def test_engine_not_equal_prunes_match_the_reference_stars():
     assert len(outcomes) == 6 and min(outcomes.values()) > 80, outcomes
 
 
-def _unfixed_mask(rng, width):
-    while True:
-        mask = rng.randrange(1, 1 << width)
-        if mask & (mask - 1):
-            return mask
+def _schedule_case(rng):
+    """An `_engine_case` with, each half the time, an ordering chain and a
+    precedence over random variables, its watchers extended to watch them."""
+    props, stars, watchers, doms = _engine_case(rng)
+    num_vars, width = len(doms), max(3, *(d.bit_length() for d in doms))
+    extra = []
+    if rng.random() < 0.5:
+        extra.append(OrderingChainProp(rng.sample(range(num_vars), rng.randint(2, 3))))
+    if rng.random() < 0.5:
+        scope = rng.sample(range(num_vars), rng.randint(2, num_vars))
+        extra.append(PrecedenceProp(scope, rng.sample(range(width), rng.randint(2, width))))
+    watchers = build_watchers(extra, num_vars, watchers, len(props))
+    return props + extra, stars, watchers, doms
 
 
-def test_fix_only_propagators_prune_nothing_while_no_waking_variable_is_fixed():
-    # the engine wakes a fix-only propagator only when a change leaves one of
-    # its watched variables fixed, so one that could prune earlier is
-    # mislabelled
-    fix_only = [
-        cls for cls in vars(propagators).values()
-        if isinstance(cls, type) and issubclass(cls, Propagator) and cls.fix_only
-    ]
-    assert fix_only
+def test_late_flags_only_schedule():
+    # all early, all late or the built-in flags: the engine reaches the
+    # fixpoint of rerunning every propagator and reference star until nothing
+    # changes, at the root and after each of up to three search-style
+    # decisions, each on the fixpoint before it
+    rng = random.Random(3636)
+    outcomes = Counter()
+    for _ in range(2_000):
+        props, stars, (on_change, late, neighbours), doms = _schedule_case(rng)
+        assert late == tuple(p.late for p in props)
+        reference = props + _reference_stars(stars)
+        trigger = None
+        for phase in ("root", "decision", "decision", "decision"):
+            if phase == "decision":
+                open_vars = [v for v, d in enumerate(doms) if d & (d - 1)]
+                if not open_vars:
+                    break
+                v = rng.choice(open_vars)
+                doms[v] = 1 << rng.choice(list(values_of(doms[v])))
+                trigger = [v]
+            ref = list(doms)
+            ref_failed = naive_fixpoint(reference, ref)
+            for flags in (late, (False,) * len(props), (True,) * len(props)):
+                got = list(doms)
+                watchers = (on_change, flags, neighbours)
+                failed = propagate_to_fixpoint(props, got, trigger, watchers).failed
+                assert failed == ref_failed, (props, stars, doms, trigger, flags)
+                if not failed:
+                    assert got == ref, (props, stars, doms, trigger, flags)
+            if ref_failed:
+                outcomes[phase, "failed"] += 1
+                break
+            outcomes[phase, "pruned" if ref != doms else "unchanged"] += 1
+            doms = ref
+    # seed 3636 draws each outcome in each phase often; most roots fail
+    assert len(outcomes) == 6 and min(outcomes.values()) > 40, outcomes
+
+
+def test_equality_disjunction_waits_for_its_whole_scope():
+    # it prunes nothing and does not fail while a watched variable is open
     rng = random.Random(1313)
-    for cls in fix_only:
-        for _ in range(2_000):
-            prop, doms = IDEMPOTENCE_CASES[cls.kind](rng)
-            if not prop.watches:
-                continue  # a disjunction of no pairs: the root runs it anyway
-            width = max(3, max(d.bit_length() for d in doms))
-            for v in prop.watches:
-                doms[v] = _unfixed_mask(rng, width)
-            before = list(doms)
-            assert prop.propagate(doms) == (False, []), (cls.kind, before)
-            assert doms == before
+    for _ in range(2_000):
+        prop, doms = IDEMPOTENCE_CASES["equality-disjunction"](rng)
+        if not prop.watches:
+            continue  # a disjunction of no pairs: it fails at the root
+        doms[rng.choice(prop.watches)] = rng.choice((0b011, 0b101, 0b110, 0b111))
+        before = list(doms)
+        assert prop.propagate(doms) == (False, []), before
+        assert doms == before
 
 
 def test_a_star_prunes_nothing_while_its_centre_is_unfixed():
@@ -358,15 +393,14 @@ def test_extending_base_watchers_matches_watching_the_whole_list():
         extended = build_watchers(tail, num_vars, base, len(head))
         assert extended == build_watchers(head + tail, num_vars, stars=stars)
         assert tuple(map(list, base)) == before
-        assert all(type(entry) is tuple for lists in (*extended[:2], extended[3]) for entry in lists)
-        # the root seeds every propagator but a fix-only one with a watched variable
-        props = head + tail
-        assert extended[2] == tuple(i for i, p in enumerate(props) if not p.fix_only or not p.watches)
+        assert all(type(entry) is tuple for lists in (extended[0], extended[2]) for entry in lists)
+        # one late flag per propagator index
+        assert extended[1] == tuple(p.late for p in head + tail)
         # each star's centre lists its neighbours, and the rest, padding included, none
         want = [()] * num_vars
         for star in stars:
             want[star.x] = star.others
-        assert extended[3] == want
+        assert extended[2] == want
 
 
 def test_stars_and_default_params_are_lean():
@@ -378,32 +412,43 @@ def test_stars_and_default_params_are_lean():
 
 
 class _Recorder(Propagator):
-    def __init__(self, name, watches, fix_only, log):
-        self.name, self.watches, self.fix_only, self.log = name, watches, fix_only, log
+    """Logs its name at each run, and on its k-th run writes the k-th of
+    `writes`, each a (variable, mask) pair, if there is one."""
+
+    def __init__(self, name, watches, late, log, writes=()):
+        self.name, self.watches, self.late, self.log = name, watches, late, log
+        self.writes = list(writes)
 
     def propagate(self, domains):
         self.log.append(self.name)
-        return False, []
+        if not self.writes:
+            return False, []
+        v, mask = self.writes.pop(0)
+        domains[v] = mask
+        return False, [v]
 
 
-def test_fix_only_watchers_run_before_the_fifo():
+def test_a_late_propagator_runs_once_the_early_queue_drains_and_wakes_again():
     log = []
     props = [
-        _Recorder("global", (0, 1), False, log),
-        _Recorder("on-fix-0", (0,), True, log),
-        _Recorder("on-fix-1", (1,), True, log),
+        _Recorder("early-a", (0,), False, log, [(1, mask_of([0, 1]))]),
+        _Recorder("late", (1, 2), True, log, [(2, mask_of([0, 1]))]),
+        _Recorder("early-b", (2,), False, log, [(1, mask_of([0]))]),
+        _Recorder("early-c", (1,), False, log),
     ]
-    doms = [mask_of([2]), mask_of([0, 1])]
-    assert not propagate_to_fixpoint(props, doms, trigger_vars=[0, 1]).failed
-    # x1 is not fixed, so only x0's fix-only watcher wakes, ahead of the FIFO
-    assert log == ["on-fix-0", "global"]
+    doms = [mask_of([0, 1]), mask_of([0, 1, 2]), mask_of([0, 1, 2])]
+    assert not propagate_to_fixpoint(props, doms, trigger_vars=[0]).failed
+    # early-a's write to x1 wakes late and early-c, and early-c runs first;
+    # late's write to x2 wakes early-b, whose write to x1 wakes late again
+    assert log == ["early-a", "early-c", "late", "early-b", "early-c", "late"]
+    assert doms == [mask_of([0, 1]), mask_of([0]), mask_of([0, 1])]
 
 
-@pytest.mark.parametrize("fix_only", [False, True])
-def test_only_waking_variables_wake_a_propagator(fix_only):
+@pytest.mark.parametrize("late", [False, True])
+def test_only_waking_variables_wake_a_propagator(late):
     # it watches x0 alone, so a change to x1 does not wake it
     log = []
-    props = [_Recorder("p", (0,), fix_only, log)]
+    props = [_Recorder("p", (0,), late, log)]
     doms = [mask_of([0, 1]), mask_of([2])]
     assert not propagate_to_fixpoint(props, doms, trigger_vars=[1]).failed
     assert log == []
@@ -412,19 +457,17 @@ def test_only_waking_variables_wake_a_propagator(fix_only):
     assert log == ["p"]
 
 
-def test_root_wakes_a_fix_only_propagator_through_fixed_waking_variables_only():
+def test_root_queues_every_propagator_in_index_order_each_into_its_own_queue():
+    # whether or not a watched variable is fixed, and if it watches none
     log = []
-    props = [_Recorder("p", (0,), True, log)]
-    # x1 is fixed but not watched, and x0 is open
+    props = [
+        _Recorder("late-0", (0,), True, log),
+        _Recorder("early-1", (), False, log),
+        _Recorder("late-2", (), True, log),
+        _Recorder("early-3", (1,), False, log),
+    ]
     assert not propagate_to_fixpoint(props, [mask_of([0, 1]), mask_of([2])]).failed
-    assert log == []
-    assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
-    assert log == ["p"]
-    # with no watched variable at all, the root runs it once
-    log.clear()
-    props = [_Recorder("q", (), True, log)]
-    assert not propagate_to_fixpoint(props, [mask_of([1]), mask_of([2])]).failed
-    assert log == ["q"]
+    assert log == ["early-1", "early-3", "late-0", "late-2"]
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -22,6 +22,7 @@ from valsym.search import (
     MODES,
     SearchConfig,
     SearchStats,
+    VAL_ORDERS,
     applicable_modes,
     break_group,
     compare_methods,
@@ -282,12 +283,12 @@ def test_solution_limit_truncates():
 # node that tripped the guard. All-interval 7 has 150 nodes in input order, so
 # it trips there at 100 and at 10, and in min-domain order at 10 and 300.
 BUDGET_TRIPS = [
-    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 104, 3)),
-    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 95, 6)),
-    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 947, 4)),
-    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 2618, 7)),
-    ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 28, 5)),
-    ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 30, 4)),
+    ("all-interval-7", "none", "input", 10, (11, 10, 5, 1, 97, 3)),
+    ("all-interval-7", "none", "min-domain", 10, (11, 10, 1, 2, 77, 6)),
+    ("all-interval-7", "none", "input", 100, (101, 100, 48, 24, 853, 4)),
+    ("all-interval-7", "none", "min-domain", 300, (301, 300, 159, 20, 2171, 7)),
+    ("graph-12", "channel", "input", 20, (21, 20, 5, 6, 27, 5)),
+    ("graph-12", "channel", "min-domain", 20, (21, 20, 3, 6, 29, 4)),
 ]
 
 
@@ -364,21 +365,21 @@ PINNED_GRAPH_40 = [
 # search in input/ascending order. Search is deterministic, so any change here
 # means the search tree or the propagation queue changed.
 PINNED_COUNTS = [
-    ("all-interval-7", "none", (150, 149, 78, 32, 1424)),
-    ("all-interval-7", "static-lex", (46, 45, 27, 8, 528)),
-    ("all-interval-7", "getree", (76, 75, 39, 16, 720)),
+    ("all-interval-7", "none", (150, 149, 78, 32, 1280)),
+    ("all-interval-7", "static-lex", (46, 45, 27, 8, 480)),
+    ("all-interval-7", "getree", (76, 75, 39, 16, 648)),
     ("graph-12", "none", (151, 150, 48, 48, 0)),
     ("graph-12", "static-lex", (26, 25, 8, 8, 7)),
     ("graph-12", "precedence", (26, 25, 8, 8, 18)),
-    ("graph-12", "channel", (26, 25, 8, 8, 29)),
+    ("graph-12", "channel", (26, 25, 8, 8, 28)),
     ("graph-12", "getree", (28, 27, 8, 8, 0)),
     ("pigeonhole-6", "precedence", (1, 0, 1, 0, 5)),
     ("pigeonhole-6", "channel", (1, 0, 1, 0, 7)),
-    ("pigeonhole-6", "getree", (33, 32, 13, 0, 52)),
+    ("pigeonhole-6", "getree", (33, 32, 13, 0, 54)),
     ("graph-40", "precedence", (53, 52, 15, 12, 8)),
-    ("graph-40", "channel", (53, 52, 15, 12, 12)),
-    ("all-interval-8", "none", (449, 448, 284, 40, 4561)),
-    ("all-interval-8", "static-lex", (139, 138, 95, 10, 1743)),
+    ("graph-40", "channel", (53, 52, 15, 12, 11)),
+    ("all-interval-8", "none", (449, 448, 284, 40, 4085)),
+    ("all-interval-8", "static-lex", (139, 138, 95, 10, 1461)),
     ("k4-6", "static-lex", (1, 0, 0, 1, 2)),
     ("path-5", "static-lex", (23, 22, 0, 15, 20)),
 ]
@@ -407,16 +408,16 @@ def test_search_counters_are_pinned(model, mode, want):
 # "value-only" inversion alone. Mode none ignores the group, so it runs once;
 # getree breaks the value subgroup, which both groups share.
 ALL_INTERVAL_10_COUNTS = [
-    ("full", "input", "none", (4369, 4368, 2858, 296, 52215)),
-    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 20720)),
-    ("full", "input", "getree", (2185, 2184, 1429, 148, 26113)),
-    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 26116)),
-    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 26113)),
-    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 282024)),
-    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 38158)),
-    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 219846)),
-    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 28903)),
-    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 219846)),
+    ("full", "input", "none", (4369, 4368, 2858, 296, 47657)),
+    ("full", "input", "static-lex", (1462, 1461, 1011, 74, 18021)),
+    ("full", "input", "getree", (2185, 2184, 1429, 148, 23834)),
+    ("value-only", "input", "static-lex", (2185, 2184, 1429, 148, 23837)),
+    ("value-only", "input", "getree", (2185, 2184, 1429, 148, 23834)),
+    ("full", "min-domain", "none", (26427, 26426, 15569, 296, 226536)),
+    ("full", "min-domain", "static-lex", (2800, 2799, 1720, 74, 33144)),
+    ("full", "min-domain", "getree", (19544, 19543, 9491, 148, 170313)),
+    ("value-only", "min-domain", "static-lex", (2476, 2475, 1399, 148, 26150)),
+    ("value-only", "min-domain", "getree", (19544, 19543, 9491, 148, 170313)),
 ]
 
 
@@ -429,6 +430,44 @@ def test_all_interval_10_table_is_pinned(group, order, mode, want):
     _, stats = solve(model, SearchConfig(var_order=order, symmetry_mode=mode))
     got = (stats.nodes, stats.branches, stats.failures, stats.solutions, stats.propagation_calls)
     assert got == want
+
+
+# Pigeonhole trees as (nodes, branches, failures, solutions, max_depth) for
+# n = 2, 3, ...: up to 6 in mode none, up to 8 in the others. The identity
+# gate runs n = 14 only, where every mode but getree fails at the root, and
+# a propagator run later or only as a leaf check first shows at small n: the
+# disjunction fails at n = 3 as soon as x0 and x2 are fixed, and at n = 2,
+# where it has no pair, only because the root runs it. Both value orders give
+# these counts.
+_ROOT_FAILURE = (1, 0, 1, 0, 0)
+PIGEONHOLE_TREES = {
+    "input": {
+        "none": [_ROOT_FAILURE, (69, 68, 48, 0, 3), (451, 450, 320, 0, 4), (3493, 3492, 2520, 0, 5),
+                 (31263, 31262, 22890, 0, 6)],
+        "getree": [_ROOT_FAILURE, (7, 6, 3, 0, 3), (12, 11, 5, 0, 4), (20, 19, 8, 0, 5),
+                   (33, 32, 13, 0, 6), (54, 53, 21, 0, 7), (88, 87, 34, 0, 8)],
+    },
+    "min-domain": {
+        "none": [_ROOT_FAILURE, (17, 16, 12, 0, 2), (426, 425, 320, 0, 4), (3277, 3276, 2520, 0, 5),
+                 (29450, 29449, 22890, 0, 6)],
+        "getree": [_ROOT_FAILURE, (3, 2, 1, 0, 2), (10, 9, 5, 0, 4), (15, 14, 8, 0, 5),
+                   (24, 23, 13, 0, 6), (37, 36, 21, 0, 7), (59, 58, 34, 0, 8)],
+    },
+}
+
+
+@pytest.mark.parametrize("order", PIGEONHOLE_TREES)
+def test_pigeonhole_trees_are_pinned(order):
+    want = dict(PIGEONHOLE_TREES[order])
+    for mode in ("static-lex", "precedence", "channel"):
+        want[mode] = [_ROOT_FAILURE] * 7
+    for mode, trees in want.items():
+        for n, tree in enumerate(trees, 2):
+            for val_order in VAL_ORDERS:
+                config = SearchConfig(var_order=order, val_order=val_order, symmetry_mode=mode)
+                _, stats = solve(build_pigeonhole(n), config)
+                got = (stats.nodes, stats.branches, stats.failures, stats.solutions, stats.max_depth)
+                assert got == tree, (mode, n, val_order)
 
 
 # A model builds its own propagators on its first solve and keeps them for
@@ -1066,6 +1105,15 @@ def test_compare_methods_needs_two_distinct_modes():
         compare_methods(m, ["none"])
     with pytest.raises(ValueError):
         compare_methods(m, ["none", "none"])
+
+
+def test_verify_refuses_an_empty_mode_list_before_solving(monkeypatch):
+    # with no mode to check, it would enumerate mode none and pass vacuously
+    solved = []
+    monkeypatch.setattr(search, "solve", lambda model, config=None: solved.append(config))
+    with pytest.raises(ValueError, match="at least one mode"):
+        verify_symmetry_breaking(build_all_interval(9), [])
+    assert solved == []
 
 
 def test_config_validation():
